@@ -54,12 +54,15 @@ service-smoke:
 bench-figures:
 	pytest benchmarks/ --benchmark-only
 
-# What CI runs: tier-1 tests plus the full-catalog trace audit, a smoke
-# pass of the engine benchmarks (so the perf harness itself cannot rot),
-# the peak-RSS gate of the memory workload (array trace backend must
-# cut peak RSS >= 30%) and the distributed fan-out gates.
+# What CI runs: tier-1 tests, the repository benchmark's own tests (a
+# src rename that leaves a probe target missing fails here), the
+# full-catalog trace audit, a smoke pass of the engine benchmarks (so
+# the perf harness itself cannot rot), the peak-RSS gate of the memory
+# workload (array trace backend must cut peak RSS >= 30%) and the
+# distributed fan-out gates.
 check:
 	PYTHONPATH=src python -m pytest -x -q
+	PYTHONPATH=src python -m pytest perfbench -q
 	$(MAKE) catalog-audit
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -k engine -q
 	PYTHONPATH=src python benchmarks/mem_workload.py --gate

@@ -6,7 +6,7 @@ memory benchmark's record-path children measure a delta that a stray
 latency for nothing.  The only execution paths sanctioned to import numpy
 are
 
-* the **batch engine** (``repro.sim.batch_kernels.numpy_backend``, lazily
+* the **block engine** (``repro.sim.batch_kernels.numpy_backend``, lazily
   and only for blocks past its size threshold), and
 * the vectorized RTA in ``repro.model.schedulability``, which only
   static-RM admission reaches (so RM-free workloads stay numpy-free).
@@ -23,12 +23,9 @@ import sys
 from typing import Optional
 
 #: Engine names allowed to import numpy on the simulation path (the
-#: batch kernels and the cross-cell block lanes share one lazy seam,
+#: block lanes and their per-cell kernel share one lazy seam,
 #: ``repro.sim.batch_kernels.numpy_backend``).
-ARRAY_ENGINES = ("batch", "block")
-
-#: Backwards-compatible alias (pre-block-engine name).
-BATCH_ENGINE = "batch"
+ARRAY_ENGINES = ("block",)
 
 
 def numpy_imported() -> bool:
@@ -50,5 +47,5 @@ def numpy_violation(label: str, imported: Optional[bool] = None,
     if not imported or engine in ARRAY_ENGINES:
         return None
     return (f"{label}: numpy crept into a scalar path — only the "
-            "batch/block engines may import numpy (a stray ~30 MB import "
+            "block engine may import numpy (a stray ~30 MB import "
             "skews memory deltas and slows every scalar startup)")

@@ -91,7 +91,7 @@ from repro.core import (
     make_policy,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     # errors

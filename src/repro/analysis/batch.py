@@ -1,47 +1,47 @@
-"""Batch and block execution backends for sweep cells.
+"""The sweep engines and the one place that picks between them.
 
-The scalar sweep path hands every cell to the discrete-event engine one
-policy run at a time.  This module owns the two array-accelerated
-execution modes that replace it:
+A sweep cell runs on one of :data:`ENGINES`:
 
-* ``--engine batch`` walks the sweep's cell stream *column by column* — a
-  column being the run of consecutive cells that share one task-set
-  recipe ``(utilization, gen_seed, n_tasks, bands, demand)`` —
-  materializes each column once into a structure-of-arrays
-  :class:`ColumnBlock` (task parameters with the cell index as the
-  leading axis, per-cell hyperperiods, per-cell frequency-selection
-  state), and runs every cell through the flat-array
-  :class:`~repro.sim.batch_kernels.CellKernel` instead of the engine.
-* ``--engine block`` goes one level further: every *policy run* of every
-  cell becomes one lane of the cross-cell vectorized simulator
-  (:mod:`repro.sim.block_kernels`), and the whole cell stream advances
-  in lockstep array passes over the lane axis.  The planner here runs
-  each policy's real ``setup`` to seed the lane, mirrors the steady
-  fast-path eligibility so warmup windows are batched across the cell
-  axis too, and hands every lane the block engine cannot replicate
-  exactly (unsupported policies, instrumented runs, abandoned lanes)
-  down the fallback ladder: block lane → per-cell kernel → engine.
-  Per-run fallback reasons and per-stage timings are reported through
+* ``"scalar"`` hands every cell to :func:`repro.analysis.sweep.run_cell`
+  on the discrete-event engine, one policy run at a time (the default and
+  the reference).
+* ``"block"`` walks the sweep's cell stream *column by column* — a column
+  being the run of consecutive cells that share one task-set recipe
+  ``(utilization, gen_seed, n_tasks, bands, demand)`` — materializes each
+  column once into a structure-of-arrays :class:`ColumnBlock`, and turns
+  every *policy run* of every cell into one lane of the cross-cell
+  vectorized simulator (:mod:`repro.sim.block_kernels`); the whole cell
+  stream advances in lockstep array passes over the lane axis.  The
+  planner runs each policy's real ``setup`` to seed the lane, shares the
+  steady fast path's window decision
+  (:func:`repro.sim.steady.fast_path_window`) so warmup windows are
+  batched across the cell axis too, and hands every run the lanes cannot
+  replicate exactly (unsupported policies, instrumented runs, abandoned
+  lanes, no numpy) down the fallback ladder: block lane → per-cell kernel
+  (:func:`batch_simulate`, the flat-array
+  :class:`~repro.sim.batch_kernels.CellKernel`) → event engine.  Per-run
+  fallback reasons and per-stage timings are reported through
   :class:`BlockStats` so silent degradation is visible in sweep results.
+
+:func:`iter_cells` and :func:`encode_cells` are the engine→runner
+decision every executor shares (the in-process pool, the inline path,
+the distributed worker), and :func:`fan_out_units` says how a parallel
+executor splits a sweep into worker tasks.
 
 Two invariants anchor the design:
 
-* **Bit identity.**  A batch cell produces the *same outcome dict* as the
-  scalar path: :func:`run_cell_batch` is
-  :func:`repro.analysis.sweep.run_cell` itself, parameterized with
-  :func:`batch_simulate` as its simulation entry point, so the RM
-  fallback logic, the bound, residency instrumentation, and the
-  hyperperiod short-circuit compose identically (the short-circuit's
-  warmup windows run on the batch kernel too, then extrapolate per cell
-  exactly as before).  Runs outside the kernel envelope — instrumented
-  policies, exotic miss modes — silently fall back to the engine, cell by
-  cell.
-* **Scalar-path laziness.**  Within the simulation layer, numpy only
-  ever loads through :func:`repro.sim.batch_kernels.numpy_backend`,
-  which nothing on the scalar path calls; the memory benchmark's record
-  path keeps ``numpy`` out of ``sys.modules`` entirely (asserted by
-  :mod:`benchmarks.numpy_guard`; the one sanctioned importer outside the
-  batch kernels is the vectorized RTA in
+* **Bit identity.**  A block cell produces the *same outcome dict* as the
+  scalar path: every cell is assembled by
+  :func:`repro.analysis.sweep.run_cell` itself, parameterized with a
+  lane-serving simulation entry point, so the RM fallback logic, the
+  bound, residency instrumentation, and the hyperperiod short-circuit
+  compose identically.
+* **Scalar-path laziness.**  The kernel modules load only on the block
+  path (imported inside the functions that use them), and numpy only
+  ever loads through :func:`repro.sim.batch_kernels.numpy_backend`; the
+  memory benchmark's record path keeps ``numpy`` out of ``sys.modules``
+  entirely (asserted by :mod:`benchmarks.numpy_guard`; the one sanctioned
+  importer outside the kernels is the vectorized RTA in
   :mod:`repro.model.schedulability`, which only static-RM admission
   reaches).
 """
@@ -51,27 +51,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.analysis.sweep import (REFERENCE_POLICY, CellSpec, SweepContext,
                                   materialize_cell, run_cell)
+from repro.analysis.transport import encode_cell
 from repro.core import make_policy
 from repro.core.cycle_conserving import CycleConservingEDF
 from repro.core.no_dvs import NoDVS
 from repro.core.static_scaling import StaticEDF, StaticRM
-from repro.errors import MachineError, SchedulabilityError
+from repro.errors import MachineError, ReproError, SchedulabilityError
 from repro.model.demand import TraceDemand
 from repro.model.task import TaskSet
-from repro.sim import block_kernels
-from repro.sim.batch_kernels import (kernel_simulate, kernel_supported,
-                                     lowest_at_least_indices, numpy_backend)
-from repro.sim.block_kernels import LaneResult, LaneSpec, SEG_RUN, run_lanes
 from repro.sim.engine import simulate
-from repro.sim.steady import demand_is_hyperperiodic
+from repro.sim.steady import fast_path_window
 from repro.sim.timeline import SimTimeline
 
-#: Engine names accepted by the sweep layer.
-ENGINES = ("scalar", "batch", "block")
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.sim.block_kernels import LaneResult, LaneSpec
+
+#: Engine names accepted by every entry point: ``SweepConfig.engine``,
+#: ``rtdvs run``/``run-all``/``submit --engine``, the service protocol,
+#: and (with ``"auto"``) ``rtdvs worker --engine``.
+ENGINES = ("scalar", "block")
 
 #: Keyword arguments the engine accepts but :class:`CellKernel` does not
 #: spell out; they reach the kernel only with their default (supported)
@@ -79,17 +82,77 @@ ENGINES = ("scalar", "batch", "block")
 _ENGINE_ONLY_KWARGS = ("admissions", "enforce_wcet", "switching")
 
 
+def unknown_engine(engine: object) -> str:
+    """The message every entry point rejects a bad engine name with."""
+    return (f"unknown engine {engine!r}; expected one of "
+            f"{', '.join(repr(name) for name in ENGINES)}")
+
+
+# ---------------------------------------------------------------------------
+# the engine dispatcher
+# ---------------------------------------------------------------------------
+
+def iter_cells(context: SweepContext, specs: Sequence[CellSpec],
+               engine: str = "scalar", stats: Optional["BlockStats"] = None,
+               ) -> Iterator[Tuple[int, Dict[str, object]]]:
+    """Yield ``(index, outcome)`` for every spec, in submission order.
+
+    ``"scalar"`` runs each cell through
+    :func:`~repro.analysis.sweep.run_cell`; ``"block"`` runs them all
+    through :func:`iter_cells_block`, which fills ``stats``.  Any other
+    name raises :class:`~repro.errors.ReproError` before a cell runs.
+    """
+    if engine == "block":
+        return iter_cells_block(context, specs, stats=stats)
+    if engine == "scalar":
+        return ((index, run_cell(context, spec))
+                for index, spec in enumerate(specs))
+    raise ReproError(unknown_engine(engine))
+
+
+def encode_cells(context: SweepContext, specs: Sequence[CellSpec],
+                 engine: str = "scalar",
+                 ) -> Tuple[List[bytes], Optional[Dict[str, object]]]:
+    """Run ``specs`` on ``engine``; return their CTR1 payloads.
+
+    The payloads (:func:`~repro.analysis.transport.encode_cell`) come in
+    spec order, next to the block engine's :class:`BlockStats` as a plain
+    dict (``None`` on the scalar engine).  Stats ride *beside* the
+    payloads, never inside them, because the cell wire format and the
+    shared cell cache are engine-agnostic.
+    """
+    stats = BlockStats() if engine == "block" else None
+    encoded = [encode_cell(outcome) for _, outcome
+               in iter_cells(context, specs, engine, stats)]
+    return encoded, None if stats is None else stats.to_dict()
+
+
+def fan_out_units(specs: Sequence[CellSpec],
+                  engine: str) -> List[List[CellSpec]]:
+    """Split ``specs`` into the units a parallel executor ships.
+
+    The block engine's unit of useful work is the column (its lanes
+    amortize across it), so it ships whole columns; the scalar engine
+    ships single cells.  Units concatenate back to ``specs`` in order.
+    """
+    if engine == "block":
+        return _columns(specs)
+    return [[spec] for spec in specs]
+
+
 def batch_simulate(taskset: TaskSet, machine, policy,
                    params: Optional[tuple] = None, **kwargs):
-    """Simulate one run on the batch kernel, or fall back to the engine.
+    """Simulate one run on the per-cell kernel, or fall back to the engine.
 
-    Drop-in compatible with :func:`repro.sim.engine.simulate` (including
-    the ``instrument`` keyword); ``params`` optionally supplies the
-    pre-flattened ``(periods, wcets)`` row of a :class:`ColumnBlock`.
-    Anything the kernel envelope does not cover — instrumented runs,
+    The block engine's per-cell rung.  Drop-in compatible with
+    :func:`repro.sim.engine.simulate` (including the ``instrument``
+    keyword); ``params`` optionally supplies the pre-flattened
+    ``(periods, wcets)`` row of a :class:`ColumnBlock`.  Anything the
+    kernel envelope does not cover — instrumented runs,
     ``on_miss="continue"``, wakeup-timer policies, dynamic admissions —
     runs on the engine and returns its (identical) result.
     """
+    from repro.sim.batch_kernels import kernel_simulate, kernel_supported
     if not kernel_supported(policy, **kwargs):
         return simulate(taskset, machine, policy, **kwargs)
     kernel_kwargs = {key: value for key, value in kwargs.items()
@@ -97,14 +160,6 @@ def batch_simulate(taskset: TaskSet, machine, policy,
     kernel_kwargs.pop("instrument", None)
     return kernel_simulate(taskset, machine, policy, params=params,
                            **kernel_kwargs)
-
-
-def _batch_simulate_fn(params: Optional[tuple]):
-    """A ``simulate``-shaped callable binding one cell's SoA row."""
-    def sim(taskset, machine, policy, **kwargs):
-        return batch_simulate(taskset, machine, policy, params=params,
-                              **kwargs)
-    return sim
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +176,11 @@ def _column_key(spec: CellSpec) -> tuple:
             spec.demand)
 
 
+def _columns(specs: Sequence[CellSpec]) -> List[List[CellSpec]]:
+    """``specs`` cut into its runs of consecutive same-recipe cells."""
+    return [list(group) for _, group in groupby(specs, key=_column_key)]
+
+
 @dataclass
 class ColumnBlock:
     """One sweep column, materialized as structure-of-arrays state.
@@ -130,7 +190,7 @@ class ColumnBlock:
     release/deadline state seed (flattened task parameters consumed by
     :class:`~repro.sim.batch_kernels.CellKernel`), the per-cell
     hyperperiod at the context's pinned ``steady_resolution`` (so cache
-    keys and batch-column grouping agree on fast-path eligibility), and
+    keys and block-column grouping agree on fast-path eligibility), and
     the per-cell initial frequency-selection state (the operating-point
     index a utilization-proportional policy starts from, computed with
     the vectorized ``lowest_at_least`` kernel — diagnostic block stats,
@@ -153,6 +213,7 @@ class ColumnBlock:
 def build_column_block(context: SweepContext,
                        specs: Sequence[CellSpec]) -> ColumnBlock:
     """Materialize one column of cells into a :class:`ColumnBlock`."""
+    from repro.sim.batch_kernels import lowest_at_least_indices
     tasksets: List[TaskSet] = []
     demands: List[TraceDemand] = []
     periods: List[List[float]] = []
@@ -177,50 +238,6 @@ def build_column_block(context: SweepContext,
                        periods=periods, wcets=wcets,
                        hyperperiods=hyperperiods,
                        initial_point_index=initial)
-
-
-def run_block_cell(block: ColumnBlock, index: int) -> Dict[str, object]:
-    """Run one cell of a materialized block.
-
-    Delegates to the scalar :func:`~repro.analysis.sweep.run_cell` with
-    the batch kernel as its simulation entry point, so the outcome dict —
-    keys, insertion order, RM fallbacks, bound, fast-path accounting — is
-    the scalar path's own.
-    """
-    spec = block.specs[index]
-    params = (block.periods[index], block.wcets[index])
-    return run_cell(block.context, spec,
-                    simulate_fn=_batch_simulate_fn(params),
-                    materialized=(block.tasksets[index],
-                                  block.demands[index]))
-
-
-def run_cell_batch(context: SweepContext,
-                   spec: CellSpec) -> Dict[str, object]:
-    """Batch-engine twin of :func:`~repro.analysis.sweep.run_cell`.
-
-    The per-cell entry point used by worker processes (each worker cell
-    is its own single-cell block; worker fan-out already parallelizes
-    across the column).
-    """
-    return run_block_cell(build_column_block(context, [spec]), 0)
-
-
-def iter_cells_batch(context: SweepContext, specs: Sequence[CellSpec],
-                     ) -> Iterator[Tuple[int, Dict[str, object]]]:
-    """Yield ``(index, outcome)`` for every spec, in submission order.
-
-    The inline (single-process) batch path: consecutive specs sharing a
-    task-set recipe become one :class:`ColumnBlock`, materialized once
-    and executed cell by cell on the kernel.
-    """
-    position = 0
-    for _, group in groupby(specs, key=_column_key):
-        column = list(group)
-        block = build_column_block(context, column)
-        for offset in range(len(column)):
-            yield position, run_block_cell(block, offset)
-            position += 1
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +344,7 @@ def _plan_cell(block: ColumnBlock, index: int,
     and instead plans the full-speed-RM lane that ``run_cell`` retries
     with.
     """
+    from repro.sim.block_kernels import LaneSpec
     context = block.context
     taskset = block.tasksets[index]
     demand = block.demands[index]
@@ -346,22 +364,17 @@ def _plan_cell(block: ColumnBlock, index: int,
                 break
             values_by_task.append(values)
 
-    # Steady fast-path shape, mirrored from try_steady_fast_path's
-    # eligibility checks (same pinned-resolution hyperperiod, same
-    # horizon-ratio and periodicity tests) so the lane simulates exactly
-    # the warmup window the extrapolation will scan.
+    # The steady fast path's own window decision (at the block's
+    # pinned-resolution hyperperiod), so the lane simulates exactly the
+    # warmup window the extrapolation will scan.
     fast = False
     duration = context.duration
     if context.steady_fast_path and demand_ok:
-        hyperperiod = block.hyperperiods[index]
-        if hyperperiod is not None:
-            simulated = 3 * hyperperiod  # (warmup=1 + 2) hyperperiods
-            if not simulated * 2.0 > context.duration:
-                ok, _ = demand_is_hyperperiodic(
-                    demand, taskset, hyperperiod, context.duration)
-                if ok:
-                    fast = True
-                    duration = simulated
+        window, _ = fast_path_window(taskset, demand,
+                                     block.hyperperiods[index], duration)
+        if window is not None:
+            fast = True
+            duration = window
 
     def add_lane(key: tuple, policy, rm_priority: bool, dynamic: bool,
                  drop_on_miss: bool, need_cycles: bool) -> None:
@@ -427,6 +440,7 @@ def _lane_timeline(machine, taskset: TaskSet, segments) -> SimTimeline:
     the replay, so the steady fast path scans exactly the trace a
     per-cell run would have recorded.
     """
+    from repro.sim.block_kernels import SEG_RUN
     timeline = SimTimeline()
     record = timeline.record
     points = machine.points
@@ -518,6 +532,8 @@ def _plan_and_execute(cells: List[Tuple[ColumnBlock, int]],
                       stats: BlockStats) -> List[Dict[tuple, object]]:
     """Plan lanes for every cell, run one vectorized mega-pass over all
     of them, and attach the results (or a shared fallback reason)."""
+    from repro.sim import block_kernels
+    from repro.sim.batch_kernels import numpy_backend
     context = cells[0][0].context if cells else None
     lane_specs: List[LaneSpec] = []
     planned_lanes: List[_PlannedLane] = []
@@ -529,7 +545,7 @@ def _plan_and_execute(cells: List[Tuple[ColumnBlock, int]],
     results = None
     if lane_specs and len(lane_specs) >= block_kernels.BLOCK_MIN_LANES:
         started = perf_counter()
-        results = run_lanes(context.machine, context.energy_model(),
+        results = block_kernels.run_lanes(context.machine, context.energy_model(),
                             lane_specs)
         stats.kernel_seconds += perf_counter() - started
     if results is not None:
@@ -547,35 +563,6 @@ def _plan_and_execute(cells: List[Tuple[ColumnBlock, int]],
     return plans
 
 
-def run_block(block: ColumnBlock,
-              stats: Optional[BlockStats] = None) -> List[Dict[str, object]]:
-    """Run a whole :class:`ColumnBlock` at once on the lane simulator.
-
-    The block-at-once sibling of :func:`run_block_cell`: one vectorized
-    pass advances every policy run of every cell, then each cell's
-    outcome dict is assembled by the scalar ``run_cell`` driver from the
-    lane results (identical keys, ordering, fallback and fast-path
-    accounting — bit-identical outcomes by construction).
-    """
-    stats = BlockStats() if stats is None else stats
-    cells = [(block, index) for index in range(len(block))]
-    plans = _plan_and_execute(cells, stats)
-    return [_run_planned_cell(block, index, cell_plans, stats)
-            for (_, index), cell_plans in zip(cells, plans)]
-
-
-def run_cell_block(context: SweepContext,
-                   spec: CellSpec) -> Dict[str, object]:
-    """Block-engine twin of :func:`~repro.analysis.sweep.run_cell`.
-
-    A single cell rarely clears :data:`~repro.sim.block_kernels.
-    BLOCK_MIN_LANES`, so this usually lands on the per-cell kernel
-    fallback — the entry point exists for engine-agnostic callers
-    (:meth:`~repro.analysis.executor.CellExecutor.submit_cell`).
-    """
-    return run_block(build_column_block(context, [spec]))[0]
-
-
 def iter_cells_block(context: SweepContext, specs: Sequence[CellSpec],
                      stats: Optional[BlockStats] = None,
                      ) -> Iterator[Tuple[int, Dict[str, object]]]:
@@ -588,8 +575,7 @@ def iter_cells_block(context: SweepContext, specs: Sequence[CellSpec],
     """
     stats = BlockStats() if stats is None else stats
     cells: List[Tuple[ColumnBlock, int]] = []
-    for _, group in groupby(specs, key=_column_key):
-        column = list(group)
+    for column in _columns(specs):
         block = build_column_block(context, column)
         cells.extend((block, index) for index in range(len(column)))
     plans = _plan_and_execute(cells, stats)

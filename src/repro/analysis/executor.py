@@ -100,60 +100,33 @@ def _install_contexts(contexts: Dict[str, object]) -> None:
     _CONTEXTS.update(contexts)
 
 
-def _execute_cell(digest: str, context: Optional[object],
-                  spec: object, encode: bool = False,
-                  engine: str = "scalar") -> object:
-    """Run one cell in a worker process.
+def _execute_cells(digest: str, context: Optional[object],
+                   specs: Sequence, engine: str,
+                   ) -> Tuple[list, Optional[Dict[str, object]]]:
+    """Run one unit of cells in a worker process.
 
     ``context`` is ``None`` when the digest was installed via the pool
     initializer; otherwise the first task carrying a new digest installs
-    it for every later task in this process.  With ``encode`` the outcome
-    crosses back to the driver as the compact columnar wire format of
-    :mod:`repro.analysis.transport` instead of a pickled object graph —
-    one small bytes object per cell.  ``engine`` picks the cell backend
-    (``"scalar"`` = event engine, ``"batch"`` = array kernels; identical
-    outcomes).
+    it for every later task in this process.  Outcomes cross back to the
+    driver as the compact columnar wire format of
+    :mod:`repro.analysis.transport` — one small bytes object per cell —
+    next to the engine's stats (see
+    :func:`~repro.analysis.batch.encode_cells`).
     """
     ctx = _CONTEXTS.get(digest)
     if ctx is None:
         if context is None:  # pragma: no cover - defensive
             raise RuntimeError(f"sweep context {digest} not installed")
         _CONTEXTS[digest] = ctx = context
-    if engine == "batch":
-        from repro.analysis.batch import run_cell_batch as run_cell
-    elif engine == "block":
-        from repro.analysis.batch import run_cell_block as run_cell
-    else:
-        from repro.analysis.sweep import run_cell
-    outcome = run_cell(ctx, spec)
-    if encode:
-        from repro.analysis.transport import encode_cell
-        return encode_cell(outcome)
+    from repro.analysis.batch import encode_cells
+    return encode_cells(ctx, specs, engine)
+
+
+def _run_one(context, spec, engine: str) -> object:
+    """Run one cell in this process (the inline ``submit_cell`` lane)."""
+    from repro.analysis.batch import iter_cells
+    (_, outcome), = iter_cells(context, [spec], engine)
     return outcome
-
-
-def _execute_column(digest: str, context: Optional[object],
-                    specs: Sequence) -> Tuple[list, Dict[str, object]]:
-    """Run one whole sweep column on the block engine in a worker.
-
-    The block engine's unit of useful work is the column, not the cell
-    (lanes amortize across it), so the parallel path ships columns.
-    Returns the encoded outcomes (spec order) plus the worker-local
-    :class:`~repro.analysis.batch.BlockStats` as a plain dict — stats
-    ride *beside* the outcome payloads, never inside them, because the
-    cell wire format and the shared cell cache are engine-agnostic.
-    """
-    ctx = _CONTEXTS.get(digest)
-    if ctx is None:
-        if context is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"sweep context {digest} not installed")
-        _CONTEXTS[digest] = ctx = context
-    from repro.analysis.batch import BlockStats, iter_cells_block
-    from repro.analysis.transport import encode_cell
-    stats = BlockStats()
-    encoded = [encode_cell(outcome) for _, outcome
-               in iter_cells_block(ctx, specs, stats=stats)]
-    return encoded, stats.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -283,85 +256,51 @@ class CellExecutor:
         results stream back as workers finish.  With one worker the cells
         run inline, in submission order.  ``on_result`` fires for every
         outcome before it is yielded (used for cache writes).  ``engine``
-        selects the cell backend: the inline batch path materializes one
-        column block per run of same-recipe specs; the parallel batch
-        path ships the engine choice with each cell (workers build
-        single-cell blocks — the fan-out already parallelizes the
-        column).  The block engine works column-at-once in both modes
-        (the inline path fuses *all* columns into one lane pass; the
-        parallel path ships whole columns to workers), and fills
-        ``stats`` (a :class:`~repro.analysis.batch.BlockStats`) with its
-        eligibility and timing accounting when one is passed.
+        selects the cell backend (:func:`~repro.analysis.batch.iter_cells`
+        inline; :func:`~repro.analysis.batch.fan_out_units` decides what
+        one worker task carries: a cell on scalar, a whole column on
+        block).  The block engine fills ``stats`` (a
+        :class:`~repro.analysis.batch.BlockStats`) with its eligibility
+        and timing accounting when one is passed.
         """
         if self._shutdown:
             raise RuntimeError("executor already shut down")
         digest = self.register(context)
         if self.workers <= 1 or len(specs) <= 1:
-            if engine == "batch":
-                from repro.analysis.batch import iter_cells_batch
-                stream = iter_cells_batch(context, specs)
-            elif engine == "block":
-                from repro.analysis.batch import iter_cells_block
-                stream = iter_cells_block(context, specs, stats=stats)
-            else:
-                from repro.analysis.sweep import run_cell
-                stream = ((index, run_cell(context, spec))
-                          for index, spec in enumerate(specs))
-            for index, outcome in stream:
+            from repro.analysis.batch import iter_cells
+            for index, outcome in iter_cells(context, specs, engine, stats):
                 if on_result is not None:
                     on_result(index, outcome)
                 if progress is not None:
                     progress.advance()
                 yield index, outcome
             return
+        from repro.analysis.batch import fan_out_units
         from repro.analysis.transport import decode_cell
         pool = self._ensure_pool()
         ship = None if digest in self._initializer_contexts else context
-        if engine == "block":
-            from itertools import groupby
-
-            from repro.analysis.batch import _column_key
-            pending = {}
-            base = 0
-            for _, group in groupby(specs, key=_column_key):
-                column = list(group)
-                pending[pool.submit(_execute_column, digest, ship,
-                                    column)] = base
-                base += len(column)
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    base = pending.pop(future)
-                    encoded, stats_dict = future.result()
-                    if stats is not None:
-                        stats.merge_dict(stats_dict)
-                    for offset, payload in enumerate(encoded):
-                        self.ipc_bytes += len(payload)
-                        outcome = decode_cell(payload)
-                        index = base + offset
-                        if on_result is not None:
-                            on_result(index, outcome)
-                        if progress is not None:
-                            progress.advance()
-                        yield index, outcome
-            return
-        pending = {
-            pool.submit(_execute_cell, digest, ship, spec, True,
-                        engine): index
-            for index, spec in enumerate(specs)}
+        pending = {}
+        base = 0
+        for unit in fan_out_units(specs, engine):
+            pending[pool.submit(_execute_cells, digest, ship, unit,
+                                engine)] = base
+            base += len(unit)
         while pending:
             finished, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
-                index = pending.pop(future)
-                outcome = future.result()
-                if isinstance(outcome, bytes):
-                    self.ipc_bytes += len(outcome)
-                    outcome = decode_cell(outcome)
-                if on_result is not None:
-                    on_result(index, outcome)
-                if progress is not None:
-                    progress.advance()
-                yield index, outcome
+                base = pending.pop(future)
+                encoded, stats_dict = future.result()
+                if stats is not None and stats_dict is not None:
+                    stats.merge_dict(stats_dict)
+                for offset, payload in enumerate(encoded):
+                    self.ipc_bytes += len(payload)
+                    outcome = decode_cell(payload)
+                    index = base + offset
+                    if on_result is not None:
+                        on_result(index, outcome)
+                    if progress is not None:
+                        progress.advance()
+                    yield index, outcome
 
     def submit_cell(self, context, spec, engine: str = "scalar") -> Future:
         """Schedule one cell; returns a :class:`~concurrent.futures.Future`
@@ -383,11 +322,11 @@ class CellExecutor:
             if self._inline_thread is None:
                 self._inline_thread = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="cell-inline")
-            return self._inline_thread.submit(
-                _execute_cell, digest, context, spec, False, engine)
+            return self._inline_thread.submit(_run_one, context, spec,
+                                              engine)
         pool = self._ensure_pool()
         ship = None if digest in self._initializer_contexts else context
-        inner = pool.submit(_execute_cell, digest, ship, spec, True, engine)
+        inner = pool.submit(_execute_cells, digest, ship, [spec], engine)
         outer: Future = Future()
 
         def _relay(done: Future) -> None:
@@ -398,15 +337,14 @@ class CellExecutor:
             if exc is not None:
                 outer.set_exception(exc)
                 return
-            outcome = done.result()
-            if isinstance(outcome, bytes):
-                self.ipc_bytes += len(outcome)
-                from repro.analysis.transport import decode_cell
-                try:
-                    outcome = decode_cell(outcome)
-                except Exception as decode_exc:  # pragma: no cover - bug
-                    outer.set_exception(decode_exc)
-                    return
+            (payload,), _ = done.result()
+            self.ipc_bytes += len(payload)
+            from repro.analysis.transport import decode_cell
+            try:
+                outcome = decode_cell(payload)
+            except Exception as decode_exc:  # pragma: no cover - bug
+                outer.set_exception(decode_exc)
+                return
             outer.set_result(outcome)
 
         inner.add_done_callback(_relay)

@@ -143,19 +143,25 @@ class SweepConfig:
     #: defaults.  Narrow or degenerate bands produce commensurable
     #: periods, making cells eligible for the steady fast path.
     period_bands: Optional[Tuple[Tuple[float, float], ...]] = None
-    #: Cell execution backend: ``"scalar"`` (the discrete-event engine,
-    #: one cell at a time — the default), ``"batch"`` (column-blocked
-    #: :mod:`repro.analysis.batch` kernels), or ``"block"`` (cross-cell
-    #: vectorized lanes, :mod:`repro.sim.block_kernels`) — all
-    #: bit-identical.  The engine choice is *not* part of the cell
-    #: identity — the engines share one cache namespace because their
-    #: outcomes are indistinguishable.
+    #: Cell execution backend, one of
+    #: :data:`repro.analysis.batch.ENGINES`: ``"scalar"`` (the
+    #: discrete-event engine, one cell at a time — the default) or
+    #: ``"block"`` (cross-cell vectorized lanes, with the per-cell kernel
+    #: as fallback) — bit-identical.  The engine choice is *not* part of
+    #: the cell identity — the engines share one cache namespace because
+    #: their outcomes are indistinguishable.
     engine: str = "scalar"
     #: Hyperperiod detection grid for the steady fast path, pinned once
-    #: per sweep so cache keys, fast-path eligibility, and batch-column
+    #: per sweep so cache keys, fast-path eligibility, and block-column
     #: grouping all agree on each cell's hyperperiod.  Non-default values
     #: enter the cell fingerprint.
     steady_resolution: float = 1e-6
+
+    def __post_init__(self) -> None:
+        # Lazy import: repro.analysis.batch imports this module at its top.
+        from repro.analysis.batch import ENGINES, unknown_engine
+        if self.engine not in ENGINES:
+            raise ReproError(f"sweep config: {unknown_engine(self.engine)}")
 
     def energy_model(self) -> EnergyModel:
         return EnergyModel(idle_level=self.idle_level,
@@ -348,12 +354,7 @@ def utilization_sweep(config: SweepConfig,
     lines on stderr (or pass a :class:`SweepProgress` to customize).
     """
     labels = _result_labels(config)
-    # Lazy import: repro.analysis.batch imports this module at its top.
-    from repro.analysis.batch import ENGINES, BlockStats
-    if config.engine not in ENGINES:
-        raise ReproError(
-            f"unknown sweep engine {config.engine!r}; "
-            f"expected one of {', '.join(repr(e) for e in ENGINES)}")
+    from repro.analysis.batch import BlockStats
     block_stats = BlockStats() if config.engine == "block" else None
     context = SweepContext(
         machine=config.machine,
@@ -578,12 +579,12 @@ def run_cell(context: SweepContext, spec: CellSpec,
     (plus ``_rm_fallbacks``, ``_fast_path`` when the short-circuit is on,
     and, when requested, ``_residency``).
 
-    ``simulate_fn`` swaps the simulation entry point (the batch engine
-    passes its kernel dispatcher; must be drop-in compatible with
+    ``simulate_fn`` swaps the simulation entry point (the block engine
+    passes its lane server; must be drop-in compatible with
     :func:`repro.sim.engine.simulate`) and is threaded through the
     hyperperiod short-circuit too, so fast-path warmup windows run on the
     same backend.  ``materialized`` supplies a pre-built
-    ``(taskset, demand)`` pair — the batch path materializes whole
+    ``(taskset, demand)`` pair — the block path materializes whole
     columns at once — and must match what :func:`materialize_cell` would
     rebuild, since cache keys are derived from the spec alone.
     """

@@ -22,7 +22,7 @@ downstream:
   collectors the sweep used;
 * every invariant the scenario declares (``invariant:<name>``, see
   :data:`repro.catalog.schema.KNOWN_INVARIANTS`) is evaluated at its
-  declared tolerance, including scalar/batch engine parity and
+  declared tolerance, including scalar/block engine parity and
   hyperperiod-fast-path parity on sampled cells;
 * scenarios without sweep panels (worked examples, extensions) are
   audited through their drivers' shape checks (``driver:shape-checks``).
@@ -276,7 +276,7 @@ def replay_cell(context: SweepContext, spec: CellSpec) -> CellReplay:
     """Re-simulate one cell with trace recording, mirroring
     :func:`~repro.analysis.sweep.run_cell`'s semantics (policy order,
     RM fallback, bound from the EDF reference's executed cycles) but
-    through the plain engine — never the fast path or batch kernels —
+    through the plain engine — never the fast path or block kernels —
     so the result is an independent reference."""
     taskset, demand = materialize_cell(context, spec)
     energy_model = context.energy_model()
@@ -530,14 +530,17 @@ def _audit_invariant(invariant: Invariant, name: str, panel: str,
         return _check(name, panel, check_name, not bad, "; ".join(bad[:3]))
 
     if invariant.name == "engine-parity":
-        from repro.analysis.batch import run_cell_batch
+        from repro.analysis.batch import iter_cells_block
+        sampled = _sample_indices(len(specs), profile.parity_cells)
+        # One block pass over all sampled cells: lanes once the sample
+        # clears BLOCK_MIN_LANES, the per-cell kernel for every other run.
+        block = iter_cells_block(context, [specs[i] for i in sampled])
         bad = []
-        for index in _sample_indices(len(specs), profile.parity_cells):
+        for index, (_, outcome) in zip(sampled, block):
             scalar = run_cell(context, specs[index])
-            batch = run_cell_batch(context, specs[index])
-            if scalar != batch:
+            if scalar != outcome:
                 diffs = [key for key in scalar
-                         if scalar.get(key) != batch.get(key)]
+                         if scalar.get(key) != outcome.get(key)]
                 bad.append(f"cell {index}: outcome mismatch on "
                            f"{diffs or 'keys'}")
         return _check(name, panel, check_name, not bad, "; ".join(bad[:3]))

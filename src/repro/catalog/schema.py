@@ -24,7 +24,7 @@ Design rules
   :class:`~repro.analysis.sweep.SweepConfig` machinery without executing
   catalog-supplied code.
 * **Execution ≠ identity.**  Worker counts, cache directories, the
-  batch engine, and the steady fast path change how a scenario runs, not
+  block engine, and the steady fast path change how a scenario runs, not
   what it computes (they are required to be bit-identical); they are
   runtime options of :meth:`PanelSpec.sweep_config`, never scenario
   fields.
@@ -71,8 +71,8 @@ KNOWN_INVARIANTS: Dict[str, str] = {
     "residency-conservation":
         "per-policy frequency-residency fractions sum to 1 on every cell",
     "engine-parity":
-        "scalar and batch engines produce identical outcome dicts on "
-        "sampled cells",
+        "scalar engine and one block-engine pass over sampled cells "
+        "produce identical outcome dicts",
     "fast-path-parity":
         "the hyperperiod short-circuit matches full simulation on "
         "sampled cells (within its verified tolerance)",

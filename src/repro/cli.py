@@ -59,6 +59,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.analysis.batch import ENGINES
 from repro.analysis.cellcache import CellCache, default_cache_dir
 from repro.analysis.executor import resolve_workers
 from repro.core import available_policies, make_policy
@@ -97,14 +98,13 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                              "periodic demand simulate warmup + two "
                              "hyperperiods and extrapolate (fallback to "
                              "full simulation whenever verification fails)")
-    parser.add_argument("--engine", choices=("scalar", "batch", "block"),
-                        default="scalar",
+    parser.add_argument("--engine", choices=ENGINES, default="scalar",
                         help="cell execution backend: 'scalar' simulates "
-                             "each cell on the event engine; 'batch' runs "
-                             "column-blocked array kernels; 'block' "
+                             "each cell on the event engine; 'block' "
                              "advances every cell of a column at once in "
-                             "cross-cell vectorized lane passes (both "
-                             "bit-identical to scalar, faster cold sweeps)")
+                             "cross-cell vectorized lane passes, falling "
+                             "back to a per-cell kernel (bit-identical to "
+                             "scalar, faster cold sweeps)")
 
 
 def _cache_dir_from(args: argparse.Namespace):
@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="coordinator work-queue endpoint (the "
                                "dist_port of 'rtdvs serve --dist-port')")
     p_worker.add_argument("--engine", default="auto",
-                          choices=("auto", "scalar", "batch", "block"),
+                          choices=("auto",) + ENGINES,
                           help="simulation engine; 'auto' follows the "
                                "coordinator's per-lease hint "
                                "(default: %(default)s)")
@@ -318,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                "re-dials; default: %(default)s)")
     p_worker.add_argument("--reconnect-delay", type=float, default=0.5,
                           metavar="SECONDS",
-                          help="pause between re-dials "
+                          help="base pause between re-dials; it doubles "
+                               "per re-dial (with jitter) up to 2 s "
                                "(default: %(default)s)")
     p_worker.add_argument("--max-leases", type=int, default=None,
                           metavar="N",
@@ -340,8 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(default: all panels)")
     p_submit.add_argument("--full", action="store_true",
                           help="paper-scale parameters (slow)")
-    p_submit.add_argument("--engine", choices=("scalar", "batch", "block"),
-                          default="scalar",
+    p_submit.add_argument("--engine", choices=ENGINES, default="scalar",
                           help="cell execution backend on the server")
     p_submit.add_argument("--tenant", default="default",
                           help="tenant identity for quota accounting")

@@ -3,13 +3,18 @@
 ``rtdvs worker --connect HOST:PORT`` runs :func:`run_worker`: connect to
 a coordinator, announce capabilities (``hello``), then loop
 request → lease → simulate → result until the coordinator says
-``shutdown``.  The worker simulates with the same scalar/batch/block
-engines the in-process path uses — ``--engine auto`` (the default)
-follows each lease's engine hint, an explicit engine pins it (the
-operator knows whether this box has numpy, how wide its vector units
-are) — so distributed outcomes are bit-identical by construction, and
-results return as the exact CTR1 bytes of
-:mod:`repro.analysis.transport`.
+``shutdown``.  The worker simulates through the same engine dispatcher
+the in-process path uses (:func:`repro.analysis.batch.encode_cells`) —
+``--engine auto`` (the default) follows each lease's engine hint, an
+explicit engine pins it (the operator knows whether this box has numpy,
+how wide its vector units are) — so distributed outcomes are
+bit-identical by construction, and results return as the exact CTR1
+bytes of :mod:`repro.analysis.transport`.
+
+A refused or dropped connection is re-dialed on the service client's
+schedule (:func:`repro.service.client.backoff_delay`):
+``reconnect_delay`` is the base delay, doubling per re-dial up to
+:data:`~repro.service.client.BACKOFF_CAP`, with deterministic jitter.
 
 While a batch simulates, a daemon heartbeat thread extends the lease
 every ``heartbeat_interval`` seconds (interval assigned by the
@@ -30,17 +35,17 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.analysis.sweep import SweepContext, run_cell
-from repro.analysis.transport import encode_cell
+from repro.analysis.batch import ENGINES, encode_cells
+from repro.analysis.sweep import SweepContext
 from repro.dist.wire import (WIRE_VERSION, WireError, context_from_wire,
                              recv_frame, send_frame, specs_from_wire)
 from repro.errors import ReproError
 
 #: Engines a worker accepts for ``--engine`` (``"auto"`` = follow the
 #: coordinator's per-lease hint).
-WORKER_ENGINES = ("auto", "scalar", "batch", "block")
+WORKER_ENGINES = ("auto",) + ENGINES
 
 
 class WorkerError(ReproError):
@@ -60,28 +65,6 @@ def parse_connect(text: str) -> Tuple[str, int]:
     except ValueError:
         raise WorkerError(f"invalid port in --connect {text!r}") from None
     return host or "127.0.0.1", port
-
-
-def _simulate_lease(context: SweepContext, specs: List, engine: str
-                    ) -> Tuple[List[bytes], Optional[Dict[str, object]]]:
-    """Run one lease's cells; returns encoded outcomes in spec order
-    (plus the block engine's stats dict when applicable)."""
-    encoded: List[Optional[bytes]] = [None] * len(specs)
-    if engine == "block":
-        from repro.analysis.batch import BlockStats, iter_cells_block
-        stats = BlockStats()
-        for index, outcome in iter_cells_block(context, specs,
-                                               stats=stats):
-            encoded[index] = encode_cell(outcome)
-        return encoded, stats.to_dict()
-    if engine == "batch":
-        from repro.analysis.batch import iter_cells_batch
-        for index, outcome in iter_cells_batch(context, specs):
-            encoded[index] = encode_cell(outcome)
-        return encoded, None
-    for index, spec in enumerate(specs):
-        encoded[index] = encode_cell(run_cell(context, spec))
-    return encoded, None
 
 
 class _Heartbeat:
@@ -112,53 +95,54 @@ def run_worker(host: str, port: int, engine: str = "auto",
                max_leases: Optional[int] = None,
                reconnect: int = 0, reconnect_delay: float = 0.5,
                connect_timeout: float = 10.0,
-               log=None) -> Dict[str, object]:
+               log=None,
+               sleep: Callable[[float], None] = time.sleep,
+               ) -> Dict[str, object]:
     """Serve one coordinator until it shuts down; returns run stats.
 
-    ``reconnect`` bounds re-dial attempts after a *dropped* connection
-    (an orderly ``shutdown`` frame always ends the loop); ``max_leases``
+    ``reconnect`` bounds re-dial attempts after a refused or *dropped*
+    connection (an orderly ``shutdown`` frame always ends the loop);
+    re-dial ``n`` waits ``backoff_delay(host, port, n, reconnect_delay,
+    BACKOFF_CAP)`` through the injectable ``sleep``.  ``max_leases``
     exits after N leases (test harnesses simulate short-lived workers
     with it).
     """
     if engine not in WORKER_ENGINES:
         raise WorkerError(
             f"unknown worker engine {engine!r}; expected one of "
-            f"{', '.join(WORKER_ENGINES)}")
+            f"{', '.join(repr(name) for name in WORKER_ENGINES)}")
     stats: Dict[str, object] = {
         "leases": 0, "cells": 0, "bytes_out": 0,
         "reconnects": 0, "errors": 0,
     }
-    attempts_left = reconnect
     while True:
         try:
             sock = socket.create_connection((host, port),
                                             timeout=connect_timeout)
         except OSError as exc:
-            if attempts_left > 0:
-                attempts_left -= 1
-                stats["reconnects"] += 1
-                time.sleep(reconnect_delay)
-                continue
-            raise WorkerError(
-                f"cannot reach coordinator at {host}:{port}: {exc}"
-            ) from exc
-        try:
-            finished = _serve_connection(sock, engine, max_leases, stats,
-                                         log)
-        except (OSError, WireError) as exc:
-            if log is not None:
-                print(f"[worker] connection lost: {exc}", file=log,
-                      flush=True)
-            finished = False
-        finally:
-            sock.close()
-        if finished:
-            return stats
-        if attempts_left <= 0:
-            return stats
-        attempts_left -= 1
+            if stats["reconnects"] >= reconnect:
+                raise WorkerError(
+                    f"cannot reach coordinator at {host}:{port}: {exc}"
+                ) from exc
+        else:
+            try:
+                finished = _serve_connection(sock, engine, max_leases,
+                                             stats, log)
+            except (OSError, WireError) as exc:
+                if log is not None:
+                    print(f"[worker] connection lost: {exc}", file=log,
+                          flush=True)
+                finished = False
+            finally:
+                sock.close()
+            if finished or stats["reconnects"] >= reconnect:
+                return stats
+        # Lazy: repro.service loads the HTTP server stack, which a worker
+        # that never re-dials does not need.
+        from repro.service.client import BACKOFF_CAP, backoff_delay
+        sleep(backoff_delay(host, port, stats["reconnects"],
+                            reconnect_delay, BACKOFF_CAP))
         stats["reconnects"] += 1
-        time.sleep(reconnect_delay)
 
 
 def _serve_connection(sock: socket.socket, engine: str,
@@ -213,8 +197,8 @@ def _serve_connection(sock: socket.socket, engine: str,
         heartbeat = _Heartbeat(sock, write_lock, head["lease"],
                                heartbeat_interval)
         try:
-            encoded, block_stats = _simulate_lease(context, specs,
-                                                   lease_engine)
+            encoded, block_stats = encode_cells(context, specs,
+                                                lease_engine)
         except ReproError as exc:
             stats["errors"] += 1
             heartbeat.stop()

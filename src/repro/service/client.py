@@ -39,6 +39,10 @@ from repro.errors import ReproError
 #: ``ConnectionResetError``).
 _CONN_DIED = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
 
+#: Longest nominal pause between re-dials, for the client and for
+#: ``rtdvs worker`` (:func:`repro.dist.worker.run_worker`).
+BACKOFF_CAP = 2.0
+
 
 class ServiceError(ReproError):
     """The service rejected or aborted a request."""
@@ -77,7 +81,7 @@ class SweepServiceClient:
                  retry_cap: float = 5.0,
                  connect_retries: int = 4,
                  backoff_base: float = 0.1,
-                 backoff_cap: float = 2.0,
+                 backoff_cap: float = BACKOFF_CAP,
                  sleep: Callable[[float], None] = time.sleep):
         self.host = host
         self.port = port

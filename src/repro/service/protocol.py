@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.aggregate import mean
+from repro.analysis.batch import ENGINES, unknown_engine
 from repro.analysis.sweep import (CellSpec, SweepConfig, SweepContext,
                                   SweepResult, cell_cache_key,
                                   sweep_cell_specs, sweep_context,
@@ -177,10 +178,8 @@ def parse_request(data: object) -> SweepRequest:
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError("'tenant' must be a non-empty string")
     engine = payload.get("engine", "scalar")
-    if engine not in ("scalar", "batch", "block"):
-        raise ProtocolError(
-            f"unknown engine {engine!r}; expected 'scalar', 'batch', "
-            f"or 'block'")
+    if engine not in ENGINES:
+        raise ProtocolError(unknown_engine(engine))
     stream_every = payload.get("stream_every", 0)
     if not isinstance(stream_every, int) or isinstance(stream_every, bool) \
             or stream_every < 0:

@@ -1,9 +1,9 @@
-"""Flat-array simulation kernels for the batch sweep backend.
+"""Flat-array simulation kernels: the block engine's per-cell rung.
 
 The discrete-event :class:`~repro.sim.engine.Simulator` is built for
 generality: admission queues, policy wakeups, switch halts, pluggable
 instrumentation, and lazily-invalidated heaps.  A sweep cell needs none of
-that — every cell the batch backend accepts is a fixed periodic task set,
+that — every run the kernel accepts is a fixed periodic task set,
 free switching, WCET-clamped demands, and a policy that only reacts to
 releases, completions, and idling.  :func:`kernel_simulate` replays exactly
 that envelope over flat per-task arrays (release times, current deadlines,

@@ -38,8 +38,8 @@ would just be a slower :class:`CellKernel`): when
 :func:`~repro.sim.batch_kernels.numpy_backend` is unavailable or disabled,
 :func:`run_lanes` returns ``None`` and the caller's fallback ladder
 (:mod:`repro.analysis.batch`) routes every lane through the per-cell
-kernel instead — the pure-Python path of the block engine *is* the batch
-engine.
+kernel instead — the pure-Python path of the block engine *is* that
+per-cell kernel.
 """
 
 from __future__ import annotations

@@ -250,6 +250,29 @@ def demand_is_hyperperiodic(demand, taskset: TaskSet, hyperperiod: float,
     return True, "ok"
 
 
+def fast_path_window(taskset: TaskSet, demand, hyperperiod: Optional[float],
+                     duration: float, warmup_hyperperiods: int = 1,
+                     ) -> Tuple[Optional[float], str]:
+    """The window the hyperperiod short-circuit would simulate for a run.
+
+    Returns ``(warmup + 2 hyperperiods, "ok")`` when the run is eligible,
+    else ``(None, reason)`` with ``reason`` one of ``"no-hyperperiod"``,
+    ``"short-horizon"`` or a :func:`demand_is_hyperperiodic` rejection.
+    ``hyperperiod`` must come from the caller's pinned resolution; the
+    block engine plans its warmup lanes with this same decision.
+    """
+    if hyperperiod is None:
+        return None, "no-hyperperiod"
+    simulated = (warmup_hyperperiods + 2) * hyperperiod
+    if simulated * _MIN_HORIZON_RATIO > duration:
+        return None, "short-horizon"
+    ok, reason = demand_is_hyperperiodic(demand, taskset, hyperperiod,
+                                         duration)
+    if not ok:
+        return None, reason
+    return simulated, "ok"
+
+
 def try_steady_fast_path(taskset: TaskSet, machine: Machine, policy,
                          demand: Union[str, float, DemandModel, None] = None,
                          duration: float = 0.0,
@@ -272,8 +295,8 @@ def try_steady_fast_path(taskset: TaskSet, machine: Machine, policy,
     ``resolution`` is the hyperperiod detection grid — callers that cache
     or group cells by hyperperiod must pass the same pinned value here,
     or eligibility and grouping can disagree.  ``simulate_fn`` swaps the
-    warmup-window simulation entry point (the batch engine substitutes
-    its kernel); it must be drop-in compatible with
+    warmup-window simulation entry point (the block engine substitutes
+    its lanes and per-cell kernel); it must be drop-in compatible with
     :func:`repro.sim.engine.simulate`.
 
     Schedulability and deadline-miss errors propagate exactly as they
@@ -281,14 +304,9 @@ def try_steady_fast_path(taskset: TaskSet, machine: Machine, policy,
     hyperperiods), so callers' fallback handling is unchanged.
     """
     hyperperiod = taskset.hyperperiod(resolution=resolution)
-    if hyperperiod is None:
-        return None, "no-hyperperiod"
-    simulated = (warmup_hyperperiods + 2) * hyperperiod
-    if simulated * _MIN_HORIZON_RATIO > duration:
-        return None, "short-horizon"
-    ok, reason = demand_is_hyperperiodic(demand, taskset, hyperperiod,
-                                         duration)
-    if not ok:
+    simulated, reason = fast_path_window(taskset, demand, hyperperiod,
+                                         duration, warmup_hyperperiods)
+    if simulated is None:
         return None, reason
     sim = simulate if simulate_fn is None else simulate_fn
     result = sim(taskset, machine, policy, demand=demand,

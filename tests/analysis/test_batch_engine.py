@@ -1,12 +1,14 @@
-"""Differential tests for the batch execution engine.
+"""Differential tests for the per-cell batch kernel.
 
-The batch engine's one promise is *bit identity*: for any sweep, the
-column-blocked :mod:`repro.sim.batch_kernels` path must produce exactly
-the outcome the discrete-event engine produces — same energies, same
-switch counts, same misses, same trace, same aggregate tables — across
-numpy-on/numpy-off, fast-path on/off, serial/parallel, and cold/warm
-cache.  These tests hold that line; the throughput side lives in
-``benchmarks/write_bench_json.py`` (``fig9_sweep_batch``).
+:mod:`repro.sim.batch_kernels` is the block engine's per-cell rung: every
+run the lanes cannot serve lands on :func:`repro.analysis.batch.batch_simulate`.
+Its one promise is *bit identity*: the flat-array kernel must produce
+exactly the outcome the discrete-event engine produces — same energies,
+same switch counts, same misses, same trace, same aggregate tables —
+across numpy-on/numpy-off, fast-path on/off, serial/parallel, and
+cold/warm cache.  These tests hold that line at run level and, with the
+block engine pinned to this rung, at sweep level; the throughput side
+lives in ``benchmarks/write_bench_json.py`` (``fig9_sweep_batch``).
 """
 
 import pytest
@@ -25,6 +27,7 @@ from repro.errors import MachineError, ReproError
 from repro.hw.machine import machine0
 from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet
+from repro.sim import block_kernels
 from repro.sim.batch_kernels import (
     deadline_miss_mask,
     kernel_simulate,
@@ -55,6 +58,20 @@ def numpy_off():
     set_numpy_enabled(False)
     yield
     set_numpy_enabled(True)
+
+
+@pytest.fixture
+def per_cell_rung(monkeypatch):
+    """Keep every lane pass below ``BLOCK_MIN_LANES``, so the block engine
+    runs every policy run on its per-cell kernel rung."""
+    monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES", 10 ** 9)
+
+
+def rung_sweep(**config):
+    """A block-engine sweep that must not have served any lane."""
+    result = utilization_sweep(SweepConfig(engine="block", **config))
+    assert result.block_cells == 0
+    return result
 
 
 def canon(result):
@@ -203,33 +220,36 @@ class TestBlockKernels:
 
 
 class TestBatchSweepIdentity:
-    """Sweep-level differential: --engine batch vs --engine scalar."""
+    """Sweep-level differential: the block engine pinned to its per-cell
+    batch-kernel rung vs the scalar engine."""
 
     def test_unknown_engine_rejected(self):
-        assert ENGINES == ("scalar", "batch", "block")
-        with pytest.raises(ReproError, match="unknown sweep engine"):
-            utilization_sweep(SweepConfig(engine="vector", **TINY))
+        assert ENGINES == ("scalar", "block")
+        for name in ("vector", "batch"):
+            with pytest.raises(ReproError,
+                               match="expected one of 'scalar', 'block'"):
+                SweepConfig(engine=name, **TINY)
 
-    def test_batch_bit_identical(self):
+    def test_batch_bit_identical(self, per_cell_rung):
         scalar = utilization_sweep(SweepConfig(**TINY))
-        batch = utilization_sweep(SweepConfig(engine="batch", **TINY))
+        batch = rung_sweep(**TINY)
         assert snap(scalar) == snap(batch)
 
     def test_batch_bit_identical_numpy_off(self, numpy_off):
         scalar = utilization_sweep(SweepConfig(**TINY))
-        batch = utilization_sweep(SweepConfig(engine="batch", **TINY))
+        batch = rung_sweep(**TINY)
         assert snap(scalar) == snap(batch)
 
-    def test_batch_with_residency_instrumentation(self):
+    def test_batch_with_residency_instrumentation(self, per_cell_rung):
         # Instrumented policy runs are outside the kernel envelope; the
-        # batch engine must fall back per run and still match exactly.
+        # rung must fall back to the engine per run and still match.
         config = dict(TINY, residency_policies=("ccEDF",))
         scalar = utilization_sweep(SweepConfig(**config))
-        batch = utilization_sweep(SweepConfig(engine="batch", **config))
+        batch = rung_sweep(**config)
         assert snap(scalar) == snap(batch)
         assert batch.residency  # the instrumented table actually exists
 
-    def test_batch_composes_with_fast_path(self):
+    def test_batch_composes_with_fast_path(self, per_cell_rung):
         # Degenerate commensurable bands: every cell is fast-path
         # eligible, so the short-circuit's warmup windows run on the
         # batch kernel and extrapolate identically.
@@ -237,33 +257,22 @@ class TestBatchSweepIdentity:
         config = dict(TINY, duration=2000.0, period_bands=bands,
                       steady_fast_path=True)
         scalar = utilization_sweep(SweepConfig(**config))
-        batch = utilization_sweep(SweepConfig(engine="batch", **config))
+        batch = rung_sweep(**config)
         assert snap(scalar) == snap(batch)
         assert batch.fast_path_cells == len(TINY["utilizations"]) * \
             TINY["n_sets"]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_batch_workers_and_cache(self, tmp_path, workers):
+    def test_batch_workers_and_cache(self, per_cell_rung, tmp_path,
+                                     workers):
         scalar = utilization_sweep(SweepConfig(**TINY))
-        cold = utilization_sweep(SweepConfig(
-            engine="batch", workers=workers, cache_dir=str(tmp_path),
-            **TINY))
-        warm = utilization_sweep(SweepConfig(
-            engine="batch", workers=workers, cache_dir=str(tmp_path),
-            **TINY))
+        cold = rung_sweep(workers=workers, cache_dir=str(tmp_path), **TINY)
+        warm = rung_sweep(workers=workers, cache_dir=str(tmp_path), **TINY)
         assert snap(scalar) == snap(cold) == snap(warm)
         assert cold.simulated_cells == len(TINY["utilizations"]) * \
             TINY["n_sets"]
         assert warm.simulated_cells == 0
         assert warm.cache_hits == cold.simulated_cells
-
-    def test_engines_share_one_cache_namespace(self, tmp_path):
-        # The engine is an execution mode, not part of the cell identity:
-        # a batch rerun over a scalar-populated cache must hit every cell.
-        utilization_sweep(SweepConfig(cache_dir=str(tmp_path), **TINY))
-        warm = utilization_sweep(SweepConfig(
-            engine="batch", cache_dir=str(tmp_path), **TINY))
-        assert warm.simulated_cells == 0
 
 
 class TestSteadyResolutionPinning:

@@ -2,10 +2,10 @@
 
 The block engine advances every policy run of a sweep column as one
 **lane** in lockstep array passes (:mod:`repro.sim.block_kernels`), and
-its one promise is the same as the batch engine's: *bit identity* with
-the scalar discrete-event engine — same energies, same misses, same
-aggregate tables — across numpy-on/numpy-off, fast-path on/off,
-serial/parallel workers, and cold/warm cache.  Anything the array
+its one promise is *bit identity* with the scalar discrete-event engine
+— same energies, same misses, same aggregate tables — across
+numpy-on/numpy-off, fast-path on/off, serial/parallel workers, and
+cold/warm cache.  Anything the array
 program cannot replicate exactly abandons its lane and reruns on the
 per-cell kernel, so divergence is impossible by construction; these
 tests hold that line and pin the fallback accounting.  The throughput
@@ -31,7 +31,7 @@ ENERGY = EnergyModel(idle_level=0.1, cycle_energy_scale=1.0)
 
 #: Small but policy-complete sweep: every kernel-envelope policy, two
 #: task sets per utilization point, a horizon long enough for misses
-#: and idle regions — the same column shape the batch suite uses.
+#: and idle regions — the same column shape the batch-kernel suite uses.
 TINY = dict(n_tasks=3, n_sets=2, utilizations=(0.3, 0.7), duration=400.0,
             seed=5)
 
@@ -76,17 +76,12 @@ def _lane(periods, wcets, demands, duration=120.0, point=0, **kwargs):
 
 
 class TestBlockSweepIdentity:
-    """Sweep-level differential: --engine block vs scalar vs batch."""
+    """Sweep-level differential: --engine block vs --engine scalar."""
 
     def test_block_bit_identical(self, tight_lanes):
         scalar = utilization_sweep(SweepConfig(**TINY))
         block = utilization_sweep(SweepConfig(engine="block", **TINY))
         assert snap(scalar) == snap(block)
-
-    def test_block_matches_batch(self, tight_lanes):
-        batch = utilization_sweep(SweepConfig(engine="batch", **TINY))
-        block = utilization_sweep(SweepConfig(engine="block", **TINY))
-        assert snap(batch) == snap(block)
 
     def test_block_bit_identical_numpy_off(self, tight_lanes, numpy_off):
         # Without numpy the lane pass cannot run at all; every cell must

@@ -18,6 +18,7 @@ from repro.analysis.sweep import (
     _result_labels,
     run_cell,
 )
+from repro.errors import ReproError
 
 TINY = SweepConfig(n_tasks=3, n_sets=2, utilizations=(0.4, 0.8),
                    duration=300.0, seed=13)
@@ -118,14 +119,24 @@ class TestSubmitCell:
             assert future.result(timeout=120) == expected
         assert executor.ipc_bytes > 0  # columnar payload was shipped
 
-    def test_batch_engine_matches_scalar(self):
+    def test_block_engine_matches_scalar(self):
         context, specs = _specs_and_context()
         with CellExecutor(1) as executor:
             scalar = executor.submit_cell(context, specs[0],
                                           engine="scalar").result(60)
-            batch = executor.submit_cell(context, specs[0],
-                                         engine="batch").result(60)
-        assert batch == scalar
+            block = executor.submit_cell(context, specs[0],
+                                         engine="block").result(60)
+        assert block == scalar
+
+    def test_unknown_engine_fails_loudly(self):
+        context, specs = _specs_and_context()
+        with CellExecutor(1) as executor:
+            future = executor.submit_cell(context, specs[0],
+                                          engine="batch")
+            with pytest.raises(ReproError, match="unknown engine 'batch'"):
+                future.result(60)
+            with pytest.raises(ReproError, match="unknown engine 'batch'"):
+                list(executor.run_cells(context, specs, engine="batch"))
 
     def test_submit_after_shutdown_raises(self):
         context, specs = _specs_and_context()

@@ -96,9 +96,9 @@ class TestResolveJobs:
 
     def test_engine_choice_does_not_change_fingerprints(self):
         scalar = resolve_jobs(parse_request({"spec": TINY_SPEC}))[0]
-        batch = resolve_jobs(parse_request(
-            {"spec": TINY_SPEC, "engine": "batch"}))[0]
-        assert scalar.keys == batch.keys
+        block = resolve_jobs(parse_request(
+            {"spec": TINY_SPEC, "engine": "block"}))[0]
+        assert scalar.keys == block.keys
 
     def test_unknown_scenario_is_protocol_error(self):
         with pytest.raises(ProtocolError, match="unknown scenario"):

@@ -87,11 +87,11 @@ class TestServing:
                 for count, value in zip(sets_done, series):
                     assert (value is None) == (count == 0)
 
-    def test_batch_engine_serves_identical_tables(self, tmp_path):
+    def test_block_engine_serves_identical_tables(self, tmp_path):
         with ServiceThread(tiny_service(tmp_path)) as handle:
             client = SweepServiceClient(port=handle.port)
             out = client.submit_collect(
-                {"spec": TINY_SPEC, "engine": "batch"})
+                {"spec": TINY_SPEC, "engine": "block"})
         raw, normalized = in_process_rows()
         assert out["results"][0]["raw"] == raw
         assert out["results"][0]["normalized"] == normalized
@@ -219,6 +219,15 @@ class TestErrorsAndIntrospection:
             client = SweepServiceClient(port=handle.port)
             with pytest.raises(ServiceError) as excinfo:
                 client.submit_collect({"scenario": "fig99"})
+        assert excinfo.value.status == 400
+
+    def test_batch_engine_is_http_400(self, tmp_path):
+        with ServiceThread(tiny_service(tmp_path)) as handle:
+            client = SweepServiceClient(port=handle.port)
+            with pytest.raises(ServiceError,
+                               match="expected one of 'scalar', 'block'"
+                               ) as excinfo:
+                client.submit_collect({"spec": TINY_SPEC, "engine": "batch"})
         assert excinfo.value.status == 400
 
     def test_unknown_request_key_is_http_400(self, tmp_path):

@@ -52,6 +52,15 @@ class TestSimulate:
 
 
 class TestRun:
+    @pytest.mark.parametrize("command", [
+        ["run", "fig9"], ["run-all"], ["submit", "fig9"],
+        ["worker", "--connect", ":9"]])
+    def test_batch_engine_is_an_argparse_error(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--engine", "batch"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+
     def test_run_table4(self, capsys):
         assert main(["run", "table4", "--no-charts"]) == 0
         out = capsys.readouterr().out

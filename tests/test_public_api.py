@@ -2,10 +2,31 @@
 documented."""
 
 import inspect
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def pyproject_version() -> str:
+    """``[project] version`` from pyproject.toml."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    if sys.version_info >= (3, 11):
+        import tomllib
+        return tomllib.loads(text)["project"]["version"]
+    section = None
+    for line in text.splitlines():
+        if re.match(r"\[[^\]]+\]\s*$", line):
+            section = line.strip()
+        match = re.match(r'version\s*=\s*"([^"]+)"', line)
+        if section == "[project]" and match:
+            return match.group(1)
+    raise AssertionError("no [project] version in pyproject.toml")
 
 
 class TestExports:
@@ -21,6 +42,9 @@ class TestExports:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
+
+    def test_version_matches_pyproject(self):
+        assert pyproject_version() == repro.__version__
 
 
 class TestDocstrings:
