@@ -2,9 +2,11 @@
 
 A sweep cell runs on one of :data:`ENGINES`:
 
-* ``"scalar"`` hands every cell to :func:`repro.analysis.sweep.run_cell`
-  on the discrete-event engine, one policy run at a time (the default and
-  the reference).
+* ``"scalar"`` hands every cell to :func:`repro.analysis.sweep.run_cell`,
+  one policy run at a time on the per-cell simulator
+  (:func:`repro.sim.batch_kernels.batch_simulate`: the flat-array
+  :class:`~repro.sim.batch_kernels.CellKernel` inside its envelope, the
+  discrete-event engine outside it).  This is the default.
 * ``"block"`` walks the sweep's cell stream *column by column* — a column
   being the run of consecutive cells that share one task-set recipe
   ``(utilization, gen_seed, n_tasks, bands, demand)`` — materializes each
@@ -17,11 +19,10 @@ A sweep cell runs on one of :data:`ENGINES`:
   (:func:`repro.sim.steady.fast_path_window`) so warmup windows are
   batched across the cell axis too, and hands every run the lanes cannot
   replicate exactly (unsupported policies, instrumented runs, abandoned
-  lanes, no numpy) down the fallback ladder: block lane → per-cell kernel
-  (:func:`batch_simulate`, the flat-array
-  :class:`~repro.sim.batch_kernels.CellKernel`) → event engine.  Per-run
-  fallback reasons and per-stage timings are reported through
-  :class:`BlockStats` so silent degradation is visible in sweep results.
+  lanes, no numpy) to the scalar engine's per-cell simulator: block lane
+  → ``CellKernel`` → event engine.  Per-run fallback reasons and
+  per-stage timings are reported through :class:`BlockStats` so silent
+  degradation is visible in sweep results.
 
 :func:`iter_cells` and :func:`encode_cells` are the engine→runner
 decision every executor shares (the in-process pool, the inline path,
@@ -35,13 +36,17 @@ Two invariants anchor the design:
   :func:`repro.analysis.sweep.run_cell` itself, parameterized with a
   lane-serving simulation entry point, so the RM fallback logic, the
   bound, residency instrumentation, and the hyperperiod short-circuit
-  compose identically.
-* **Scalar-path laziness.**  The kernel modules load only on the block
-  path (imported inside the functions that use them), and numpy only
-  ever loads through :func:`repro.sim.batch_kernels.numpy_backend`; the
-  memory benchmark's record path keeps ``numpy`` out of ``sys.modules``
+  compose identically.  Both engines are held to the discrete-event
+  engine (``run_cell(..., simulate_fn=repro.sim.engine.simulate)``) by
+  the differential tests and the catalog audit's ``engine-parity`` check.
+* **Lazy loading.**  Importing this module, :mod:`repro.analysis.sweep`
+  or :mod:`repro.service` loads no kernel module: ``run_cell`` imports
+  the per-cell kernel when a cell first runs, and the block modules load
+  only on the block path.  numpy only ever loads through
+  :func:`repro.sim.batch_kernels.numpy_backend`, which only block code
+  calls, so a scalar sweep keeps ``numpy`` out of ``sys.modules``
   entirely (asserted by :mod:`benchmarks.numpy_guard`; the one sanctioned
-  importer outside the kernels is the vectorized RTA in
+  importer outside the block path is the vectorized RTA in
   :mod:`repro.model.schedulability`, which only static-RM admission
   reaches).
 """
@@ -64,7 +69,6 @@ from repro.core.static_scaling import StaticEDF, StaticRM
 from repro.errors import MachineError, ReproError, SchedulabilityError
 from repro.model.demand import TraceDemand
 from repro.model.task import TaskSet
-from repro.sim.engine import simulate
 from repro.sim.steady import fast_path_window
 from repro.sim.timeline import SimTimeline
 
@@ -75,11 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: ``rtdvs run``/``run-all``/``submit --engine``, the service protocol,
 #: and (with ``"auto"``) ``rtdvs worker --engine``.
 ENGINES = ("scalar", "block")
-
-#: Keyword arguments the engine accepts but :class:`CellKernel` does not
-#: spell out; they reach the kernel only with their default (supported)
-#: values, so they are dropped rather than forwarded.
-_ENGINE_ONLY_KWARGS = ("admissions", "enforce_wcet", "switching")
 
 
 def unknown_engine(engine: object) -> str:
@@ -138,28 +137,6 @@ def fan_out_units(specs: Sequence[CellSpec],
     if engine == "block":
         return _columns(specs)
     return [[spec] for spec in specs]
-
-
-def batch_simulate(taskset: TaskSet, machine, policy,
-                   params: Optional[tuple] = None, **kwargs):
-    """Simulate one run on the per-cell kernel, or fall back to the engine.
-
-    The block engine's per-cell rung.  Drop-in compatible with
-    :func:`repro.sim.engine.simulate` (including the ``instrument``
-    keyword); ``params`` optionally supplies the pre-flattened
-    ``(periods, wcets)`` row of a :class:`ColumnBlock`.  Anything the
-    kernel envelope does not cover — instrumented runs,
-    ``on_miss="continue"``, wakeup-timer policies, dynamic admissions —
-    runs on the engine and returns its (identical) result.
-    """
-    from repro.sim.batch_kernels import kernel_simulate, kernel_supported
-    if not kernel_supported(policy, **kwargs):
-        return simulate(taskset, machine, policy, **kwargs)
-    kernel_kwargs = {key: value for key, value in kwargs.items()
-                     if key not in _ENGINE_ONLY_KWARGS}
-    kernel_kwargs.pop("instrument", None)
-    return kernel_simulate(taskset, machine, policy, params=params,
-                           **kernel_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +439,16 @@ def _block_simulate_fn(block: ColumnBlock, index: int,
     (full-horizon totals, or the captured warmup trace for the steady
     fast path); everything else — rejected policies, abandoned lanes,
     instrumented or unexpected call shapes — is counted in ``stats`` and
-    delegated to :func:`batch_simulate`, which reproduces the exact
-    scalar behavior, exceptions included.
+    delegated to :func:`~repro.sim.batch_kernels.batch_simulate` — the
+    scalar engine's own per-cell simulator — so the outcome is the scalar
+    one, exceptions included.
     """
     context = block.context
     params = (block.periods[index], block.wcets[index])
     taskset = block.tasksets[index]
     machine = context.machine
+
+    from repro.sim.batch_kernels import batch_simulate
 
     def sim(ts, mach, policy, demand=None, duration=None,
             energy_model=None, on_miss="raise", instrument=None,

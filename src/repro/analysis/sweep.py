@@ -59,7 +59,11 @@ from repro.model.generator import DEFAULT_BANDS, PeriodBand, TaskSetGenerator
 from repro.model.task import TaskSet
 from repro.obs.metrics import MetricsCollector
 from repro.sim.bound import minimum_energy_for_cycles
-from repro.sim.engine import simulate
+# Re-exported as the reference simulator: ``run_cell(..., simulate_fn=
+# simulate)`` replays a cell on the discrete-event engine, which the
+# differential tests and the catalog audit hold both sweep engines to
+# (perfbench's probes also look the name up here).
+from repro.sim.engine import simulate  # noqa: F401
 from repro.sim.steady import try_steady_fast_path
 
 #: Label used for the theoretical lower bound pseudo-policy.
@@ -144,10 +148,10 @@ class SweepConfig:
     #: periods, making cells eligible for the steady fast path.
     period_bands: Optional[Tuple[Tuple[float, float], ...]] = None
     #: Cell execution backend, one of
-    #: :data:`repro.analysis.batch.ENGINES`: ``"scalar"`` (the
-    #: discrete-event engine, one cell at a time — the default) or
-    #: ``"block"`` (cross-cell vectorized lanes, with the per-cell kernel
-    #: as fallback) — bit-identical.  The engine choice is *not* part of
+    #: :data:`repro.analysis.batch.ENGINES`: ``"scalar"`` (one cell at a
+    #: time on the per-cell kernel — the default) or ``"block"``
+    #: (cross-cell vectorized lanes, then the same per-cell kernel) —
+    #: bit-identical.  The engine choice is *not* part of
     #: the cell identity — the engines share one cache namespace because
     #: their outcomes are indistinguishable.
     engine: str = "scalar"
@@ -579,18 +583,26 @@ def run_cell(context: SweepContext, spec: CellSpec,
     (plus ``_rm_fallbacks``, ``_fast_path`` when the short-circuit is on,
     and, when requested, ``_residency``).
 
-    ``simulate_fn`` swaps the simulation entry point (the block engine
-    passes its lane server; must be drop-in compatible with
-    :func:`repro.sim.engine.simulate`) and is threaded through the
+    Every run goes through ``simulate_fn``, which is threaded through the
     hyperperiod short-circuit too, so fast-path warmup windows run on the
-    same backend.  ``materialized`` supplies a pre-built
+    same backend.  The default is
+    :func:`repro.sim.batch_kernels.batch_simulate` (the flat-array
+    ``CellKernel``, residency collectors included, with the event engine
+    outside its envelope); the block engine passes its lane server, and
+    ``simulate_fn=repro.sim.engine.simulate`` replays the cell on the
+    event engine, the reference every path must match bit for bit.  Any
+    replacement must be drop-in compatible with
+    :func:`repro.sim.engine.simulate`.  ``materialized`` supplies a pre-built
     ``(taskset, demand)`` pair — the block path materializes whole
     columns at once — and must match what :func:`materialize_cell` would
     rebuild, since cache keys are derived from the spec alone.
     """
     taskset, demand = materialized if materialized is not None \
         else materialize_cell(context, spec)
-    sim = simulate if simulate_fn is None else simulate_fn
+    if simulate_fn is None:
+        # Imported here so that importing this module (service start-up,
+        # worker processes) does not load the kernel module.
+        from repro.sim.batch_kernels import batch_simulate as simulate_fn
     energy_model = context.energy_model()
     out: Dict[str, object] = {"_rm_fallbacks": 0}
     residency: Dict[str, Dict[float, float]] = {}
@@ -619,10 +631,10 @@ def run_cell(context: SweepContext, spec: CellSpec,
                     fast_used += 1
                     return fast.total_energy, fast.executed_cycles
                 fast_fallbacks[reason] = fast_fallbacks.get(reason, 0) + 1
-        result = sim(taskset, context.machine, policy,
-                     demand=demand, duration=context.duration,
-                     energy_model=energy_model, on_miss=on_miss,
-                     instrument=collector)
+        result = simulate_fn(taskset, context.machine, policy,
+                             demand=demand, duration=context.duration,
+                             energy_model=energy_model, on_miss=on_miss,
+                             instrument=collector)
         return result.total_energy, result.executed_cycles
 
     for name in context.policies:

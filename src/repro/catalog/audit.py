@@ -530,19 +530,31 @@ def _audit_invariant(invariant: Invariant, name: str, panel: str,
         return _check(name, panel, check_name, not bad, "; ".join(bad[:3]))
 
     if invariant.name == "engine-parity":
-        from repro.analysis.batch import iter_cells_block
-        sampled = _sample_indices(len(specs), profile.parity_cells)
-        # One block pass over all sampled cells: lanes once the sample
-        # clears BLOCK_MIN_LANES, the per-cell kernel for every other run.
-        block = iter_cells_block(context, [specs[i] for i in sampled])
+        from repro.analysis.batch import fan_out_units, iter_cells_block
+        sampled = set(_sample_indices(len(specs), profile.parity_cells))
+        # The event engine is the reference; both production paths (the
+        # scalar engine's per-cell kernel and the block engine) must
+        # match it.  Block runs every sampled cell's whole column, so it
+        # plans lanes the way a sweep does and the lanes get audited.
+        cells: List[int] = []
+        start = 0
+        for column in fan_out_units(specs, "block"):
+            stop = start + len(column)
+            if sampled.intersection(range(start, stop)):
+                cells.extend(range(start, stop))
+            start = stop
+        outcomes = iter_cells_block(context, [specs[i] for i in cells])
         bad = []
-        for index, (_, outcome) in zip(sampled, block):
+        for index, (_, block) in zip(cells, outcomes):
+            reference = run_cell(context, specs[index], simulate_fn=simulate)
             scalar = run_cell(context, specs[index])
-            if scalar != outcome:
-                diffs = [key for key in scalar
-                         if scalar.get(key) != outcome.get(key)]
-                bad.append(f"cell {index}: outcome mismatch on "
-                           f"{diffs or 'keys'}")
+            for engine, outcome in (("scalar", scalar), ("block", block)):
+                if outcome != reference:
+                    diffs = [key for key in reference
+                             if reference.get(key) != outcome.get(key)]
+                    bad.append(f"cell {index}: {engine} outcome differs "
+                               f"from the event engine on "
+                               f"{diffs or 'keys'}")
         return _check(name, panel, check_name, not bad, "; ".join(bad[:3]))
 
     if invariant.name == "fast-path-parity":

@@ -703,6 +703,8 @@ def _cmd_cache_clean(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import contextlib
+    import signal
 
     from repro.service import AdmissionQueue, SweepService, TenantQuotas
 
@@ -727,6 +729,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _main() -> None:
         await service.start()
+        # SIGTERM cancels the serving task, so the finally blocks below
+        # stop the service and shut its worker pool down instead of
+        # leaving the pool's processes behind as orphans.
+        with contextlib.suppress(NotImplementedError):  # e.g. Windows
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel)
         # Machine-parseable ready line (the smoke harness reads the
         # ephemeral port from it).
         ready = f"rtdvs-serve ready host={service.host} port={service.port}"

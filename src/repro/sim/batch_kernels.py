@@ -1,7 +1,7 @@
-"""Flat-array simulation kernels: the block engine's per-cell rung.
+"""Flat-array simulation kernels: the production simulator of sweep cells.
 
 The discrete-event :class:`~repro.sim.engine.Simulator` is built for
-generality: admission queues, policy wakeups, switch halts, pluggable
+generality: admission queues, policy wakeups, switch halts, per-event
 instrumentation, and lazily-invalidated heaps.  A sweep cell needs none of
 that — every run the kernel accepts is a fixed periodic task set,
 free switching, WCET-clamped demands, and a policy that only reacts to
@@ -13,26 +13,36 @@ engine exposes, so every frequency-selection decision (ccEDF's utilization
 bands, ccRM's quota walk, laEDF's deferral loop) is made by the same code
 and is bit-for-bit identical by construction.
 
+:func:`batch_simulate` is the entry point every sweep cell runs through
+(:func:`repro.analysis.sweep.run_cell`'s default, on both engines): the
+kernel inside its envelope, the event engine outside it.  The envelope
+includes instruments that only need run-level observation — the
+residency :class:`~repro.obs.metrics.MetricsCollector` — because the
+kernel fires ``on_frequency_change``, ``on_run_start``/``on_run_end`` and
+the ``counters`` tallies at the engine's exact points.
+
 What the kernel removes is pure engine overhead: the three event heaps and
 their lazy-invalidation tuples, the ready-entry side table, the wakeup
-cache churn, the instrumentation pointer tests, the per-event method-call
-chains, and the repeated ``energy_per_cycle`` property evaluations (cached
-here per operating point).  Because the supported modes (``on_miss``
-"raise"/"drop") keep at most one live job per task, the ready queue
-collapses to one slot per task index and job picking to a linear argmin
-over ``(deadline-or-period, task index)`` — the same total order as the
-engine's heap keys.  The main loop is deliberately one flat function:
-between two release instants ("a window") it executes segments back to
-back without re-deriving the release state the engine re-scans per event.
+cache churn, the per-event instrumentation pointer tests, the per-event
+method-call chains, and the repeated ``energy_per_cycle`` property
+evaluations (cached here per operating point).  Because the supported
+modes (``on_miss`` "raise"/"drop") keep at most one live job per task, the
+ready queue collapses to one slot per task index and job picking to a
+linear argmin over ``(deadline-or-period, task index)`` — the same total
+order as the engine's heap keys.  The main loop is deliberately one flat
+function: between two release instants ("a window") it executes segments
+back to back without re-deriving the release state the engine re-scans
+per event.
 
-The module also hosts the cross-cell *block* kernels used by
-:mod:`repro.analysis.batch`: vectorized release counting, zero-demand
-release detection, the final deadline sweep, and ``lowest_at_least`` over a
-batch of speed requests.  Each evaluates the identical per-element
-comparisons as its scalar counterpart; numpy (when installed) only changes
-how the elements are iterated, never the arithmetic, and is imported
-lazily behind :func:`numpy_backend` so the scalar sweep path keeps its
-"numpy never imported" invariant (pinned by ``benchmarks/numpy_guard``).
+The module also hosts two cross-cell helpers: ``lowest_at_least`` over a
+batch of speed requests (used by :mod:`repro.analysis.batch`'s column
+blocks) and per-task release counting.  Each evaluates the
+identical per-element comparisons as its scalar counterpart; numpy (when
+installed) only changes how the elements are iterated, never the
+arithmetic, and is imported lazily behind :func:`numpy_backend`.  The
+per-cell kernel itself never calls into numpy, so a scalar sweep keeps
+its "numpy never imported" invariant (pinned by
+``benchmarks/numpy_guard`` and ``tests/analysis/test_batch_engine.py``).
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from repro.hw.machine import Machine
 from repro.model.demand import DemandModel, WorstCaseDemand, demand_from_spec
 from repro.model.job import Job
 from repro.model.task import Task, TaskSet
+from repro.sim import engine
 from repro.sim.engine import SchedulerView
 from repro.sim.results import DeadlineMiss, EnergyBreakdown, SimResult
 from repro.sim.scheduler import make_priority
@@ -97,10 +108,10 @@ def set_numpy_enabled(enabled: bool) -> None:
 def numpy_backend():
     """The numpy module, or ``None`` (disabled or not installed).
 
-    The import happens on first use from *batch* code only — nothing on
-    the scalar sweep path calls into this module, so ``numpy`` stays out
-    of ``sys.modules`` for scalar sweeps (the laziness invariant asserted
-    by ``benchmarks.numpy_guard``).
+    The import happens on first use from *block* code only — the
+    per-cell kernel every scalar sweep runs on never calls it, so
+    ``numpy`` stays out of ``sys.modules`` for scalar sweeps (the laziness
+    invariant asserted by ``benchmarks.numpy_guard``).
     """
     global _numpy_module, _numpy_missing
     if not _numpy_enabled or _numpy_missing:
@@ -139,33 +150,6 @@ def release_counts(periods: Sequence[float], duration: float) -> List[int]:
             release += period
         counts.append(n)
     return counts
-
-
-def zero_demand_mask(demands: Sequence[float]) -> List[bool]:
-    """Per-element ``demand <= _EPS`` — the engine's zero-demand release
-    test, applied to a whole release batch at once."""
-    if len(demands) >= _NUMPY_MIN:
-        np = numpy_backend()
-        if np is not None:
-            arr = np.asarray(demands, dtype=np.float64)
-            return (arr <= _EPS).tolist()
-    return [demand <= _EPS for demand in demands]
-
-
-def deadline_miss_mask(deadlines: Sequence[float],
-                       completed: Sequence[bool],
-                       duration: float) -> List[bool]:
-    """Per-job final-deadline test: incomplete and the absolute deadline
-    fell inside the run (``deadline <= duration + _EPS``) — exactly the
-    predicate of the engine's final deadline check."""
-    if len(deadlines) >= _NUMPY_MIN:
-        np = numpy_backend()
-        if np is not None:
-            dl = np.asarray(deadlines, dtype=np.float64)
-            done = np.asarray(completed, dtype=bool)
-            return (~done & (dl <= duration + _EPS)).tolist()
-    return [not done and deadline <= duration + _EPS
-            for deadline, done in zip(deadlines, completed)]
 
 
 def lowest_at_least_indices(machine: Machine,
@@ -210,21 +194,38 @@ def _raise_over_unity(speed: float) -> None:
 # kernel eligibility
 # ---------------------------------------------------------------------------
 
+#: Instrumentation hooks only the event engine fires.  An instrument
+#: that leaves all of them ``None`` (a
+#: :class:`~repro.obs.metrics.MetricsCollector` without
+#: ``self_profile``) runs on the kernel, which fires the rest —
+#: ``counters``, ``on_frequency_change`` and ``on_run_start`` /
+#: ``on_run_end`` — at the engine's exact points.
+ENGINE_ONLY_HOOKS = ("on_release", "on_completion", "on_deadline_miss",
+                     "on_context_switch", "on_event")
+
+
+def instrument_supported(instrument) -> bool:
+    """Whether the kernel can drive ``instrument`` (``None`` included)."""
+    return instrument is None or all(
+        getattr(instrument, hook, None) is None
+        for hook in ENGINE_ONLY_HOOKS)
+
+
 def kernel_supported(policy, on_miss: str = "raise", instrument=None,
                      admissions: Sequence = (), enforce_wcet: bool = True,
                      switching=None, **_ignored) -> bool:
     """Whether :func:`kernel_simulate` replicates this run exactly.
 
     The envelope: a :class:`~repro.core.base.DVSPolicy` without a timer
-    (``wakeup_time``), no instrumentation, no dynamic admissions,
-    WCET-clamped demands, free switching, and a miss mode that keeps at
-    most one live job per task.  Everything else falls back to the engine
-    (the caller's responsibility — see
-    :func:`repro.analysis.batch.batch_simulate`).
+    (``wakeup_time``), an instrument without per-event hooks (see
+    :data:`ENGINE_ONLY_HOOKS`), no dynamic admissions, WCET-clamped
+    demands, free switching, and a miss mode that keeps at most one live
+    job per task.  Everything else runs on the engine
+    (:func:`batch_simulate` makes that choice).
     """
     return (isinstance(policy, DVSPolicy)
             and getattr(policy, "wakeup_time", None) is None
-            and instrument is None
+            and instrument_supported(instrument)
             and not admissions
             and enforce_wcet
             and switching is None
@@ -261,6 +262,14 @@ class CellKernel(SchedulerView):
     * ``_ready[i]`` — the ready queue (one slot per task: the supported
       miss modes never leave two live jobs of one task ready).
 
+    An ``instrument`` inside the envelope (:func:`instrument_supported`)
+    sees what the engine would show it: ``on_run_start`` after the
+    policy's ``setup``, ``on_frequency_change`` at each switch decision
+    instant, context switches and preemptions tallied per segment into
+    its ``counters`` and flushed once after the loop, and ``on_run_end``
+    with the finished result, by which time ``busy_time`` and
+    ``idle_time`` hold the run's totals.
+
     Task parameters may be supplied pre-flattened by a column block
     (``params=(periods, wcets)``) so a sweep column shares one SoA
     materialization across its cells.
@@ -276,13 +285,13 @@ class CellKernel(SchedulerView):
                  scheduler: Optional[str] = None,
                  instrument=None,
                  params: Optional[tuple] = None):
-        if instrument is not None:
+        if not instrument_supported(instrument):
             raise SimulationError(
-                "the batch kernel does not support instrumentation; "
-                "use the scalar engine for instrumented runs")
+                "the cell kernel does not fire per-event instrumentation "
+                f"hooks {ENGINE_ONLY_HOOKS}; use the event engine")
         if on_miss not in KERNEL_MISS_MODES:
             raise SimulationError(
-                f"batch kernel supports on_miss in {KERNEL_MISS_MODES}, "
+                f"cell kernel supports on_miss in {KERNEL_MISS_MODES}, "
                 f"got {on_miss!r}")
         self.taskset = taskset
         self.machine = machine
@@ -335,7 +344,12 @@ class CellKernel(SchedulerView):
         self._switches = 0
         self._point = machine.fastest
         self._trace = make_trace(record_trace, trace_backend)
+        self._busy_time = 0.0
+        self._idle_time = 0.0
         self._finished = False
+        self.instrument = instrument
+        self._obs_counters = getattr(instrument, "counters", None)
+        self._obs_freq = getattr(instrument, "on_frequency_change", None)
 
         # Hook dispatch: bound method when overridden, None when the
         # base-class no-op would run (the engine calls it and discards
@@ -405,6 +419,21 @@ class CellKernel(SchedulerView):
         job = self.job_of(task)
         return job.index if job else -1
 
+    @property
+    def current_point(self):
+        """The operating point in effect (current at every hook call)."""
+        return self._point
+
+    @property
+    def busy_time(self) -> float:
+        """Time spent executing tasks (the run's total once it ends)."""
+        return self._busy_time
+
+    @property
+    def idle_time(self) -> float:
+        """Time spent idle (the run's total once it ends)."""
+        return self._idle_time
+
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
@@ -429,6 +458,16 @@ class CellKernel(SchedulerView):
             # The engine assigns the setup point directly: no switch is
             # counted and no membership check is applied.
             self._point = initial
+        obs = self.instrument
+        if obs is not None:
+            obs.on_run_start(self)
+        # Context switches are counted per executed segment exactly as in
+        # Simulator.run, on locals flushed to the counters after the loop.
+        counters = self._obs_counters
+        track_ctx = counters is not None
+        last_job: Optional[Job] = None
+        ctx_switches = 0
+        preemptions = 0
 
         # -- hoist everything the hot loop touches --
         n = self._n
@@ -481,6 +520,8 @@ class CellKernel(SchedulerView):
         acc_energy = self._acc_energy
         slot = -1
         idle_energy = 0.0
+        busy_time = 0.0
+        idle_time = 0.0
 
         time = 0.0
 
@@ -599,12 +640,19 @@ class CellKernel(SchedulerView):
                     cycles = (horizon - time) * frequency
                     energy = idle_coeff * cycles * epc
                     idle_energy += energy
+                    idle_time += horizon - time
                     if record is not None:
                         record(time, horizon, None, point, 0.0, energy,
                                "idle")
                     time = horizon
                     break
                 job = ready[best]
+                if track_ctx and job is not last_job:
+                    ctx_switches += 1
+                    if (last_job is not None
+                            and last_job.completion_time is None):
+                        preemptions += 1
+                    last_job = job
                 remaining = job.demand - job.executed
                 if remaining < 0.0:
                     remaining = 0.0
@@ -614,6 +662,7 @@ class CellKernel(SchedulerView):
                     if slot < 0:
                         slot = self._slot_for(point)
                     acc_energy[slot] += energy
+                    busy_time += completion_time - time
                     job.executed = job.demand  # absorb float residue
                     job.completion_time = completion_time
                     ready[best] = None
@@ -641,6 +690,7 @@ class CellKernel(SchedulerView):
                     if slot < 0:
                         slot = self._slot_for(point)
                     acc_energy[slot] += energy
+                    busy_time += horizon - time
                     job.executed += cycles
                     if record is not None:
                         record(time, horizon, job.task.name, point, cycles,
@@ -651,12 +701,17 @@ class CellKernel(SchedulerView):
         # ---- wind down ----
         self.time = time
         self._point = point
+        self._busy_time = busy_time
+        self._idle_time = idle_time
+        if track_ctx:
+            counters.context_switches += ctx_switches
+            counters.preemptions += preemptions
         breakdown = self._energy
         for acc_point, energy in zip(self._acc_points, acc_energy):
             breakdown.add_execution(acc_point, energy)
         breakdown.idle = idle_energy
         self._final_deadline_check()
-        return SimResult(
+        result = SimResult(
             taskset=self.taskset,
             policy_name=getattr(self.policy, "name",
                                 type(self.policy).__name__),
@@ -668,6 +723,9 @@ class CellKernel(SchedulerView):
             switches=self._switches,
             trace=trace,
         )
+        if obs is not None:
+            obs.on_run_end(self, result)
+        return result
 
     # ------------------------------------------------------------------
     # point changes / deadline accounting
@@ -709,8 +767,11 @@ class CellKernel(SchedulerView):
             raise SimulationError(
                 f"policy requested {new_point}, which is not an operating "
                 f"point of {self.machine.name}")
+        old_point = self._point
         self._switches += 1
         self._point = new_point
+        if self._obs_freq is not None:
+            self._obs_freq(self, old_point, new_point)
 
     def _record_miss(self, job: Job) -> None:
         miss = DeadlineMiss(task_name=job.task.name,
@@ -723,22 +784,18 @@ class CellKernel(SchedulerView):
                                     job.absolute_deadline, self.time)
 
     def _final_deadline_check(self) -> None:
-        jobs = self._jobs
-        if not jobs:
-            return
-        completed = [job.completion_time is not None for job in jobs]
-        mask = deadline_miss_mask(self._jobs_deadline, completed,
-                                  self.duration)
+        """The engine's final check: flag every job whose deadline fell
+        inside the run but never finished (pure Python, so the per-cell
+        path never loads numpy)."""
+        limit = self.duration + _EPS
         misses = self._misses
-        for index, flagged in enumerate(mask):
-            if not flagged:
-                continue
-            job = jobs[index]
-            already = any(m.task_name == job.task.name
-                          and m.release_time == job.release_time
-                          for m in misses)
-            if not already:
-                self._record_miss(job)
+        for job, deadline in zip(self._jobs, self._jobs_deadline):
+            if job.completion_time is None and deadline <= limit:
+                already = any(m.task_name == job.task.name
+                              and m.release_time == job.release_time
+                              for m in misses)
+                if not already:
+                    self._record_miss(job)
 
 
 def kernel_simulate(taskset: TaskSet, machine: Machine, policy,
@@ -747,9 +804,35 @@ def kernel_simulate(taskset: TaskSet, machine: Machine, policy,
 
     Accepts the :func:`repro.sim.engine.simulate` keywords inside the
     kernel envelope (``demand``, ``duration``, ``energy_model``,
-    ``on_miss``, ``record_trace``, ``trace_backend``, ``scheduler``) and
-    returns a :class:`~repro.sim.results.SimResult` bit-identical to the
-    engine's.  Callers should gate on :func:`kernel_supported` and fall
-    back to the engine outside the envelope.
+    ``on_miss``, ``record_trace``, ``trace_backend``, ``scheduler``,
+    ``instrument``) and returns a :class:`~repro.sim.results.SimResult`
+    bit-identical to the engine's.  Callers should gate on
+    :func:`kernel_supported` and fall back to the engine outside the
+    envelope (:func:`batch_simulate` does both).
     """
     return CellKernel(taskset, machine, policy, **kwargs).run()
+
+
+#: Keyword arguments the engine accepts but :class:`CellKernel` does not
+#: spell out; they reach the kernel only with their default (supported)
+#: values, so they are dropped rather than forwarded.
+_ENGINE_ONLY_KWARGS = ("admissions", "enforce_wcet", "switching")
+
+
+def batch_simulate(taskset: TaskSet, machine: Machine, policy,
+                   params: Optional[tuple] = None, **kwargs) -> SimResult:
+    """Simulate one run on the kernel, or on the event engine outside its
+    envelope — the simulator behind every sweep cell.
+
+    Drop-in compatible with :func:`repro.sim.engine.simulate` and
+    bit-identical to it, exceptions included; ``params`` optionally
+    supplies a column block's pre-flattened ``(periods, wcets)`` row.
+    ``on_miss="continue"``, wakeup-timer policies, dynamic admissions,
+    switch overheads and per-event instruments run on the engine.
+    """
+    if not kernel_supported(policy, **kwargs):
+        return engine.simulate(taskset, machine, policy, **kwargs)
+    kernel_kwargs = {key: value for key, value in kwargs.items()
+                     if key not in _ENGINE_ONLY_KWARGS}
+    return kernel_simulate(taskset, machine, policy, params=params,
+                           **kernel_kwargs)

@@ -294,10 +294,11 @@ def try_steady_fast_path(taskset: TaskSet, machine: Machine, policy,
 
     ``resolution`` is the hyperperiod detection grid — callers that cache
     or group cells by hyperperiod must pass the same pinned value here,
-    or eligibility and grouping can disagree.  ``simulate_fn`` swaps the
-    warmup-window simulation entry point (the block engine substitutes
-    its lanes and per-cell kernel); it must be drop-in compatible with
-    :func:`repro.sim.engine.simulate`.
+    or eligibility and grouping can disagree.  ``simulate_fn`` is the
+    warmup-window simulation entry point: by default the per-cell
+    :func:`repro.sim.batch_kernels.batch_simulate` that sweep cells run
+    on (the block engine substitutes its lanes); any replacement must be
+    drop-in compatible with :func:`repro.sim.engine.simulate`.
 
     Schedulability and deadline-miss errors propagate exactly as they
     would from a full simulation (they surface within the first
@@ -308,10 +309,13 @@ def try_steady_fast_path(taskset: TaskSet, machine: Machine, policy,
                                          duration, warmup_hyperperiods)
     if simulated is None:
         return None, reason
-    sim = simulate if simulate_fn is None else simulate_fn
-    result = sim(taskset, machine, policy, demand=demand,
-                 duration=simulated, energy_model=energy_model,
-                 on_miss=on_miss, record_trace=True)
+    if simulate_fn is None:
+        # Imported here so that importing repro.sim (or the sweep module)
+        # does not load the kernel module.
+        from repro.sim.batch_kernels import batch_simulate as simulate_fn
+    result = simulate_fn(taskset, machine, policy, demand=demand,
+                         duration=simulated, energy_model=energy_model,
+                         on_miss=on_miss, record_trace=True)
     warmup = warmup_hyperperiods * hyperperiod
     boundaries = _cumulative_at(
         result, [warmup, warmup + hyperperiod, simulated])

@@ -233,6 +233,26 @@ class TestAggregateMutations:
                        "invariant:utilization-monotone-energy")
 
 
+class TestEngineParityMutations:
+    """``engine-parity`` holds both production paths to the event engine,
+    so a per-cell kernel that drifts in the last bits must be flagged."""
+
+    def test_drifting_kernel_flagged(self, clean, monkeypatch):
+        from repro.sim import batch_kernels
+        real = batch_kernels.batch_simulate
+
+        def drifting(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.energy.idle += 1e-9
+            return result
+
+        monkeypatch.setattr(batch_kernels, "batch_simulate", drifting)
+        checks = audit(*clean)
+        assert_flagged(checks, "invariant:engine-parity")
+        detail = by_name(checks, "invariant:engine-parity")[0].detail
+        assert "scalar outcome differs from the event engine" in detail
+
+
 class TestReportPlumbing:
     def test_audit_scenario_end_to_end(self):
         report = audit_scenario(SCENARIO, profile=PROFILE)

@@ -1,6 +1,7 @@
 """Keep-alive connection reuse, result-encode reuse, and journaled
-resume — in-process via ServiceThread, plus one subprocess
-kill-the-coordinator-then-``--resume`` end-to-end test."""
+resume — in-process via ServiceThread, plus subprocess tests: one
+kill-the-coordinator-then-``--resume`` end to end, and a SIGTERM
+shutdown that must take the worker pool down with the server."""
 
 import json
 import os
@@ -146,12 +147,12 @@ KILL_SPEC = {"n_tasks": 3, "n_sets_quick": 3, "duration_quick": 200.0,
 KILL_CELLS = 12
 
 
-def start_serve(cache_dir):
+def start_serve(cache_dir, workers=1):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--cache-dir", str(cache_dir), "--workers", "1"],
+         "--cache-dir", str(cache_dir), "--workers", str(workers)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, cwd=os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__)))))
@@ -211,3 +212,53 @@ class TestKillCoordinatorResume:
         assert done["simulated_cells"] <= KILL_CELLS - done_before
         assert done["simulated_cells"] + done["cache_hits"] == KILL_CELLS
         assert done["journal_done"] == KILL_CELLS
+
+
+def _children(pid):
+    """Pids whose parent is ``pid`` (read from ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestServeSigterm:
+    def test_sigterm_stops_server_and_pool_workers(self, tmp_path):
+        serve, port = start_serve(tmp_path / "cells", workers=2)
+        try:
+            with SweepServiceClient(port=port, timeout=120) as client:
+                client.submit_collect({"spec": TINY_SPEC})
+            workers = _children(serve.pid)
+            assert workers, "the cold request never started a pool worker"
+            serve.send_signal(signal.SIGTERM)
+            returncode = serve.wait(timeout=30)
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in workers) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in workers if _running(pid)]
+        for pid in orphans:  # do not leak them past a failing run
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
+        assert returncode == 0
