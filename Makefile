@@ -69,8 +69,8 @@ check:
 	$(MAKE) service-smoke
 	$(MAKE) bench-dist
 
-# The fast-path differential suites: incremental-vs-from-scratch policy
-# state must produce bit-identical SimResults, and the hyperperiod
+# The fast-path differential suites: maintained policy state must produce
+# SimResults bit-identical to the from-scratch test oracle, and the hyperperiod
 # short-circuit must match full simulation to relative 1e-9.
 test-fast-path:
 	PYTHONPATH=src python -m pytest -q \

@@ -24,8 +24,10 @@ Workloads
   which must complete with **zero** simulations).
 * ``policy_callbacks`` — per-event callback cost of ccEDF / ccRM / laEDF
   at 10, 50 and 200 tasks, measured by wrapping the policy in a timing
-  proxy, with the incremental aggregates on and off.  The incremental and
-  from-scratch runs must agree bit-for-bit on energy and switches.
+  proxy, for the production classes (maintained aggregates) and their
+  from-scratch test oracle (``tests/core/scratch_policies.py``).  The
+  incremental and from-scratch runs must agree bit-for-bit on energy and
+  switches.
 * ``steady_fast_path`` — one fast-path-eligible Fig. 9-style cell batch
   (degenerate commensurable period bands, hyperperiod 100 against a
   4000 s horizon) swept with and without ``steady_fast_path``; curves must
@@ -99,6 +101,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from mem_workload import RSS_TARGET_REDUCTION_PCT, measure_pair  # noqa: E402
 from numpy_guard import numpy_violation  # noqa: E402
@@ -108,14 +111,12 @@ from repro.analysis.sweep import (SweepConfig, aggregate_outcomes,  # noqa: E402
                                   run_cell, sweep_cell_specs, sweep_context,
                                   utilization_sweep)
 from repro.core import make_policy  # noqa: E402
-from repro.core.cycle_conserving import CycleConservingEDF  # noqa: E402
-from repro.core.cycle_conserving_rm import CycleConservingRM  # noqa: E402
-from repro.core.look_ahead import LookAheadEDF  # noqa: E402
 from repro.hw.machine import machine0  # noqa: E402
 from repro.model.generator import TaskSetGenerator  # noqa: E402
 from repro.obs import MetricsCollector  # noqa: E402
 from repro.sim.baseline import BaselineSimulator  # noqa: E402
 from repro.sim.engine import Simulator, simulate  # noqa: E402
+from tests.core.scratch_policies import ORACLE_PAIRS  # noqa: E402
 
 #: (name, n_tasks, policy, duration) — durations are sized so the baseline
 #: engine finishes each workload in seconds while still processing enough
@@ -337,13 +338,6 @@ def bench_workload(name, n_tasks, policy_name, duration):
     }
 
 
-#: name -> incremental-flag factory for the callback microbenchmark.
-_INCREMENTAL_FACTORIES = {
-    "ccEDF": lambda incremental: CycleConservingEDF(incremental=incremental),
-    "ccRM": lambda incremental: CycleConservingRM(incremental=incremental),
-    "laEDF": lambda incremental: LookAheadEDF(incremental=incremental),
-}
-
 #: n_tasks -> duration for the callback microbenchmark (mirrors WORKLOADS'
 #: sizing: larger sets get shorter horizons so runs stay in seconds).
 _CALLBACK_DURATIONS = {10: 2000.0, 50: 600.0, 200: 200.0}
@@ -415,7 +409,8 @@ def _timed_policy_run(name, incremental, taskset, duration):
     calls = 0
     result = None
     for _ in range(REPEATS):
-        proxy = _TimedPolicy(_INCREMENTAL_FACTORIES[name](incremental))
+        production, oracle = ORACLE_PAIRS[name]
+        proxy = _TimedPolicy(production() if incremental else oracle())
         sim = Simulator(taskset, machine0(), proxy, demand=DEMAND,
                         duration=duration, on_miss="drop")
         run = sim.run()

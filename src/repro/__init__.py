@@ -27,7 +27,6 @@ from repro.errors import (
     DeadlineMissError,
     KernelError,
     MachineError,
-    PolicyStateError,
     PowerNowError,
     ReproError,
     SchedulabilityError,
@@ -91,13 +90,13 @@ from repro.core import (
     make_policy,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     # errors
     "ReproError", "TaskModelError", "MachineError", "SchedulabilityError",
     "SimulationError", "DeadlineMissError", "KernelError", "AdmissionError",
-    "PowerNowError", "PolicyStateError",
+    "PowerNowError",
     # model
     "Task", "TaskSet", "Job", "JobOutcome", "TaskSetGenerator",
     "DemandModel", "WorstCaseDemand", "ConstantFractionDemand",

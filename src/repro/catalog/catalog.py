@@ -145,12 +145,6 @@ def write_scenario(scenario: Scenario,
     return path
 
 
-def _reset_cache_for_tests() -> None:
-    """Drop the module-level catalog memo (test isolation hook)."""
-    global _CACHE
-    _CACHE = None
-
-
 # Convenience for `python -m repro.catalog.catalog` style debugging.
 if __name__ == "__main__":  # pragma: no cover
     print(json.dumps({name: s.fingerprint()

@@ -18,16 +18,16 @@ actually used, which stays valid until its next release (condition C2 still
 holds with the lowered bound, so EDF's guarantee is untouched).  On release
 the worst case is restored — possibly raising the frequency.
 
-Incremental mode
-----------------
+Maintained sum
+--------------
 ``select_frequency`` only ever needs ``ΣU_i``, and each event changes a
 single ``U_i`` — so the sum is maintained as a running aggregate updated in
 O(1) per event (``total += new − old``) instead of re-summed over all
-tasks.  Two mechanisms keep this *provably* equivalent to the from-scratch
-recomputation:
+tasks.  Two mechanisms keep this *provably* equivalent to re-summing the
+table at every selection, as the paper's pseudo-code does:
 
 * **Periodic exact resync** bounds accumulated float drift: every
-  ``resync_interval`` updates the aggregate is replaced by the exact
+  ``_RESYNC_INTERVAL`` updates the aggregate is replaced by the exact
   ``sum()`` over the table.  Between resyncs the drift is at most a few
   hundred ulps — many orders of magnitude below the guard band.
 * **Decision-boundary recompute**: frequency selection only depends on
@@ -35,14 +35,9 @@ recomputation:
   schedulability bound) the sum falls.  Whenever the running aggregate
   lies within ``_GUARD`` of any threshold, the exact sum is recomputed and
   used instead.  Since the drift bound is far smaller than ``_GUARD``,
-  the incremental and from-scratch paths always pick the same operating
+  the maintained and from-scratch sums always pick the same operating
   point and raise the same errors — the differential tests pin this
-  bit-for-bit on full simulations.
-
-``strict=True`` additionally cross-checks the running aggregate against
-the exact sum at *every* selection and raises
-:class:`~repro.errors.PolicyStateError` on divergence beyond drift
-tolerance (a debugging mode; it re-pays the O(n) sum it exists to avoid).
+  bit-for-bit against a from-scratch oracle on full simulations.
 """
 
 from __future__ import annotations
@@ -51,49 +46,27 @@ from bisect import bisect_left
 from typing import Dict, Optional, Tuple
 
 from repro.core.base import DVSPolicy
-from repro.errors import PolicyStateError, SchedulabilityError
+from repro.errors import SchedulabilityError
 from repro.hw.operating_point import OperatingPoint
 from repro.model.task import Task
 
 #: Distance from a decision threshold below which the exact sum is
 #: recomputed.  Must exceed the worst-case incremental drift between
-#: resyncs (~``resync_interval × eps`` ≈ 1e-13) by a wide margin.
+#: resyncs (~``_RESYNC_INTERVAL × eps`` ≈ 1e-13) by a wide margin.
 _GUARD = 1e-10
 
-#: Allowed |incremental − exact| before ``strict`` mode raises.
-_STRICT_TOL = 1e-9
+#: Number of incremental updates between exact resyncs of the aggregate
+#: (bounds float drift).
+_RESYNC_INTERVAL = 256
 
 
 class CycleConservingEDF(DVSPolicy):
-    """Cycle-conserving RT-DVS for EDF schedulers (``ccEDF``).
-
-    Parameters
-    ----------
-    incremental:
-        Maintain ``ΣU_i`` as an O(1)-per-event running aggregate (default).
-        ``False`` re-sums the utilization table at every selection — the
-        from-scratch reference the differential tests compare against.
-    strict:
-        Cross-check the running aggregate against an exact recomputation at
-        every selection; raise :class:`~repro.errors.PolicyStateError` when
-        they diverge beyond drift tolerance.  Implies the O(n) cost the
-        incremental path avoids; meant for debugging and tests.
-    resync_interval:
-        Number of incremental updates between exact resyncs of the
-        aggregate (bounds float drift).
-    """
+    """Cycle-conserving RT-DVS for EDF schedulers (``ccEDF``)."""
 
     name = "ccEDF"
     scheduler = "edf"
 
-    def __init__(self, incremental: bool = True, strict: bool = False,
-                 resync_interval: int = 256):
-        if resync_interval < 1:
-            raise ValueError(
-                f"resync_interval must be >= 1, got {resync_interval}")
-        self.incremental = incremental
-        self.strict = strict
-        self.resync_interval = resync_interval
+    def __init__(self):
         self._utilization: Dict[str, float] = {}
         self._wc_utilization: Dict[str, float] = {}
         self._total = 0.0
@@ -167,12 +140,12 @@ class CycleConservingEDF(DVSPolicy):
         self._utilization[name] = value
         self._total += value - old
         self._updates += 1  # _count_update, inlined for the hot path
-        if self._updates >= self.resync_interval:
+        if self._updates >= _RESYNC_INTERVAL:
             self._resync()
 
     def _count_update(self) -> None:
         self._updates += 1
-        if self._updates >= self.resync_interval:
+        if self._updates >= _RESYNC_INTERVAL:
             self._resync()
 
     def _resync(self) -> None:
@@ -180,51 +153,39 @@ class CycleConservingEDF(DVSPolicy):
         self._updates = 0
 
     def _select(self, view) -> OperatingPoint:
-        if self.incremental:
+        total = self._total
+        if self._band_point is not None \
+                and self._band_lo + _GUARD < total \
+                and total <= self._band_hi - _GUARD:
+            # Memoized decision band: the sum sits strictly between the
+            # thresholds that bracketed the last full selection (with the
+            # guard margin absorbing incremental drift), so the selection
+            # cannot have changed.  Note an over-unity sum exits the top
+            # band and takes the full path, which raises.
+            return self._band_point
+        # Guard-band check against the *nearest* thresholds only (the
+        # tuple is ascending, so they bracket the bisection point) —
+        # equivalent to scanning all of them, without the O(points) loop
+        # on every selection.
+        thresholds = self._thresholds
+        index = bisect_left(thresholds, total)
+        if (index < len(thresholds)
+                and thresholds[index] - total <= _GUARD) or \
+                (index and total - thresholds[index - 1] <= _GUARD):
+            # Too close to a decision boundary for the drift bound to
+            # guarantee the same choice: recompute exactly.
+            self._resync()
             total = self._total
-            if self.strict:
-                exact = sum(self._utilization.values())
-                if abs(total - exact) > _STRICT_TOL:
-                    raise PolicyStateError(
-                        f"ccEDF running utilization sum {total!r} diverged "
-                        f"from exact recomputation {exact!r} at "
-                        f"t={view.time:g}")
-            elif self._band_point is not None \
-                    and self._band_lo + _GUARD < total \
-                    and total <= self._band_hi - _GUARD:
-                # Memoized decision band: the sum sits strictly between
-                # the thresholds that bracketed the last full selection
-                # (with the guard margin absorbing incremental drift), so
-                # the selection cannot have changed.  Note an over-unity
-                # sum exits the top band and takes the full path, which
-                # raises as before.
-                return self._band_point
-            # Guard-band check against the *nearest* thresholds only (the
-            # tuple is ascending, so they bracket the bisection point) —
-            # equivalent to scanning all of them, without the O(points)
-            # loop on every selection.
-            thresholds = self._thresholds
-            index = bisect_left(thresholds, total)
-            if (index < len(thresholds)
-                    and thresholds[index] - total <= _GUARD) or \
-                    (index and total - thresholds[index - 1] <= _GUARD):
-                # Too close to a decision boundary for the drift bound
-                # to guarantee the same choice: recompute exactly.
-                self._resync()
-                total = self._total
-        else:
-            total = sum(self._utilization.values())
         if total > 1.0 + 1e-9:
             raise SchedulabilityError(
                 f"utilization sum {total:.3f} > 1 at t={view.time}; the "
                 "task set is not schedulable at any frequency")
         point = view.machine.lowest_at_least(min(total, 1.0))
-        if self.incremental and not self.strict:
-            index = view.machine.index_of(point)
-            self._band_hi = self._thresholds[index]
-            self._band_lo = self._thresholds[index - 1] if index \
-                else float("-inf")
-            self._band_point = point
+        index = view.machine.index_of(point)
+        self._band_hi = self._thresholds[index]
+        self._band_lo = self._thresholds[index - 1] if index \
+            else float("-inf")
+        self._band_point = point
         return point
 
     @property

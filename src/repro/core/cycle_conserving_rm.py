@@ -42,7 +42,7 @@ The "during task_execution" decrements are realized lazily: at each
 selection point the quota is reduced by the cycles the task executed since
 the last allocation (the engine exposes per-invocation executed cycles).
 
-Incremental mode
+Maintained state
 ----------------
 Two aggregates are maintained instead of recomputed:
 
@@ -58,12 +58,7 @@ Two aggregates are maintained instead of recomputed:
   those.  Skipping exact zeros from a left-to-right sum of non-negative
   floats leaves every partial sum bitwise unchanged (``x + 0.0 == x`` for
   ``x >= 0.0``), so the reduced sum is bit-identical to the full sweep —
-  pinned by the differential tests.
-
-``strict=True`` cross-checks the reduced sum against the full task-set
-sweep at every selection and raises
-:class:`~repro.errors.PolicyStateError` on any difference (the equality
-is exact, so the tolerance is zero).
+  pinned by the differential tests against a from-scratch oracle.
 """
 
 from __future__ import annotations
@@ -73,7 +68,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.base import DVSPolicy
 from repro.core.static_scaling import StaticRM
-from repro.errors import PolicyStateError
 from repro.hw.operating_point import OperatingPoint
 from repro.model.task import Task
 
@@ -97,26 +91,14 @@ class CycleConservingRM(DVSPolicy):
     exact_rm_test:
         Which RM test the embedded static-scaling step uses (see
         :class:`~repro.core.static_scaling.StaticRM`).
-    incremental:
-        Cache the RM priority order across allocations and sum only the
-        actively-allotted quotas at selection (default).  ``False`` re-sorts
-        and sweeps the full task set every time — the from-scratch
-        reference the differential tests compare against.
-    strict:
-        Cross-check the active-set quota sum against the full task-set
-        sweep at every selection; raise
-        :class:`~repro.errors.PolicyStateError` on any difference.
     """
 
     name = "ccRM"
     scheduler = "rm"
 
-    def __init__(self, exact_rm_test: bool = True, incremental: bool = True,
-                 strict: bool = False):
+    def __init__(self, exact_rm_test: bool = True):
         self._static = StaticRM(exact=exact_rm_test)
         self._static_frequency = 1.0
-        self.incremental = incremental
-        self.strict = strict
         self._quota: Dict[str, _Quota] = {}
         self._rm_order: Tuple[Task, ...] = ()
         self._rm_order_for: object = None  # taskset the cache was built for
@@ -180,32 +162,12 @@ class CycleConservingRM(DVSPolicy):
         if deadline is None:
             return
         budget = max(0.0, (deadline - view.time) * self._static_frequency)
-        if not self.incremental:
-            # From-scratch reference: re-sort every allocation and refresh
-            # every task's execution snapshot from its current job.
-            for task in sorted(view.taskset, key=lambda t: t.period):
-                quota = self._quota.setdefault(task.name, _Quota())
-                job = view.job_of(task)
-                if job is None:
-                    c_left = 0.0
-                    quota.invocation = -1
-                    quota.executed_at_alloc = 0.0
-                    quota.completed = False
-                else:
-                    c_left = job.worst_case_remaining
-                    quota.invocation = job.index
-                    quota.executed_at_alloc = job.executed
-                    quota.completed = job.is_complete
-                grant = min(c_left, budget)
-                quota.allotted = grant
-                budget -= grant
-            return
-        # Incremental path: tasks that would be granted exactly 0.0 cycles
-        # keep their *stale* snapshot — provably harmless, because a zero
-        # allotment yields a zero ``_current_quota`` under any snapshot
-        # (executed cycles never shrink within an invocation and invocation
-        # indexes never repeat).  Only genuinely-granted tasks pay the
-        # snapshot refresh.
+        # Tasks that would be granted exactly 0.0 cycles keep their
+        # *stale* snapshot — provably harmless, because a zero allotment
+        # yields a zero ``_current_quota`` under any snapshot (executed
+        # cycles never shrink within an invocation and invocation indexes
+        # never repeat).  Only genuinely-granted tasks pay the snapshot
+        # refresh.
         granted: List[Tuple[Task, _Quota]] = []
         for task, quota in self._rm_sorted_pairs(view):
             if budget <= 0.0:
@@ -240,13 +202,11 @@ class CycleConservingRM(DVSPolicy):
         granted.sort(key=lambda pair: index[pair[0].name])
         self._active = granted
 
-    def _current_quota(self, view, task: Task,
-                       quota: Optional[_Quota] = None) -> float:
+    @staticmethod
+    def _current_quota(view, task: Task, quota: _Quota) -> float:
         """``d_i`` right now: the allotment minus cycles executed since the
         allocation; zero once the invocation completes."""
-        if quota is None:
-            quota = self._quota.get(task.name)
-        if quota is None or quota.completed:
+        if quota.completed:
             return 0.0
         job = view.job_of(task)
         if job is None or job.index != quota.invocation or job.is_complete:
@@ -263,20 +223,9 @@ class CycleConservingRM(DVSPolicy):
         s_m = deadline - view.time  # cycles at max frequency until deadline
         if s_m <= 1e-12:
             return view.machine.fastest
-        if self.incremental:
-            total = 0.0
-            for task, quota in self._active:
-                total += self._current_quota(view, task, quota)
-            if self.strict:
-                exact = sum(self._current_quota(view, task)
-                            for task in view.taskset)
-                if total != exact:
-                    raise PolicyStateError(
-                        f"ccRM active quota sum {total!r} != full-sweep "
-                        f"sum {exact!r} at t={view.time:g}")
-        else:
-            total = sum(
-                self._current_quota(view, task) for task in view.taskset)
+        total = 0.0
+        for task, quota in self._active:
+            total += self._current_quota(view, task, quota)
         return view.machine.lowest_at_least(min(1.0, total / s_m))
 
     @property

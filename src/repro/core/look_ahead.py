@@ -34,25 +34,20 @@ invocations); whatever does not fit (``x``) must execute before ``D_n``.
 current invocation); tasks admitted but not yet released have no deadline
 and simply keep their full worst-case utilization reserved in ``U``.
 
-Incremental mode
+Maintained order
 ----------------
-``defer()`` is inherently O(n), but the from-scratch implementation paid an
-additional O(n log n) re-sort per event to derive the reverse-EDF order.
-A task's current deadline changes *only at its own release*, so the order
-is maintained instead: a sorted key list (``(-deadline, -taskset_index)``
-ascending — exactly the from-scratch descending ``(deadline, index)``
-sort) repositions one entry per release via ``bisect``.  Per-task
-worst-case utilizations and the task-set utilization sum are cached
-alongside (the task set only changes through the add/remove hooks, which
-rebuild everything).  Every float read in the maintained walk —
-deadlines, utilizations, the starting ``U`` — is the identical bit
-pattern the from-scratch path derives, so the selected operating points
-match bit-for-bit; the differential tests pin this on full simulations.
-
-``strict=True`` keeps its original meaning (raise on over-unity deferral
-instants) and additionally cross-checks the maintained order against a
-fresh re-sort at every ``defer()``, raising
-:class:`~repro.errors.PolicyStateError` on divergence.
+``defer()`` is inherently O(n), but re-deriving the reverse-EDF order
+from scratch costs an additional O(n log n) sort per event.  A task's
+current deadline changes *only at its own release*, so the order is
+maintained instead: a sorted key list (``(-deadline, -taskset_index)``
+ascending — exactly a descending ``(deadline, index)`` sort) repositions
+one entry per release via ``bisect``.  Per-task worst-case utilizations
+and the task-set utilization sum are cached alongside (the task set only
+changes through the add/remove hooks, which rebuild everything).  Every
+float read in the maintained walk — deadlines, utilizations, the starting
+``U`` — is the identical bit pattern a from-scratch walk derives, so the
+selected operating points match bit-for-bit; the differential tests pin
+this against a from-scratch oracle on full simulations.
 """
 
 from __future__ import annotations
@@ -61,7 +56,7 @@ from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.base import DVSPolicy
-from repro.errors import PolicyStateError, SchedulabilityError
+from repro.errors import SchedulabilityError
 from repro.hw.operating_point import OperatingPoint
 from repro.model.task import Task
 
@@ -83,15 +78,7 @@ class LookAheadEDF(DVSPolicy):
         :class:`~repro.errors.SchedulabilityError` immediately; by default
         the policy clamps to ``f_max`` and counts the instant in
         :attr:`over_unity_events` so callers can detect the overload
-        instead of it being silently swallowed.  In incremental mode,
-        strict additionally cross-checks the maintained deferral order
-        against a fresh re-sort at every deferral (raising
-        :class:`~repro.errors.PolicyStateError` on divergence).
-    incremental:
-        Maintain the reverse-EDF deferral order across events (repositioning
-        one entry per release) instead of re-sorting the task set at every
-        deferral (default).  ``False`` is the from-scratch reference the
-        differential tests compare against.
+        instead of it being silently swallowed.
 
     Attributes
     ----------
@@ -103,9 +90,8 @@ class LookAheadEDF(DVSPolicy):
     name = "laEDF"
     scheduler = "edf"
 
-    def __init__(self, strict: bool = False, incremental: bool = True):
+    def __init__(self, strict: bool = False):
         self.strict = strict
-        self.incremental = incremental
         self.over_unity_events = 0
         # Maintained reverse-EDF order: ascending (-deadline, -index) keys
         # with parallel task/deadline/utilization lists; tasks without a
@@ -145,15 +131,13 @@ class LookAheadEDF(DVSPolicy):
         # maintained order; reposition the whole batch now or the batch's
         # intermediate deferrals read stale deadlines (observable as
         # spurious same-instant operating-point switches vs from-scratch).
-        if self.incremental:
-            for task in tasks:
-                self._reposition(view, task)
+        for task in tasks:
+            self._reposition(view, task)
 
     def on_release(self, view, task: Task) -> Optional[OperatingPoint]:
-        if self.incremental:
-            # No-op when the batch hook already repositioned this task;
-            # kept for direct hook-level driving outside the engine.
-            self._reposition(view, task)
+        # No-op when the batch hook already repositioned this task; kept
+        # for direct hook-level driving outside the engine.
+        self._reposition(view, task)
         return self._defer(view)
 
     def on_completion(self, view, task: Task) -> Optional[OperatingPoint]:
@@ -162,13 +146,11 @@ class LookAheadEDF(DVSPolicy):
         return self._defer(view)
 
     def on_task_added(self, view, task: Task) -> Optional[OperatingPoint]:
-        if self.incremental:
-            self._rebuild(view)  # task-set change: rare, rebuild wholesale
+        self._rebuild(view)  # task-set change: rare, rebuild wholesale
         return self._defer(view)
 
     def on_task_removed(self, view, task: Task) -> Optional[OperatingPoint]:
-        if self.incremental:
-            self._rebuild(view)  # indexes of later tasks shift
+        self._rebuild(view)  # indexes of later tasks shift
         return self._defer(view)
 
     # ------------------------------------------------------------------
@@ -239,19 +221,6 @@ class LookAheadEDF(DVSPolicy):
         self._utils.insert(pos, self._util_of[name])
         self._key_of[name] = key
 
-    def _check_order(self, view) -> None:
-        """Strict-mode cross-check: the maintained walk must equal a fresh
-        reverse-EDF re-sort."""
-        expected = [(view.current_deadline(task), task.name)
-                    for task in self._reverse_edf_order_scratch(view)
-                    if view.current_deadline(task) is not None]
-        maintained = [(-key[0], task.name)
-                      for key, task in zip(self._keys, self._tasks)]
-        if maintained != expected:
-            raise PolicyStateError(
-                f"laEDF maintained deferral order {maintained!r} diverged "
-                f"from re-sorted order {expected!r} at t={view.time:g}")
-
     # ------------------------------------------------------------------
     def _defer(self, view) -> OperatingPoint:
         """The deferral calculation; returns the selected operating point."""
@@ -259,53 +228,30 @@ class LookAheadEDF(DVSPolicy):
         earliest = view.earliest_deadline()
         if earliest is None or earliest <= now + 1e-12:
             return view.machine.slowest
-        if self.incremental:
-            if self.strict:
-                self._check_order(view)
-            utilization = self._total_util
-            must_run = 0.0
-            tasks = self._tasks
-            scratch = self._c_left
-            if len(scratch) != len(tasks):
-                scratch = self._c_left = [0.0] * len(tasks)
-            batch = getattr(view, "worst_case_remaining_each", None)
-            if batch is not None:
-                c_lefts = batch(tasks, scratch)
-            else:  # duck-typed view (stub/tick): same values, scalar reads
-                c_lefts = [view.worst_case_remaining(task)
-                           for task in tasks]
-            for deadline, util, c_left in zip(self._deadlines, self._utils,
-                                              c_lefts):
-                utilization -= util
-                span = deadline - earliest
-                if span <= 1e-12:
-                    deferred = 0.0
-                else:
-                    capacity = max(0.0, 1.0 - utilization) * span
-                    deferred = min(c_left, capacity)
-                    utilization += deferred / span
-                must_run += c_left - deferred
-        else:
-            utilization = view.taskset.utilization
-            must_run = 0.0  # `s`: cycles that must execute before `earliest`
-            for task in self._reverse_edf_order_scratch(view):
-                deadline = view.current_deadline(task)
-                if deadline is None:
-                    # Admitted but unreleased: keep its worst case reserved
-                    # in `utilization`, no current-invocation work to place.
-                    continue
-                c_left = view.worst_case_remaining(task)
-                utilization -= task.utilization
-                span = deadline - earliest
-                if span <= 1e-12:
-                    # This task's deadline *is* the earliest: nothing can
-                    # be deferred.
-                    deferred = 0.0
-                else:
-                    capacity = max(0.0, 1.0 - utilization) * span
-                    deferred = min(c_left, capacity)
-                    utilization += deferred / span
-                must_run += c_left - deferred
+        utilization = self._total_util
+        must_run = 0.0  # `s`: cycles that must execute before `earliest`
+        tasks = self._tasks
+        scratch = self._c_left
+        if len(scratch) != len(tasks):
+            scratch = self._c_left = [0.0] * len(tasks)
+        batch = getattr(view, "worst_case_remaining_each", None)
+        if batch is not None:
+            c_lefts = batch(tasks, scratch)
+        else:  # duck-typed view (stub/tick): same values, scalar reads
+            c_lefts = [view.worst_case_remaining(task) for task in tasks]
+        for deadline, util, c_left in zip(self._deadlines, self._utils,
+                                          c_lefts):
+            utilization -= util
+            span = deadline - earliest
+            if span <= 1e-12:
+                # This task's deadline *is* the earliest: nothing can be
+                # deferred.
+                deferred = 0.0
+            else:
+                capacity = max(0.0, 1.0 - utilization) * span
+                deferred = min(c_left, capacity)
+                utilization += deferred / span
+            must_run += c_left - deferred
         speed = must_run / (earliest - now)
         if speed > 1.0 + 1e-9:
             # Even f_max cannot finish the non-deferrable work by the
@@ -318,20 +264,3 @@ class LookAheadEDF(DVSPolicy):
                     f"{speed:.3f} > 1: {must_run:g} cycles cannot finish "
                     f"by the earliest deadline {earliest:g} even at f_max")
         return view.machine.lowest_at_least(min(1.0, speed))
-
-    @staticmethod
-    def _reverse_edf_order_scratch(view):
-        """Tasks with current jobs, latest deadline first (ties broken by
-        task-set order, reversed, for determinism) — recomputed fresh."""
-        indexed = [(view.current_deadline(task), index, task)
-                   for index, task in enumerate(view.taskset)]
-        with_jobs = [(d, i, t) for d, i, t in indexed if d is not None]
-        without_jobs = [t for d, i, t in indexed if d is None]
-        ordered = [t for d, i, t in
-                   sorted(with_jobs, key=lambda e: (e[0], e[1]), reverse=True)]
-        # Unreleased tasks are only skipped in the loop; order is irrelevant,
-        # but yield them first so the reservation logic sees them.
-        return list(without_jobs) + ordered
-
-    # Backwards-compatible alias (pre-incremental name).
-    _reverse_edf_order = _reverse_edf_order_scratch

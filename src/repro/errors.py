@@ -33,17 +33,6 @@ class SimulationError(ReproError):
     """The simulator reached an inconsistent internal state."""
 
 
-class PolicyStateError(ReproError):
-    """An incrementally-maintained policy aggregate diverged from its
-    from-scratch recomputation.
-
-    Raised only in a policy's ``strict`` mode, where every selection
-    cross-checks the running aggregates (utilization sums, quota tables,
-    deferral orderings) against a fresh recomputation.  Outside strict
-    mode the policies bound drift by periodic exact resync instead.
-    """
-
-
 class DeadlineMissError(SimulationError):
     """A job missed its deadline and the simulator was configured to raise.
 

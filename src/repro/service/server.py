@@ -42,6 +42,7 @@ so a restarted coordinator re-simulates nothing that already finished.
 import asyncio
 import contextlib
 import json
+import logging
 import threading
 import time
 from collections import OrderedDict
@@ -61,6 +62,8 @@ from repro.service.protocol import (ProtocolError, SweepJob, SweepRequest,
                                     resolve_jobs, result_event,
                                     started_event)
 from repro.service.quotas import AdmissionQueue, QuotaExceeded, TenantQuotas
+
+_LOG = logging.getLogger("repro.service")
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 429: "Too Many Requests",
@@ -465,6 +468,8 @@ class SweepService:
             raise
         except Exception as exc:
             self.stats.errors += 1
+            _LOG.exception("sweep request failed (tenant %r)",
+                           request.tenant)
             with contextlib.suppress(Exception):
                 await self._send_event(writer, error_event(str(exc)),
                                        chunked)

@@ -321,19 +321,6 @@ class SimTimeline:
                 for i, point in enumerate(self._points)
                 if totals[i] > 0.0}
 
-    def cycles_by_point(self):
-        """Executed cycles per operating point (``{point: cycles}``)."""
-        import numpy as np
-        if self._n == 0:
-            return {}
-        cycles = np.frombuffer(self._cycles, dtype=np.float64, count=self._n)
-        op = np.frombuffer(self._op, dtype=np.int32, count=self._n)
-        totals = np.bincount(op, weights=cycles,
-                             minlength=len(self._points))
-        return {point: float(totals[i])
-                for i, point in enumerate(self._points)
-                if totals[i] != 0.0}
-
     # ------------------------------------------------------------------
     # binary codec
     # ------------------------------------------------------------------

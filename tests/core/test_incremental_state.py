@@ -1,10 +1,11 @@
-"""Differential and property tests for the incremental policy state.
+"""Differential and property tests for the maintained policy state.
 
 The contract under test (the per-cell fast path's first layer): for every
-policy, ``incremental=True`` — running aggregates updated in O(1)/O(log n)
-per event — must produce **bit-identical** simulations to the from-scratch
-reference (``incremental=False``), and ``strict=True`` must catch a
-corrupted aggregate instead of silently selecting from bad state.
+paper policy, the production class — running aggregates updated in
+O(1)/O(log n) per event — must produce **bit-identical** simulations to
+the from-scratch oracle in :mod:`tests.core.scratch_policies`, and the
+oracle's per-callback :class:`~tests.core.scratch_policies.StateChecker`
+must catch a corrupted aggregate instead of letting it select silently.
 
 Hypothesis drives long random event sequences two ways:
 
@@ -14,32 +15,34 @@ Hypothesis drives long random event sequences two ways:
 * hook-level sequences against a stub view (releases, completions, task
   adds *and removes* — the engine has no removal path, so the removal
   aggregates are exercised directly).
+
+Deterministic cases pin ccEDF's decision band and guard-band recompute
+at every frequency threshold of machine0 and machine2, and all three
+policies at a utilization of exactly 1.0.
 """
 
-import math
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cycle_conserving import CycleConservingEDF
+from repro.core import cycle_conserving
+from repro.core.cycle_conserving import _GUARD, CycleConservingEDF
 from repro.core.cycle_conserving_rm import CycleConservingRM, _Quota
 from repro.core.look_ahead import LookAheadEDF
-from repro.errors import PolicyStateError, SchedulabilityError
+from repro.errors import SchedulabilityError
 from repro.hw.machine import machine0, machine2
 from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet, example_taskset
 from repro.sim.engine import Admission, simulate
-
-POLICY_FACTORIES = {
-    "ccEDF": lambda **kw: CycleConservingEDF(**kw),
-    "ccRM": lambda **kw: CycleConservingRM(**kw),
-    "laEDF": lambda **kw: LookAheadEDF(**kw),
-}
+from tests.core.scratch_policies import (ORACLE_PAIRS, ScratchCcEDF,
+                                         StateChecker, StateDivergence)
 
 _SLOW = settings(max_examples=20, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
+
+MACHINES = {"machine0": machine0, "machine2": machine2}
 
 
 def _fingerprint(result):
@@ -50,10 +53,29 @@ def _fingerprint(result):
                          for j in result.jobs if j.is_complete)))
 
 
-class TestWholeSimulationDifferential:
-    """incremental == from-scratch == strict on full engine runs."""
+def _assert_matches_oracle(policy_name, taskset, machine, **kwargs):
+    """Production, oracle and checked-production runs agree bit-for-bit
+    (or all reject the task set with ``SchedulabilityError``)."""
+    production, oracle = ORACLE_PAIRS[policy_name]
+    try:
+        fast = simulate(taskset, machine, production(), **kwargs)
+    except SchedulabilityError:
+        with pytest.raises(SchedulabilityError):
+            simulate(taskset, machine, oracle(), **kwargs)
+        return None
+    slow = simulate(taskset, machine, oracle(), **kwargs)
+    assert _fingerprint(fast) == _fingerprint(slow)
+    checker = StateChecker(production())
+    checked = simulate(taskset, machine, checker, **kwargs)
+    assert _fingerprint(checked) == _fingerprint(fast)
+    assert checker.checks > 0
+    return fast
 
-    @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
+
+class TestWholeSimulationDifferential:
+    """production == from-scratch oracle == checked on full engine runs."""
+
+    @pytest.mark.parametrize("policy_name", sorted(ORACLE_PAIRS))
     @_SLOW
     @given(seed=st.integers(0, 5000), n=st.integers(2, 8),
            u=st.floats(0.15, 0.95), fraction=st.floats(0.3, 1.0),
@@ -68,31 +90,9 @@ class TestWholeSimulationDifferential:
             admissions = [Admission(time=40.0,
                                     task=Task(0.5, 20.0, name="late"),
                                     defer=True)]
-        factory = POLICY_FACTORIES[policy_name]
-        kwargs = dict(demand=fraction, duration=150.0, on_miss="drop",
-                      admissions=admissions)
-        try:
-            fast = simulate(taskset, machine,
-                            factory(incremental=True), **kwargs)
-        except SchedulabilityError:
-            # Both modes must reject identically; that is the whole check.
-            with pytest.raises(SchedulabilityError):
-                simulate(taskset, machine,
-                         factory(incremental=False), **kwargs)
-            return
-        slow = simulate(taskset, machine,
-                        factory(incremental=False), **kwargs)
-        assert _fingerprint(fast) == _fingerprint(slow)
-        try:
-            checked = simulate(taskset, machine,
-                               factory(incremental=True, strict=True),
-                               **kwargs)
-        except SchedulabilityError:
-            # laEDF strict keeps its original meaning too: raise on
-            # over-unity deferral instants.  PolicyStateError — the state
-            # cross-check — must still propagate and fail the test.
-            return
-        assert _fingerprint(fast) == _fingerprint(checked)
+        _assert_matches_oracle(policy_name, taskset, machine,
+                               demand=fraction, duration=150.0,
+                               on_miss="drop", admissions=admissions)
 
 
 class _StubView:
@@ -106,6 +106,14 @@ class _StubView:
 
     def job_of(self, task):
         return self.jobs.get(task.name)
+
+
+def _outcome(hook, *args):
+    """A hook's selected point, or the error type it raised."""
+    try:
+        return hook(*args)
+    except SchedulabilityError:
+        return SchedulabilityError
 
 
 class TestHookLevelSequences:
@@ -123,9 +131,9 @@ class TestHookLevelSequences:
     def test_ccedf_aggregate_tracks_exact_sum(self, ops):
         initial = TaskSet(list(self.POOL[:4]))
         view = _StubView(initial, machine0())
-        policies = [CycleConservingEDF(incremental=True),
-                    CycleConservingEDF(incremental=False),
-                    CycleConservingEDF(incremental=True, strict=True)]
+        # The checker raises as soon as the running sum leaves the exact
+        # table sum's tolerance.
+        policies = [StateChecker(CycleConservingEDF()), ScratchCcEDF()]
         for policy in policies:
             policy.setup(view)
         present = {task.name for task in initial}
@@ -151,15 +159,14 @@ class TestHookLevelSequences:
                 points = [p.on_completion(view, task) for p in policies]
             else:
                 continue
-            # All three modes pick the same operating point, every event.
-            assert points[0] is points[1] is points[2]
-            incremental = policies[0]
-            exact = sum(incremental._utilization.values())
-            assert incremental._total == pytest.approx(exact, abs=1e-9)
+            # Production and oracle pick the same operating point, every
+            # event.
+            assert points[0] is points[1]
 
-    def test_ccedf_resync_restores_exact_sum(self):
+    def test_ccedf_resync_restores_exact_sum(self, monkeypatch):
+        monkeypatch.setattr(cycle_conserving, "_RESYNC_INTERVAL", 4)
         view = _StubView(example_taskset(), machine0())
-        policy = CycleConservingEDF(incremental=True, resync_interval=4)
+        policy = CycleConservingEDF()
         policy.setup(view)
         task = view.taskset[0]
         for k in range(8):
@@ -168,16 +175,12 @@ class TestHookLevelSequences:
             policy.on_completion(view, task)
         assert policy._total == sum(policy._utilization.values())
 
-    def test_ccedf_rejects_bad_resync_interval(self):
-        with pytest.raises(ValueError):
-            CycleConservingEDF(resync_interval=0)
-
     def test_ccrm_remove_drops_quota_and_rescales(self):
         taskset = TaskSet([Task(1.0, 8.0, name="A"),
                            Task(1.0, 16.0, name="B")])
         view = _StubView(taskset, machine0())
         view.earliest_deadline = lambda: None
-        policy = CycleConservingRM(incremental=True)
+        policy = CycleConservingRM()
         policy.setup(view)
         before = policy.static_frequency
         reduced = TaskSet([Task(1.0, 8.0, name="A")])
@@ -194,7 +197,7 @@ class TestHookLevelSequences:
         view.earliest_deadline = lambda: None
         view.current_deadline = lambda task: None
         view.worst_case_remaining = lambda task: 0.0
-        policy = LookAheadEDF(incremental=True)
+        policy = LookAheadEDF()
         policy.setup(view)
         reduced = TaskSet([Task(1.0, 8.0, name="A")])
         view.taskset = reduced
@@ -204,14 +207,128 @@ class TestHookLevelSequences:
 
 
 # ---------------------------------------------------------------------------
-# strict mode catches corruption
+# decision boundaries and utilization exactly 1.0
+# ---------------------------------------------------------------------------
+
+#: Offsets from each threshold, in units of ``_GUARD``: inside the guard
+#: band (recomputed exactly) and just outside it (memoized band path).
+GUARD_OFFSETS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
+
+#: Offsets of a few hundred ulps, the size of the running sum's drift:
+#: the running and exact sums can straddle the threshold here.
+DRIFT_OFFSETS = (-3e-4, -1e-4, -3e-5, 3e-5, 1e-4, 3e-4)
+
+#: Harmonic periods summing to a utilization of exactly 1.0 in floats.
+FULL_SET = (Task(2.0, 4.0, name="A"), Task(2.0, 8.0, name="B"),
+            Task(2.0, 8.0, name="C"))
+
+
+def _threshold_targets(machine, offsets=GUARD_OFFSETS):
+    """ΣU values around every ``f_j + 1e-9`` selection threshold."""
+    return [f + 1e-9 + k * _GUARD
+            for f in machine.frequencies for k in offsets]
+
+
+class TestDecisionBoundaries:
+    """ccEDF's memoized band and guard-band recompute run on every
+    selection; they must reproduce the oracle's choice at each
+    threshold, where a drifted running sum would flip it."""
+
+    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
+    def test_hook_level_sum_at_every_threshold(self, machine_name):
+        machine = MACHINES[machine_name]()
+        base = Task(1.0, 10.0, name="base")
+        probe = Task(9.0, 10.0, name="probe")
+        view = _StubView(TaskSet([base, probe]), machine)
+        policies = [StateChecker(CycleConservingEDF()), ScratchCcEDF()]
+        for policy in policies:
+            policy.setup(view)
+        offsets = GUARD_OFFSETS + DRIFT_OFFSETS
+        raised = 0
+        for index, target in enumerate(_threshold_targets(machine, offsets)):
+            # Unrelated completions between targets carry drift into the
+            # running sum.
+            for k in range(7):
+                view.jobs[base.name] = SimpleNamespace(
+                    executed=0.1 + 0.123456789 * k, index=k,
+                    is_complete=True)
+                completed = [_outcome(p.on_completion, view, base)
+                             for p in policies]
+                assert completed[0] is completed[1]
+            view.time += 0.5
+            view.jobs[probe.name] = SimpleNamespace(
+                executed=0.0, index=index, is_complete=False)
+            released = [_outcome(p.on_release, view, probe)
+                        for p in policies]
+            assert released[0] is released[1]
+            # U_probe chosen so ΣU lands on the target (to within ulps).
+            rest = policies[1]._utilization[base.name]
+            view.jobs[probe.name] = SimpleNamespace(
+                executed=(target - rest) * probe.period, index=index,
+                is_complete=True)
+            completed = [_outcome(p.on_completion, view, probe)
+                         for p in policies]
+            assert completed[0] is completed[1], target
+            raised += completed[0] is SchedulabilityError
+        # Only targets past the top threshold 1 + 1e-9 are over-unity
+        # (the one on it may round either way, identically on both).
+        over = sum(1 for k in offsets if k > 0.0)
+        assert raised in (over, over + 1)
+
+    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
+    @pytest.mark.parametrize("demand", [1.0, 0.6])
+    def test_task_set_at_every_threshold(self, machine_name, demand):
+        machine = MACHINES[machine_name]()
+        for target in _threshold_targets(machine):
+            rest = target - 0.25
+            taskset = TaskSet([Task(1.0, 4.0, name="A"),
+                               Task(rest * 8.0, 8.0, name="B")])
+            assert abs(taskset.utilization - target) < 1e-15
+            _assert_matches_oracle("ccEDF", taskset, machine,
+                                   demand=demand, duration=64.0,
+                                   on_miss="drop")
+
+    @pytest.mark.parametrize("policy_name", sorted(ORACLE_PAIRS))
+    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
+    @pytest.mark.parametrize("demand", [1.0, 0.6])
+    def test_utilization_exactly_one(self, policy_name, machine_name,
+                                     demand):
+        taskset = TaskSet(list(FULL_SET))
+        assert taskset.utilization == 1.0
+        result = _assert_matches_oracle(
+            policy_name, taskset, MACHINES[machine_name](), demand=demand,
+            duration=160.0)
+        assert result is not None and result.met_all_deadlines
+
+    @pytest.mark.parametrize("policy_name", sorted(ORACLE_PAIRS))
+    def test_task_set_over_unity_raises_on_both(self, policy_name):
+        taskset = TaskSet(list(FULL_SET[:2])
+                          + [Task(2.0 + 1.6e-8, 8.0, name="C")])
+        assert taskset.utilization == pytest.approx(1.0 + 2e-9, abs=1e-15)
+        for policy_class in ORACLE_PAIRS[policy_name]:
+            with pytest.raises(SchedulabilityError):
+                simulate(taskset, machine0(), policy_class(),
+                         duration=40.0)
+
+    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
+    def test_admission_over_unity_raises_on_both(self, machine_name):
+        view = _StubView(TaskSet(list(FULL_SET)), MACHINES[machine_name]())
+        late = Task(2e-8, 10.0, name="late")
+        for policy in (CycleConservingEDF(), ScratchCcEDF()):
+            assert policy.setup(view) is view.machine.fastest
+            with pytest.raises(SchedulabilityError):
+                policy.on_task_added(view, late)
+
+
+# ---------------------------------------------------------------------------
+# the state checker catches corruption
 # ---------------------------------------------------------------------------
 
 class _CorruptedCcEDF(CycleConservingEDF):
     """Injects a silent error into the running aggregate mid-run."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self):
+        super().__init__()
         self._events = 0
 
     def on_release(self, view, task):
@@ -224,8 +341,8 @@ class _CorruptedCcEDF(CycleConservingEDF):
 class _CorruptedCcRM(CycleConservingRM):
     """Swaps one active-set entry for a quota with a wrong allotment."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self):
+        super().__init__()
         self._corrupted = False
 
     def _allocate(self, view):
@@ -242,8 +359,8 @@ class _CorruptedCcRM(CycleConservingRM):
 class _CorruptedLaEDF(LookAheadEDF):
     """Swaps two entries of the maintained reverse-EDF order."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self):
+        super().__init__()
         self._corrupted = False
 
     def _defer(self, view):
@@ -256,38 +373,39 @@ class _CorruptedLaEDF(LookAheadEDF):
 
 
 class TestStrictCatchesCorruption:
+    """The checker runs the comparisons the production classes' former
+    ``strict`` mode made, after every selecting callback."""
+
     def test_ccedf_strict_raises_on_corrupted_sum(self):
-        with pytest.raises(PolicyStateError, match="diverged"):
+        with pytest.raises(StateDivergence, match="diverged"):
             simulate(example_taskset(), machine0(),
-                     _CorruptedCcEDF(incremental=True, strict=True),
-                     duration=60.0)
+                     StateChecker(_CorruptedCcEDF()), duration=60.0)
 
     def test_ccedf_corruption_undetected_without_strict(self):
-        # The same corruption sails through silently — what strict is for.
-        result = simulate(example_taskset(), machine0(),
-                          _CorruptedCcEDF(incremental=True),
+        # The same corruption sails through silently — what the checker
+        # is for.
+        result = simulate(example_taskset(), machine0(), _CorruptedCcEDF(),
                           duration=60.0, on_miss="drop")
         reference = simulate(example_taskset(), machine0(),
-                             CycleConservingEDF(incremental=True),
+                             CycleConservingEDF(),
                              duration=60.0, on_miss="drop")
         assert result.total_energy != reference.total_energy
 
     def test_ccrm_strict_raises_on_corrupted_active_set(self):
-        with pytest.raises(PolicyStateError, match="active quota sum"):
+        with pytest.raises(StateDivergence, match="active quota sum"):
             simulate(example_taskset(), machine0(),
-                     _CorruptedCcRM(incremental=True, strict=True),
-                     duration=60.0)
+                     StateChecker(_CorruptedCcRM()), duration=60.0)
 
     def test_laedf_strict_raises_on_corrupted_order(self):
-        with pytest.raises(PolicyStateError, match="deferral order"):
+        with pytest.raises(StateDivergence, match="deferral order"):
             simulate(example_taskset(), machine0(),
-                     _CorruptedLaEDF(incremental=True, strict=True),
-                     duration=60.0)
+                     StateChecker(_CorruptedLaEDF()), duration=60.0)
 
-    @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
+    @pytest.mark.parametrize("policy_name", sorted(ORACLE_PAIRS))
     def test_strict_is_quiet_on_healthy_state(self, policy_name):
-        factory = POLICY_FACTORIES[policy_name]
-        result = simulate(example_taskset(), machine0(),
-                          factory(incremental=True, strict=True),
+        production, _ = ORACLE_PAIRS[policy_name]
+        checker = StateChecker(production())
+        result = simulate(example_taskset(), machine0(), checker,
                           demand=0.6, duration=280.0)
         assert result.met_all_deadlines
+        assert checker.checks > 0

@@ -282,3 +282,30 @@ class TestErrorsAndIntrospection:
         assert second["simulated_cells"] == TINY_CELLS
         # Still bit-identical: same seeds, same cells.
         raw, _ = in_process_rows()
+
+
+class _FailingExecutor:
+    """A cell executor whose every submission blows up."""
+
+    workers = 1
+
+    def submit_cell(self, context, spec, engine="scalar"):
+        raise RuntimeError("executor exploded")
+
+    def shutdown(self):
+        pass
+
+
+class TestServedErrors:
+    def test_failed_sweep_streams_error_and_logs_traceback(self, caplog):
+        service = SweepService(cache=None, executor=_FailingExecutor())
+        with caplog.at_level("ERROR", logger="repro.service"):
+            with ServiceThread(service) as handle:
+                client = SweepServiceClient(port=handle.port)
+                with pytest.raises(ServiceError, match="executor exploded"):
+                    list(client.submit({"spec": TINY_SPEC}))
+        assert service.stats.errors == 1
+        records = [r for r in caplog.records if r.name == "repro.service"]
+        assert len(records) == 1
+        assert records[0].exc_info is not None
+        assert records[0].exc_info[0] is RuntimeError
