@@ -1,13 +1,16 @@
 #!/usr/bin/env python
-"""Peak-RSS memory workload: one long-horizon run per trace backend.
+"""Peak-RSS memory workload: one long-horizon run per trace recorder.
 
 Measures what the array-backed timeline actually buys in resident memory:
-a fresh child process per backend simulates the canonical n=200
+a fresh child process per recorder simulates the canonical n=200
 long-horizon ccEDF workload with trace recording on, ships the trace the
-way the sweep executor would (``SimTimeline.to_bytes`` for the array
-backend, ``pickle.dumps`` for the legacy segment-list backend), and
-reports its own peak-RSS high-watermark (``VmHWM``, reset at child start
-so a large launching parent cannot leak into the figure).
+way the sweep executor would (``SimTimeline.to_bytes`` for the ``array``
+side, ``pickle.dumps`` for the ``segments`` side), and reports its own
+peak-RSS high-watermark (``VmHWM``, reset at child start
+so a large launching parent cannot leak into the figure).  The
+``segments`` side is the reference segment-list recorder of
+``tests/sim/segment_list.py``, which the child installs on the
+:class:`~repro.sim.engine.Simulator` before ``run()``.
 
 A *subprocess* per backend is the only honest way to compare peaks: RSS
 never shrinks back after the first backend's allocations, so measuring
@@ -91,6 +94,15 @@ def _peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+def _install_reference_recorder(sim) -> None:
+    """Swap the reference segment-list recorder into ``sim`` (both the
+    trace the result carries and the engine's cached bound ``record``)."""
+    from tests.sim.segment_list import SegmentList
+
+    sim._trace = SegmentList()
+    sim._trace_record = sim._trace.record
+
+
 def _child(args) -> int:
     """Run one backend's workload in this (fresh) process; print JSON."""
     _reset_peak_rss()
@@ -105,7 +117,9 @@ def _child(args) -> int:
                                seed=SEED).generate()
     sim = Simulator(taskset, machine0(), CycleConservingEDF(),
                     demand=DEMAND, duration=args.duration, on_miss="drop",
-                    record_trace=True, trace_backend=args.backend)
+                    record_trace=True)
+    if args.backend == "segments":
+        _install_reference_recorder(sim)
     start = time.perf_counter()
     result = sim.run()
     sim_seconds = time.perf_counter() - start

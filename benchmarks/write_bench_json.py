@@ -33,12 +33,12 @@ Workloads
   4000 s horizon) swept with and without ``steady_fast_path``; curves must
   match to 1e-9 relative.
 * ``trace_timeline`` — the trace layer in isolation: a ~190k-slice
-  long-horizon stream replayed into both trace backends (legacy
-  ``ExecutionTrace`` segment list vs columnar ``SimTimeline``), then the
-  kernel battery (residency, busy/idle, frequency profile, executed
-  cycles) and shipping (``to_bytes`` vs pickle).  Reductions must agree
-  to 1e-9 relative.
-* ``memory`` — peak-RSS comparison of the two trace backends on the
+  long-horizon stream replayed into the columnar ``SimTimeline`` and into
+  the reference segment-list recorder (``tests/sim/segment_list.py``),
+  then the kernel battery (residency, busy/idle, frequency profile,
+  executed cycles) and shipping (``to_bytes`` vs pickle).  Reductions
+  must agree to 1e-9 relative.
+* ``memory`` — peak-RSS comparison of the same two recorders on the
   n=200 long-horizon workload, one fresh subprocess per backend (see
   ``benchmarks/mem_workload.py`` / ``make bench-mem``).
 
@@ -117,6 +117,9 @@ from repro.obs import MetricsCollector  # noqa: E402
 from repro.sim.baseline import BaselineSimulator  # noqa: E402
 from repro.sim.engine import Simulator, simulate  # noqa: E402
 from tests.core.scratch_policies import ORACLE_PAIRS  # noqa: E402
+from tests.sim.segment_list import (SegmentList,  # noqa: E402
+                                    reference_executed_cycles,
+                                    reference_residency)
 
 #: (name, n_tasks, policy, duration) — durations are sized so the baseline
 #: engine finishes each workload in seconds while still processing enough
@@ -563,7 +566,7 @@ def _trace_stream():
                                seed=SEED).generate()
     sim = Simulator(taskset, machine0(), make_policy("ccEDF"),
                     demand=DEMAND, duration=3200.0, on_miss="drop",
-                    record_trace=True, trace_backend="array")
+                    record_trace=True)
     source = sim.run().trace
     start, end, cycles, energy, task, op, kind = source.columns()
     names, points = source.task_names, source.points
@@ -580,30 +583,38 @@ def _trace_stream():
 
 
 def _replay_once(backend, stream):
-    """Record + kernel battery + ship for one backend; returns timings."""
+    """Record + kernel battery + ship for one backend; returns timings.
+
+    ``"array"`` is :class:`~repro.sim.timeline.SimTimeline` with the
+    library's reductions; ``"segments"`` is the reference recorder with
+    its per-segment reductions.
+    """
     import pickle
 
     from repro.obs.metrics import residency_from_trace
     from repro.sim.bound import trace_executed_cycles
-    from repro.sim.timeline import make_trace
+    from repro.sim.timeline import SimTimeline
 
+    array = backend == "array"
     start = time.perf_counter()
-    trace = make_trace(True, backend)
+    trace = SimTimeline() if array else SegmentList()
     record = trace.record
     for piece in stream:
         record(*piece)
     record_s = time.perf_counter() - start
     start = time.perf_counter()
     battery = {
-        "residency": residency_from_trace(trace),
+        "residency": (residency_from_trace if array
+                      else reference_residency)(trace),
         "busy": trace.busy_time(),
         "idle": trace.idle_time(),
         "profile": trace.frequency_profile(),
-        "cycles": trace_executed_cycles(trace),
+        "cycles": (trace_executed_cycles if array
+                   else reference_executed_cycles)(trace),
     }
     consume_s = time.perf_counter() - start
     start = time.perf_counter()
-    if backend == "array":
+    if array:
         blob = trace.to_bytes()
     else:
         blob = pickle.dumps(trace)
@@ -612,7 +623,7 @@ def _replay_once(backend, stream):
 
 
 def bench_trace_timeline():
-    """Trace-layer replay workload: segment-list vs array backend.
+    """Trace-layer replay workload: reference segment list vs SimTimeline.
 
     Isolates exactly what the columnar timeline changed — recording,
     trace-level reductions, serialization — on the same slice stream, so

@@ -64,7 +64,6 @@ from repro.hw import (
 )
 from repro.sim import (
     Admission,
-    ExecutionTrace,
     SimResult,
     Simulator,
     simulate,
@@ -90,7 +89,7 @@ from repro.core import (
     make_policy,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     # errors
@@ -107,9 +106,8 @@ __all__ = [
     "Machine", "OperatingPoint", "EnergyModel", "SwitchingModel",
     "Battery", "machine0", "machine1", "machine2", "k6_2_plus",
     # sim
-    "Admission", "Simulator", "simulate", "SimResult", "ExecutionTrace",
-    "theoretical_bound", "steady_state_energy", "validate_schedule",
-    "rederive_counters",
+    "Admission", "Simulator", "simulate", "SimResult", "theoretical_bound",
+    "steady_state_energy", "validate_schedule", "rederive_counters",
     # core
     "DVSPolicy", "NoDVS", "StaticEDF", "StaticRM", "CycleConservingEDF",
     "CycleConservingRM", "LookAheadEDF", "AveragingDVS", "FixedSpeed",

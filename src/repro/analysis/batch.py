@@ -59,8 +59,9 @@ from time import perf_counter
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from repro.analysis.sweep import (REFERENCE_POLICY, CellSpec, SweepContext,
-                                  materialize_cell, run_cell)
+from repro.analysis.sweep import (REFERENCE_POLICY, STEADY_RESOLUTION,
+                                  CellSpec, SweepContext, materialize_cell,
+                                  run_cell)
 from repro.analysis.transport import encode_cell
 from repro.core import make_policy
 from repro.core.cycle_conserving import CycleConservingEDF
@@ -166,12 +167,13 @@ class ColumnBlock:
     ``periods[c][i]`` is task ``i`` of cell ``c``.  The block carries the
     release/deadline state seed (flattened task parameters consumed by
     :class:`~repro.sim.batch_kernels.CellKernel`), the per-cell
-    hyperperiod at the context's pinned ``steady_resolution`` (so cache
-    keys and block-column grouping agree on fast-path eligibility), and
-    the per-cell initial frequency-selection state (the operating-point
-    index a utilization-proportional policy starts from, computed with
-    the vectorized ``lowest_at_least`` kernel — diagnostic block stats,
-    never result-bearing).
+    hyperperiod on the sweep grid
+    :data:`~repro.analysis.sweep.STEADY_RESOLUTION` (so the fast path and
+    block-column grouping agree on eligibility), and the per-cell initial
+    frequency-selection state (the operating-point index a
+    utilization-proportional policy starts from, computed with the
+    vectorized ``lowest_at_least`` kernel — diagnostic block stats, never
+    result-bearing).
     """
 
     context: SweepContext
@@ -197,14 +199,13 @@ def build_column_block(context: SweepContext,
     wcets: List[List[float]] = []
     hyperperiods: List[Optional[float]] = []
     utilizations: List[float] = []
-    resolution = getattr(context, "steady_resolution", 1e-6)
     for spec in specs:
         taskset, demand = materialize_cell(context, spec)
         tasksets.append(taskset)
         demands.append(demand)
         periods.append([t.period for t in taskset])
         wcets.append([t.wcet for t in taskset])
-        hyperperiods.append(taskset.hyperperiod(resolution=resolution))
+        hyperperiods.append(taskset.hyperperiod(resolution=STEADY_RESOLUTION))
         total = 0.0
         for task in taskset:
             total += task.wcet / task.period

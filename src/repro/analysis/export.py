@@ -42,7 +42,7 @@ def to_markdown(table: SweepTable, float_format: str = "{:.4f}") -> str:
 
 
 def trace_to_csv(trace, path: Optional[str] = None) -> str:
-    """Serialize an :class:`~repro.sim.trace.ExecutionTrace` to CSV.
+    """Serialize a :class:`~repro.sim.timeline.SimTimeline` to CSV.
 
     One row per segment: start, end, kind, task, frequency, voltage,
     cycles, energy — enough to re-plot the paper's Figs. 2/3/5/7 in any

@@ -72,6 +72,11 @@ BOUND_LABEL = "bound"
 #: The reference policy every sweep runs for normalization.
 REFERENCE_POLICY = "EDF"
 
+#: Hyperperiod detection grid of every sweep: the steady fast path and
+#: block-column grouping both read it, so they agree on each cell's
+#: hyperperiod.  It is not cache-key material.
+STEADY_RESOLUTION = 1e-6
+
 DEFAULT_UTILIZATIONS: Tuple[float, ...] = tuple(
     round(0.1 * k, 1) for k in range(1, 11))
 
@@ -155,11 +160,6 @@ class SweepConfig:
     #: the cell identity — the engines share one cache namespace because
     #: their outcomes are indistinguishable.
     engine: str = "scalar"
-    #: Hyperperiod detection grid for the steady fast path, pinned once
-    #: per sweep so cache keys, fast-path eligibility, and block-column
-    #: grouping all agree on each cell's hyperperiod.  Non-default values
-    #: enter the cell fingerprint.
-    steady_resolution: float = 1e-6
 
     def __post_init__(self) -> None:
         # Lazy import: repro.analysis.batch imports this module at its top.
@@ -257,13 +257,10 @@ class SweepContext:
     cycle_energy_scale: float
     residency_policies: Tuple[str, ...] = ()
     steady_fast_path: bool = False
-    #: Pinned hyperperiod detection grid (see
-    #: :attr:`SweepConfig.steady_resolution`).
-    steady_resolution: float = 1e-6
 
     def description(self) -> Dict[str, object]:
         """JSON-safe canonical description (cache-key material)."""
-        description: Dict[str, object] = {
+        return {
             "machine": [[p.frequency, p.voltage]
                         for p in self.machine.points],
             "policies": list(self.policies),
@@ -273,11 +270,6 @@ class SweepContext:
             "residency_policies": list(self.residency_policies),
             "steady_fast_path": self.steady_fast_path,
         }
-        if self.steady_resolution != 1e-6:
-            # Only non-default resolutions enter the key, so every
-            # pre-existing cell key is unchanged (the bands idiom).
-            description["steady_resolution"] = self.steady_resolution
-        return description
 
     def digest(self) -> str:
         return cell_key(self.description())
@@ -367,8 +359,7 @@ def utilization_sweep(config: SweepConfig,
         idle_level=config.idle_level,
         cycle_energy_scale=config.cycle_energy_scale,
         residency_policies=tuple(config.residency_policies),
-        steady_fast_path=config.steady_fast_path,
-        steady_resolution=config.steady_resolution)
+        steady_fast_path=config.steady_fast_path)
     specs = _build_cell_specs(config)
     cache = open_cache(config.cache_dir)
 
@@ -454,8 +445,7 @@ def sweep_context(config: SweepConfig) -> SweepContext:
         idle_level=config.idle_level,
         cycle_energy_scale=config.cycle_energy_scale,
         residency_policies=tuple(config.residency_policies),
-        steady_fast_path=config.steady_fast_path,
-        steady_resolution=config.steady_resolution)
+        steady_fast_path=config.steady_fast_path)
 
 
 def sweep_cell_specs(config: SweepConfig) -> List[CellSpec]:
@@ -625,7 +615,7 @@ def run_cell(context: SweepContext, spec: CellSpec,
                     taskset, context.machine, policy, demand=demand,
                     duration=context.duration, energy_model=energy_model,
                     on_miss=on_miss,
-                    resolution=context.steady_resolution,
+                    resolution=STEADY_RESOLUTION,
                     simulate_fn=simulate_fn)
                 if fast is not None:
                     fast_used += 1

@@ -198,8 +198,7 @@ class PanelSpec:
     def sweep_config(self, quick: bool = True, *, workers=1,
                      cache_dir: Optional[str] = None,
                      steady_fast_path: bool = False,
-                     engine: str = "scalar",
-                     steady_resolution: float = 1e-6) -> SweepConfig:
+                     engine: str = "scalar") -> SweepConfig:
         """Resolve this panel to a runnable :class:`SweepConfig`.
 
         Keyword arguments are execution options only; every
@@ -225,8 +224,7 @@ class PanelSpec:
             cache_dir=cache_dir,
             steady_fast_path=steady_fast_path,
             period_bands=self.period_bands,
-            engine=engine,
-            steady_resolution=steady_resolution)
+            engine=engine)
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {}

@@ -100,11 +100,12 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                              "full simulation whenever verification fails)")
     parser.add_argument("--engine", choices=ENGINES, default="scalar",
                         help="cell execution backend: 'scalar' simulates "
-                             "each cell on the event engine; 'block' "
+                             "each cell on the per-cell kernel; 'block' "
                              "advances every cell of a column at once in "
                              "cross-cell vectorized lane passes, falling "
-                             "back to a per-cell kernel (bit-identical to "
-                             "scalar, faster cold sweeps)")
+                             "back to the same per-cell kernel "
+                             "(bit-identical to scalar, faster cold "
+                             "sweeps)")
 
 
 def _cache_dir_from(args: argparse.Namespace):

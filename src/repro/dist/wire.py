@@ -196,7 +196,6 @@ def context_to_wire(context: SweepContext) -> Dict[str, object]:
         "cycle_energy_scale": context.cycle_energy_scale,
         "residency_policies": list(context.residency_policies),
         "steady_fast_path": context.steady_fast_path,
-        "steady_resolution": context.steady_resolution,
     }
 
 
@@ -211,8 +210,7 @@ def context_from_wire(data: Dict[str, object]) -> SweepContext:
             idle_level=data["idle_level"],
             cycle_energy_scale=data["cycle_energy_scale"],
             residency_policies=tuple(data.get("residency_policies", ())),
-            steady_fast_path=bool(data.get("steady_fast_path", False)),
-            steady_resolution=data.get("steady_resolution", 1e-6))
+            steady_fast_path=bool(data.get("steady_fast_path", False)))
     except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise WireError(f"malformed wire context: {exc}") from exc
 
@@ -223,17 +221,7 @@ def spec_to_wire(spec: CellSpec) -> Dict[str, object]:
         raise WireError(
             "trace-carrying cell specs are not wire-able (live demand "
             "traces cannot be regenerated remotely); run them locally")
-    wire: Dict[str, object] = {
-        "utilization": spec.utilization,
-        "set_index": spec.set_index,
-        "n_tasks": spec.n_tasks,
-        "gen_seed": spec.gen_seed,
-        "demand_seed": spec.demand_seed,
-        "demand": spec.demand,
-    }
-    if spec.bands is not None:
-        wire["bands"] = [list(band) for band in spec.bands]
-    return wire
+    return spec.description()
 
 
 def spec_from_wire(data: Dict[str, object]) -> CellSpec:
@@ -251,10 +239,6 @@ def spec_from_wire(data: Dict[str, object]) -> CellSpec:
             if bands is not None else None)
     except (KeyError, TypeError) as exc:
         raise WireError(f"malformed wire spec: {exc}") from exc
-
-
-def specs_to_wire(specs: Iterable[CellSpec]) -> List[Dict[str, object]]:
-    return [spec_to_wire(spec) for spec in specs]
 
 
 def specs_from_wire(data: Iterable[Dict[str, object]]) -> List[CellSpec]:

@@ -66,40 +66,6 @@ class EnergyModel:
         return (self.cycle_energy_scale * self.idle_level
                 * cycles * point.energy_per_cycle)
 
-    # -- batch kernels over columnar traces ------------------------------
-    #
-    # Both kernels evaluate, per element, the *same* multiplication chain
-    # as their scalar counterparts (left-to-right), so each output element
-    # is bit-identical to the scalar call — only the iteration is
-    # vectorized.  ``op_index`` indexes ``points`` (e.g. a
-    # :class:`~repro.sim.timeline.SimTimeline` op column over its interned
-    # point table).
-
-    def execution_energy_batch(self, points, op_index, cycles):
-        """Vectorized :meth:`execution_energy` over one column.
-
-        ``cycles[i]`` executed at ``points[op_index[i]]``; returns a float
-        array of per-element energies.
-        """
-        import numpy as np
-        epc = np.array([p.energy_per_cycle for p in points],
-                       dtype=np.float64)
-        cycles = np.asarray(cycles, dtype=np.float64)
-        op_index = np.asarray(op_index)
-        return (self.cycle_energy_scale * cycles) * epc[op_index]
-
-    def idle_energy_batch(self, points, op_index, durations):
-        """Vectorized :meth:`idle_energy` over one column."""
-        import numpy as np
-        freq = np.array([p.frequency for p in points], dtype=np.float64)
-        epc = np.array([p.energy_per_cycle for p in points],
-                       dtype=np.float64)
-        durations = np.asarray(durations, dtype=np.float64)
-        op_index = np.asarray(op_index)
-        cycles = durations * freq[op_index]
-        return ((self.cycle_energy_scale * self.idle_level) * cycles
-                ) * epc[op_index]
-
     def execution_power(self, point: OperatingPoint) -> float:
         """Instantaneous power while executing at ``point``."""
         return self.cycle_energy_scale * point.power

@@ -41,23 +41,15 @@ def residency_from_trace(trace) -> Dict[float, float]:
 
     For runs that kept a trace, this replaces attaching a live collector:
     the ``{frequency: seconds}`` table (same shape as
-    :attr:`RunMetrics.residency`) falls out of one ``bincount`` over the
-    op-index column of a :class:`~repro.sim.timeline.SimTimeline`; legacy
-    :class:`~repro.sim.trace.ExecutionTrace` objects are aggregated
-    segment by segment.  Matches the hook-built histogram up to float
-    summation order and sub-``1e-12`` slices the trace drops.
+    :attr:`RunMetrics.residency`) folds the per-point totals of
+    :meth:`~repro.sim.timeline.SimTimeline.frequency_residency` by
+    frequency.  Matches the hook-built histogram up to float summation
+    order and sub-``1e-12`` slices the trace drops.
     """
-    per_point = getattr(trace, "frequency_residency", None)
-    if per_point is not None:
-        out: Dict[float, float] = {}
-        for point, seconds in per_point().items():
-            f = point.frequency
-            out[f] = out.get(f, 0.0) + seconds
-        return out
-    out = {}
-    for segment in trace:
-        f = segment.point.frequency
-        out[f] = out.get(f, 0.0) + segment.duration
+    out: Dict[float, float] = {}
+    for point, seconds in trace.frequency_residency().items():
+        f = point.frequency
+        out[f] = out.get(f, 0.0) + seconds
     return out
 
 

@@ -7,7 +7,7 @@ and optional voltage-switch overheads.
 """
 
 from repro.sim.scheduler import PriorityPolicy, EDFPriority, RMPriority
-from repro.sim.trace import Segment, ExecutionTrace, render_trace
+from repro.sim.trace import Segment, render_trace
 from repro.sim.results import SimResult, EnergyBreakdown, DeadlineMiss
 from repro.sim.baseline import BaselineSimulator
 from repro.sim.engine import Admission, Simulator, SchedulerView, simulate
@@ -22,7 +22,6 @@ __all__ = [
     "EDFPriority",
     "RMPriority",
     "Segment",
-    "ExecutionTrace",
     "render_trace",
     "SimResult",
     "EnergyBreakdown",

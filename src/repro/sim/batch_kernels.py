@@ -281,7 +281,6 @@ class CellKernel(SchedulerView):
                  energy_model: Optional[EnergyModel] = None,
                  on_miss: str = "raise",
                  record_trace: bool = False,
-                 trace_backend: str = "array",
                  scheduler: Optional[str] = None,
                  instrument=None,
                  params: Optional[tuple] = None):
@@ -343,7 +342,7 @@ class CellKernel(SchedulerView):
         self._energy = EnergyBreakdown()
         self._switches = 0
         self._point = machine.fastest
-        self._trace = make_trace(record_trace, trace_backend)
+        self._trace = make_trace(record_trace)
         self._busy_time = 0.0
         self._idle_time = 0.0
         self._finished = False
@@ -804,8 +803,8 @@ def kernel_simulate(taskset: TaskSet, machine: Machine, policy,
 
     Accepts the :func:`repro.sim.engine.simulate` keywords inside the
     kernel envelope (``demand``, ``duration``, ``energy_model``,
-    ``on_miss``, ``record_trace``, ``trace_backend``, ``scheduler``,
-    ``instrument``) and returns a :class:`~repro.sim.results.SimResult`
+    ``on_miss``, ``record_trace``, ``scheduler``, ``instrument``) and
+    returns a :class:`~repro.sim.results.SimResult`
     bit-identical to the engine's.  Callers should gate on
     :func:`kernel_supported` and fall back to the engine outside the
     envelope (:func:`batch_simulate` does both).

@@ -110,23 +110,14 @@ def _mix_energy(lo: OperatingPoint, hi: OperatingPoint, cycles: float,
 
 
 def trace_executed_cycles(trace) -> float:
-    """Total executed cycles, reduced vectorized off a columnar trace.
+    """Total executed cycles, reduced off a recorded trace.
 
-    One masked sum over the cycles column of a
+    One pass over the cycles column of a
     :class:`~repro.sim.timeline.SimTimeline` — no ``Segment`` objects, no
     per-job Python loop.  Equals ``result.executed_cycles`` up to float
     summation order and sub-``1e-12`` slices the trace drops.
     """
-    columns = getattr(trace, "columns", None)
-    if columns is None:
-        return sum(s.cycles for s in trace.run_segments())
-    import numpy as np
-    if len(trace) == 0:
-        return 0.0
-    _start, _end, cycles, _energy, _task, _op, kind = columns()
-    cycles = np.frombuffer(cycles, dtype=np.float64)
-    kind = np.frombuffer(kind, dtype=np.int8)
-    return float(np.sum(cycles[kind == 0]))
+    return trace.executed_cycles()
 
 
 def theoretical_bound(result: SimResult, machine: Machine,
@@ -137,9 +128,8 @@ def theoretical_bound(result: SimResult, machine: Machine,
     Takes the cycles actually executed in ``result`` and spreads them
     optimally over the run's duration.  ``cycle_energy_scale`` must match
     the energy model used in the run for the comparison to be meaningful.
-    ``cycles`` overrides the per-job total — e.g. a vectorized
-    :func:`trace_executed_cycles` reduction on runs that kept a columnar
-    trace.
+    ``cycles`` overrides the per-job total — e.g. a
+    :func:`trace_executed_cycles` reduction on runs that kept a trace.
     """
     if cycles is None:
         cycles = result.executed_cycles

@@ -232,12 +232,6 @@ class Simulator(SchedulerView):
     record_trace:
         When True, keep a full execution trace (costs memory; off by
         default for large sweeps).
-    trace_backend:
-        ``"array"`` (default) records into the columnar
-        :class:`~repro.sim.timeline.SimTimeline`; ``"segments"`` keeps the
-        legacy per-object :class:`~repro.sim.trace.ExecutionTrace`.  Both
-        produce bit-identical ``Segment`` views; the array backend is
-        faster and far smaller on long horizons.
     admissions:
         Tasks to add dynamically during the run (see :class:`Admission`).
     enforce_wcet:
@@ -262,7 +256,6 @@ class Simulator(SchedulerView):
                  scheduler: Optional[str] = None,
                  on_miss: str = "raise",
                  record_trace: bool = False,
-                 trace_backend: str = "array",
                  admissions: Sequence[Admission] = (),
                  enforce_wcet: bool = True,
                  instrument=None):
@@ -300,9 +293,9 @@ class Simulator(SchedulerView):
         self._energy = EnergyBreakdown()
         self._switches = 0
         self._point: OperatingPoint = machine.fastest
-        self._trace = make_trace(record_trace, trace_backend)
+        self._trace = make_trace(record_trace)
         # Bound method cached once: the recording hot path pays a single
-        # None test per slice, and no dispatch on the backend type.
+        # None test per slice.
         self._trace_record = (self._trace.record
                               if self._trace is not None else None)
         self._busy_time = 0.0

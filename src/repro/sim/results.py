@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.hw.operating_point import OperatingPoint
 from repro.model.job import Job, JobOutcome
 from repro.model.task import TaskSet
-from repro.sim.trace import ExecutionTrace
-
-if False:  # typing-only; avoids a circular import at runtime
-    from repro.sim.timeline import SimTimeline
+from repro.sim.timeline import SimTimeline
 
 
 @dataclass
@@ -78,11 +75,8 @@ class SimResult:
     switches:
         Number of operating-point changes performed.
     trace:
-        Execution trace, present when the run recorded one — a columnar
-        :class:`~repro.sim.timeline.SimTimeline` by default, or a legacy
-        :class:`~repro.sim.trace.ExecutionTrace` under
-        ``trace_backend="segments"``.  The two expose the same reading
-        surface.
+        Execution trace, present when the run recorded one: a columnar
+        :class:`~repro.sim.timeline.SimTimeline`.
     """
 
     taskset: TaskSet
@@ -93,7 +87,7 @@ class SimResult:
     jobs: List[Job]
     misses: List[DeadlineMiss]
     switches: int
-    trace: Optional[Union[ExecutionTrace, "SimTimeline"]] = None
+    trace: Optional[SimTimeline] = None
 
     @property
     def total_energy(self) -> float:

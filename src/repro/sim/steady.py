@@ -122,51 +122,28 @@ def _cumulative_at(result, times):
     """Cumulative (energy, executed cycles) at each requested time
     (sorted), interpolating linearly inside the straddling segment.
 
-    Columnar traces are scanned straight off their buffers (same
-    accumulation order, so bit-identical totals) without materializing
+    One scan straight off the trace's columns, without materializing
     ``Segment`` objects.
     """
-    columns = getattr(result.trace, "columns", None)
-    if columns is not None:
-        starts, ends, cycles, energies, _task, _op, _kind = columns()
-        n = len(result.trace)
-        out = []
-        energy_total = 0.0
-        cycle_total = 0.0
-        index = 0
-        for target in times:
-            while index < n and ends[index] <= target + 1e-9:
-                energy_total += energies[index]
-                cycle_total += cycles[index]
-                index += 1
-            energy_partial = 0.0
-            cycle_partial = 0.0
-            if index < n and starts[index] < target - 1e-9:
-                fraction = ((target - starts[index])
-                            / (ends[index] - starts[index]))
-                energy_partial = energies[index] * fraction
-                cycle_partial = cycles[index] * fraction
-            out.append((energy_total + energy_partial,
-                        cycle_total + cycle_partial))
-        return out
+    starts, ends, cycles, energies, _task, _op, _kind = \
+        result.trace.columns()
+    n = len(result.trace)
     out = []
     energy_total = 0.0
     cycle_total = 0.0
     index = 0
-    segments = result.trace.segments
     for target in times:
-        while index < len(segments) and \
-                segments[index].end <= target + 1e-9:
-            energy_total += segments[index].energy
-            cycle_total += segments[index].cycles
+        while index < n and ends[index] <= target + 1e-9:
+            energy_total += energies[index]
+            cycle_total += cycles[index]
             index += 1
         energy_partial = 0.0
         cycle_partial = 0.0
-        if index < len(segments) and segments[index].start < target - 1e-9:
-            segment = segments[index]
-            fraction = (target - segment.start) / segment.duration
-            energy_partial = segment.energy * fraction
-            cycle_partial = segment.cycles * fraction
+        if index < n and starts[index] < target - 1e-9:
+            fraction = ((target - starts[index])
+                        / (ends[index] - starts[index]))
+            energy_partial = energies[index] * fraction
+            cycle_partial = cycles[index] * fraction
         out.append((energy_total + energy_partial,
                     cycle_total + cycle_partial))
     return out

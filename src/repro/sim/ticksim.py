@@ -40,7 +40,7 @@ class TickResult:
         self.energy = 0.0
         self.jobs: List[Job] = []
         self.missed: List[Job] = []
-        self.trace = None  # SimTimeline/ExecutionTrace when recording
+        self.trace = None  # SimTimeline when recording
 
     @property
     def executed_cycles(self) -> float:
@@ -65,7 +65,6 @@ class TickSimulator:
                  energy_model: Optional[EnergyModel] = None,
                  scheduler: Optional[str] = None,
                  record_trace: bool = False,
-                 trace_backend: str = "array",
                  instrument=None):
         if tick <= 0:
             raise SimulationError(f"tick must be positive, got {tick}")
@@ -96,7 +95,7 @@ class TickSimulator:
         self._invocation: Dict[str, int] = {t.name: 0 for t in taskset}
         self._point: OperatingPoint = machine.fastest
         self._result = TickResult()
-        self._result.trace = make_trace(record_trace, trace_backend)
+        self._result.trace = make_trace(record_trace)
         self._trace_record = (self._result.trace.record
                               if self._result.trace is not None else None)
 

@@ -1,26 +1,26 @@
 """Array-backed execution timelines (structure-of-arrays trace storage).
 
-:class:`~repro.sim.trace.ExecutionTrace` stores one frozen
-:class:`~repro.sim.trace.Segment` object per maximal slice — convenient for
-small worked examples, but on long-horizon sweeps the per-slice object
-churn (allocation, boxed floats, pointer-chasing on iteration) dominates
-recording cost and peak RSS.  :class:`SimTimeline` keeps the same logical
-content in seven parallel columns (``array('d')``/``array('i')`` buffers:
-start, end, cycles, energy, task index, operating-point index, kind code)
-with interned task names and operating points.  Appends coalesce with the
-previous row under exactly the same rules as ``ExecutionTrace`` — same
-epsilon, same drop threshold, same left-to-right accumulation of cycles and
-energy — so the reconstructed :class:`Segment` view is bit-for-bit
-identical to what the object path would have recorded.
+:class:`SimTimeline` is the one trace recorder of every engine.  One
+frozen :class:`~repro.sim.trace.Segment` object per maximal slice would be
+convenient for small worked examples, but on long-horizon sweeps the
+per-slice object churn (allocation, boxed floats, pointer-chasing on
+iteration) dominates recording cost and peak RSS.  The timeline keeps the
+same logical content in seven parallel columns (``array('d')``/
+``array('i')`` buffers: start, end, cycles, energy, task index,
+operating-point index, kind code) with interned task names and operating
+points.  Appends coalesce with the previous row (same task, point and
+kind, gap within ``1e-9``; slices of ``1e-12`` or less are dropped),
+accumulating cycles and energy left to right.
 
-``Segment`` objects are only materialized lazily, when a legacy consumer
-(validation, report tables, rendering) actually asks for them; columnar
-consumers (:mod:`repro.sim.steady`'s cumulative scans, the vectorized
-validation checks, residency tables) read the raw buffers instead.  The
-whole column set round-trips losslessly through :meth:`to_bytes` /
-:meth:`from_bytes` — a small JSON header plus the raw little-endian
-buffers — which doubles as the cross-process result transport and cache
-codec (see :mod:`repro.analysis.transport`).
+``Segment`` objects are only materialized lazily, when a consumer
+(validation, report tables, rendering) actually asks for them.  The
+reductions (:meth:`busy_time`, :meth:`idle_time`,
+:meth:`frequency_residency`, :meth:`executed_cycles`) are single
+pure-Python passes over the columns, so no trace feature needs an
+optional dependency.  The whole column set round-trips losslessly
+through :meth:`to_bytes` / :meth:`from_bytes` — a small JSON header plus
+the raw little-endian buffers — which doubles as the cross-process
+result transport and cache codec (see :mod:`repro.analysis.transport`).
 """
 
 from __future__ import annotations
@@ -33,40 +33,30 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.hw.operating_point import OperatingPoint
-from repro.sim.trace import ExecutionTrace, Segment, _MIN_SEGMENT
-
-#: Trace backends understood by the engines' ``trace_backend=`` parameter.
-TRACE_BACKENDS = ("array", "segments")
+from repro.sim.trace import Segment, _MIN_SEGMENT
 
 #: Segment kinds in code order (codes index this tuple).
 KINDS = ("run", "idle", "switch")
 _KIND_CODE = {"run": 0, "idle": 1, "switch": 2}
 
 _MAGIC = b"STL1"
-_MERGE_EPS = 1e-9  # same tolerance as ExecutionTrace.append
+_MERGE_EPS = 1e-9
 
 
-def make_trace(record_trace: bool, backend: str = "array"):
+def make_trace(record_trace: bool) -> Optional[SimTimeline]:
     """Build the trace recorder for an engine (or ``None`` when off)."""
-    if not record_trace:
-        return None
-    if backend == "array":
-        return SimTimeline()
-    if backend == "segments":
-        return ExecutionTrace()
-    raise SimulationError(
-        f"trace_backend must be one of {TRACE_BACKENDS}, got {backend!r}")
+    return SimTimeline() if record_trace else None
 
 
 class SimTimeline:
     """Append-only, merge-on-append columnar execution timeline.
 
-    Drop-in for :class:`~repro.sim.trace.ExecutionTrace` everywhere the
-    code base consumes traces: ``len``, iteration, indexing, ``segments``,
-    ``run_segments``, ``segments_for``, ``frequency_profile``,
-    ``busy_time`` and ``idle_time`` all behave identically.  Additionally
-    exposes the raw columns (:meth:`columns`), vectorized reductions
-    (:meth:`frequency_residency`), and the binary codec.
+    Reads like a sequence of :class:`~repro.sim.trace.Segment`: ``len``,
+    iteration, indexing, ``segments``, ``run_segments``, ``segments_for``
+    and ``frequency_profile``.  Also exposes the raw columns
+    (:meth:`columns`), the column reductions (:meth:`busy_time`,
+    :meth:`idle_time`, :meth:`frequency_residency`,
+    :meth:`executed_cycles`), and the binary codec.
     """
 
     __slots__ = (
@@ -112,7 +102,7 @@ class SimTimeline:
                point: OperatingPoint, cycles: float, energy: float,
                kind: str = "run") -> None:
         """Append one slice, coalescing with the previous row when
-        homogeneous (same semantics as ``ExecutionTrace.append``)."""
+        homogeneous (same task, point and kind, and contiguous)."""
         if end - start <= _MIN_SEGMENT:
             return
         kind_code = _KIND_CODE[kind]
@@ -139,8 +129,8 @@ class SimTimeline:
         if (task_idx == self._m_task and op_idx == self._m_op
                 and kind_code == self._m_kind
                 and -_MERGE_EPS <= gap <= _MERGE_EPS):
-            # Coalesce: extend the last row in place.  Accumulation order
-            # matches ExecutionTrace exactly (previous total + new value).
+            # Coalesce: extend the last row in place, accumulating
+            # left to right (previous total + new value).
             i = self._n - 1
             self._end[i] = end
             self._m_end = end
@@ -237,7 +227,7 @@ class SimTimeline:
         return sum(col.itemsize * len(col) for col in self.columns())
 
     # ------------------------------------------------------------------
-    # ExecutionTrace-compatible surface
+    # Segment view
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._n
@@ -283,42 +273,36 @@ class SimTimeline:
                 profile.append((start[i], frequency))
         return profile
 
+    # ------------------------------------------------------------------
+    # reductions (one pure-Python pass over the columns each)
+    # ------------------------------------------------------------------
     def busy_time(self) -> float:
-        """Total time spent executing tasks (vectorized)."""
+        """Total time spent executing tasks."""
         return self._kind_time(0)
 
     def idle_time(self) -> float:
-        """Total time spent idle, excluding switch halts (vectorized)."""
+        """Total time spent idle, excluding switch halts."""
         return self._kind_time(1)
 
     def _kind_time(self, code: int) -> float:
-        import numpy as np
-        if self._n == 0:
-            return 0.0
-        start = np.frombuffer(self._start, dtype=np.float64, count=self._n)
-        end = np.frombuffer(self._end, dtype=np.float64, count=self._n)
-        kind = np.frombuffer(self._kind, dtype=np.int8, count=self._n)
-        return float(np.sum((end - start)[kind == code]))
+        return sum((e - s for s, e, k in zip(self._start, self._end,
+                                             self._kind) if k == code), 0.0)
 
-    # ------------------------------------------------------------------
-    # vectorized reductions
-    # ------------------------------------------------------------------
+    def executed_cycles(self) -> float:
+        """Total cycles executed over the run rows."""
+        return sum((c for c, k in zip(self._cycles, self._kind) if k == 0),
+                   0.0)
+
     def frequency_residency(self):
         """Wall time spent at each operating point, as ``{point: time}``.
 
-        One ``bincount`` over the op-index column (run + idle + switch
-        rows all count: the point is "in effect" either way).
+        Run, idle and switch rows all count: the point is "in effect"
+        either way.
         """
-        import numpy as np
-        if self._n == 0:
-            return {}
-        start = np.frombuffer(self._start, dtype=np.float64, count=self._n)
-        end = np.frombuffer(self._end, dtype=np.float64, count=self._n)
-        op = np.frombuffer(self._op, dtype=np.int32, count=self._n)
-        totals = np.bincount(op, weights=end - start,
-                             minlength=len(self._points))
-        return {point: float(totals[i])
-                for i, point in enumerate(self._points)
+        totals = [0.0] * len(self._points)
+        for s, e, o in zip(self._start, self._end, self._op):
+            totals[o] += e - s
+        return {point: totals[i] for i, point in enumerate(self._points)
                 if totals[i] > 0.0}
 
     # ------------------------------------------------------------------

@@ -2,16 +2,21 @@
 
 Traces are the raw material behind the paper's worked-example figures
 (Figs. 2, 3, 5 and 7): a sequence of contiguous segments, each either
-executing one task or idling, at one operating point.  The module also
-renders traces as ASCII timelines resembling those figures.
+executing one task or idling, at one operating point.  The engines record
+them into a :class:`~repro.sim.timeline.SimTimeline`; this module holds
+the :class:`Segment` view type it hands out and renders traces as ASCII
+timelines resembling those figures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.hw.operating_point import OperatingPoint
+
+if TYPE_CHECKING:
+    from repro.sim.timeline import SimTimeline
 
 #: Segments shorter than this are dropped when recording (pure bookkeeping
 #: artifacts of coincident events).
@@ -57,84 +62,7 @@ class Segment:
                 f" ({self.cycles:g} cyc, {self.energy:g} E)")
 
 
-class ExecutionTrace:
-    """An append-only list of :class:`Segment` with merge-on-append.
-
-    Consecutive segments with identical (task, point, kind) are coalesced so
-    the trace shows maximal intervals, like the paper's figures.
-    """
-
-    def __init__(self):
-        self._segments: List[Segment] = []
-
-    def record(self, start: float, end: float, task: Optional[str],
-               point: OperatingPoint, cycles: float, energy: float,
-               kind: str = "run") -> None:
-        """Recorder entry point shared with
-        :class:`~repro.sim.timeline.SimTimeline`: box the slice into a
-        :class:`Segment` and append it."""
-        self.append(Segment(start=start, end=end, task=task, point=point,
-                            cycles=cycles, energy=energy, kind=kind))
-
-    def append(self, segment: Segment) -> None:
-        """Add a segment, merging with the previous one when homogeneous."""
-        if segment.duration <= _MIN_SEGMENT:
-            return
-        if self._segments:
-            last = self._segments[-1]
-            mergeable = (last.task == segment.task
-                         and last.point == segment.point
-                         and last.kind == segment.kind
-                         and abs(last.end - segment.start) <= 1e-9)
-            if mergeable:
-                self._segments[-1] = Segment(
-                    start=last.start, end=segment.end, task=last.task,
-                    point=last.point, cycles=last.cycles + segment.cycles,
-                    energy=last.energy + segment.energy, kind=last.kind)
-                return
-        self._segments.append(segment)
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self._segments)
-
-    def __getitem__(self, index) -> Segment:
-        return self._segments[index]
-
-    @property
-    def segments(self) -> Tuple[Segment, ...]:
-        return tuple(self._segments)
-
-    def run_segments(self) -> List[Segment]:
-        """Only the segments in which a task executed."""
-        return [s for s in self._segments if s.kind == "run"]
-
-    def segments_for(self, task_name: str) -> List[Segment]:
-        """Run segments of one task."""
-        return [s for s in self._segments if s.task == task_name]
-
-    def frequency_profile(self) -> List[Tuple[float, float]]:
-        """(time, relative frequency) steps — the tops of the paper's
-        figures.  Returns the frequency in effect starting at each time."""
-        profile: List[Tuple[float, float]] = []
-        for segment in self._segments:
-            frequency = segment.point.frequency
-            if not profile or profile[-1][1] != frequency:
-                profile.append((segment.start, frequency))
-        return profile
-
-    def busy_time(self) -> float:
-        """Total time spent executing tasks."""
-        return sum(s.duration for s in self._segments if s.kind == "run")
-
-    def idle_time(self) -> float:
-        """Total time spent idle (excluding switch halts)."""
-        return sum(s.duration for s in self._segments if s.kind == "idle")
-
-
-def render_trace(trace: ExecutionTrace, width: int = 72,
+def render_trace(trace: SimTimeline, width: int = 72,
                  end: Optional[float] = None) -> str:
     """Render a trace as an ASCII timeline.
 

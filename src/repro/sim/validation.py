@@ -48,8 +48,7 @@ from repro.sim.trace import Segment
 _EPS = 1e-6
 
 #: All available checks, in execution order.  The segment-linear trio
-#: (tiling, cycles, energy) runs vectorized over the columns when the
-#: trace is a :class:`~repro.sim.timeline.SimTimeline`; budget and
+#: (tiling, cycles, energy) is one pass over the trace; budget and
 #: priority cross-reference the job list per segment and therefore scale
 #: with segments × jobs — select checks on very long traces accordingly.
 ALL_CHECKS = ("tiling", "cycles", "budget", "priority", "energy")
@@ -111,45 +110,11 @@ def validate_schedule(result: SimResult,
     return violations
 
 
-def _trace_columns(result: SimResult):
-    """(start, end, cycles, op, kind) as numpy views when the trace is
-    columnar, else ``None`` (legacy per-segment loops apply)."""
-    columns = getattr(result.trace, "columns", None)
-    if columns is None or len(result.trace) == 0:
-        return None
-    import numpy as np
-    start, end, cycles, _energy, _task, op, kind = columns()
-    return (np.frombuffer(start, dtype=np.float64),
-            np.frombuffer(end, dtype=np.float64),
-            np.frombuffer(cycles, dtype=np.float64),
-            np.frombuffer(op, dtype=np.dtype(f"i{op.itemsize}")),
-            np.frombuffer(kind, dtype=np.int8))
-
-
 # ---------------------------------------------------------------------------
 
 def _check_tiling(result: SimResult) -> List[Violation]:
     if len(result.trace) == 0:
         return [Violation("tiling", 0.0, "empty trace")]
-    cols = _trace_columns(result)
-    if cols is not None:
-        import numpy as np
-        start, end, _cycles, _op, _kind = cols
-        out = []
-        if abs(start[0]) > _EPS:
-            out.append(Violation("tiling", float(start[0]),
-                                 "trace does not start at 0"))
-        bad = np.nonzero(np.abs(start[1:] - end[:-1]) > _EPS)[0]
-        for i in bad:
-            out.append(Violation(
-                "tiling", float(start[i + 1]),
-                f"gap/overlap: previous segment ends at {end[i]:g}"))
-        if abs(end[-1] - result.duration) > 1e-3:
-            out.append(Violation(
-                "tiling", float(end[-1]),
-                f"trace ends at {end[-1]:g}, duration is "
-                f"{result.duration:g}"))
-        return out
     out = []
     segments = result.trace.segments
     if abs(segments[0].start) > _EPS:
@@ -169,33 +134,6 @@ def _check_tiling(result: SimResult) -> List[Violation]:
 
 
 def _check_cycle_rates(result: SimResult) -> List[Violation]:
-    cols = _trace_columns(result)
-    if cols is not None:
-        import numpy as np
-        start, end, cycles, op, kind = cols
-        points = result.trace.points
-        freq = np.array([p.frequency for p in points], dtype=np.float64)
-        run = kind == 0
-        duration = end - start
-        expected = duration * freq[op]
-        bad_rate = run & (np.abs(cycles - expected)
-                          > _EPS * np.maximum(1.0, expected))
-        bad_nonrun = (~run) & (cycles != 0.0)
-        out = []
-        for i in np.nonzero(bad_nonrun | bad_rate)[0]:
-            if run[i]:
-                out.append(Violation(
-                    "cycles", float(start[i]),
-                    f"segment of {duration[i]:g} at f="
-                    f"{freq[op[i]]:g} reports {cycles[i]:g} "
-                    f"cycles (expected {expected[i]:g})"))
-            else:
-                from repro.sim.timeline import KINDS
-                out.append(Violation(
-                    "cycles", float(start[i]),
-                    f"{KINDS[kind[i]]} segment reports {cycles[i]:g} "
-                    "executed cycles"))
-        return out
     out = []
     for segment in result.trace:
         if segment.kind != "run":
@@ -321,24 +259,14 @@ def _check_priorities(result: SimResult,
 
 def _check_energy(result: SimResult,
                   energy_model: EnergyModel) -> List[Violation]:
-    cols = _trace_columns(result)
-    if cols is not None:
-        import numpy as np
-        start, end, cycles, op, kind = cols
-        points = result.trace.points
-        run = kind == 0
-        exec_e = energy_model.execution_energy_batch(points, op, cycles)
-        idle_e = energy_model.idle_energy_batch(points, op, end - start)
-        total = float(np.sum(np.where(run, exec_e, idle_e)))
-    else:
-        total = 0.0
-        for segment in result.trace:
-            if segment.kind == "run":
-                total += energy_model.execution_energy(segment.point,
-                                                       segment.cycles)
-            else:
-                total += energy_model.idle_energy(segment.point,
-                                                  segment.duration)
+    total = 0.0
+    for segment in result.trace:
+        if segment.kind == "run":
+            total += energy_model.execution_energy(segment.point,
+                                                   segment.cycles)
+        else:
+            total += energy_model.idle_energy(segment.point,
+                                              segment.duration)
     if abs(total - result.total_energy) > 1e-6 * max(1.0, total):
         return [Violation(
             "energy", 0.0,
@@ -402,18 +330,12 @@ def rederive_counters(result: SimResult) -> Dict[str, int]:
         if prev.completion_time is None or prev.completion_time > when:
             preemptions += 1
 
-    cols = _trace_columns(result)
-    if cols is not None:
-        import numpy as np
-        _start, _end, _cycles, op, _kind = cols
-        transitions = int(np.count_nonzero(op[1:] != op[:-1]))
-    else:
-        transitions = 0
-        previous = None
-        for segment in result.trace:
-            if previous is not None and segment.point != previous:
-                transitions += 1
-            previous = segment.point
+    transitions = 0
+    previous = None
+    for segment in result.trace:
+        if previous is not None and segment.point != previous:
+            transitions += 1
+        previous = segment.point
 
     misses = sum(1 for job in result.jobs
                  if job.outcome(result.duration) is JobOutcome.MISSED)

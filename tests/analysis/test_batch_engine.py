@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis import batch as batch_module
 from repro.analysis.batch import ENGINES, build_column_block
 from repro.analysis.sweep import (
     CellSpec,
@@ -416,7 +417,8 @@ class TestBatchSweepIdentity:
 
 
 class TestSteadyResolutionPinning:
-    """The hyperperiod grid is sweep state, not an implicit constant."""
+    """Every sweep detects hyperperiods on one grid,
+    :data:`~repro.analysis.sweep.STEADY_RESOLUTION`."""
 
     def _pathological_taskset(self):
         # 1.0005 is not representable on a 1e-3 grid (0.5-tick error) but
@@ -430,33 +432,31 @@ class TestSteadyResolutionPinning:
         finite = taskset.hyperperiod(resolution=1e-4)
         assert finite == pytest.approx(4002.0)
 
-    def _context(self, resolution):
+    def _context(self):
         return SweepContext(machine=MACHINE, policies=("EDF",),
                             duration=400.0, idle_level=0.0,
-                            cycle_energy_scale=1.0,
-                            steady_resolution=resolution)
+                            cycle_energy_scale=1.0)
 
-    def test_nondefault_resolution_enters_cache_key(self):
+    def test_resolution_never_enters_cache_key(self):
         spec = CellSpec(utilization=0.5, set_index=0, n_tasks=3,
                         gen_seed=11, demand_seed=12, demand="worst")
-        default_key = cell_cache_key(self._context(1e-6), spec)
-        coarse_key = cell_cache_key(self._context(1e-3), spec)
-        assert default_key != coarse_key
-        # The bands idiom: the default resolution adds no key material,
-        # so every pre-existing cached cell keeps its address.
-        assert "steady_resolution" not in self._context(1e-6).description()
-        assert self._context(1e-3).description()[
-            "steady_resolution"] == 1e-3
+        assert "steady_resolution" not in self._context().description()
+        # The key this cell had while the resolution was a sweep option
+        # at its default: folding the option into a constant moved no
+        # cached cell.
+        assert cell_cache_key(self._context(), spec) == (
+            "e87653be5a613b06a7c95939a0a25efe4c493fb44e3f114c693f4f96de6b26b0")
 
-    def test_column_block_honours_pinned_resolution(self):
+    def test_column_block_honours_pinned_resolution(self, monkeypatch):
         # Degenerate bands force exactly commensurable 25/50 s periods:
-        # the default grid resolves their hyperperiod, while a 10 s grid
+        # the sweep grid resolves their hyperperiod, while a 10 s grid
         # cannot even represent a 25 s period (2.5 ticks) and reports
-        # None — so the block must use the context's pinned resolution.
+        # None — so the block must use the pinned resolution.
         spec = CellSpec(utilization=0.5, set_index=0, n_tasks=3,
                         gen_seed=11, demand_seed=12, demand="worst",
                         bands=((25.0, 25.0), (50.0, 50.0)))
-        coarse = build_column_block(self._context(10.0), [spec])
-        fine = build_column_block(self._context(1e-6), [spec])
-        assert coarse.hyperperiods == [None]
+        fine = build_column_block(self._context(), [spec])
+        monkeypatch.setattr(batch_module, "STEADY_RESOLUTION", 10.0)
+        coarse = build_column_block(self._context(), [spec])
         assert fine.hyperperiods == [50.0]
+        assert coarse.hyperperiods == [None]

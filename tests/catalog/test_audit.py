@@ -28,6 +28,8 @@ from repro.sim.engine import simulate
 from repro.sim.results import DeadlineMiss
 from repro.sim.trace import Segment
 
+from tests.sim.segment_list import timeline_from
+
 SCENARIO = Scenario(
     name="unit-audit",
     title="in-test audit scenario",
@@ -122,7 +124,7 @@ class TestTraceMutations:
         result = simulate(example_taskset(), machine0(),
                           make_policy("ccEDF"), demand=0.7,
                           duration=112.0, energy_model=model,
-                          record_trace=True, trace_backend="segments")
+                          record_trace=True)
         return result, model
 
     def test_clean_run_audits_clean(self, run):
@@ -132,7 +134,9 @@ class TestTraceMutations:
 
     def test_dropped_trace_segment_flags_tiling(self, run):
         result, model = run
-        del result.trace._segments[len(result.trace) // 2]
+        segments = list(result.trace.segments)
+        del segments[len(segments) // 2]
+        result.trace = timeline_from(segments)
         assert_flagged(audit_sim_result(result, model), "trace:tiling")
 
     def test_perturbed_energy_flags_energy(self, run):
@@ -144,14 +148,16 @@ class TestTraceMutations:
         """A segment claiming the wrong operating point draws the wrong
         cycle rate (and energy) for its duration."""
         result, model = run
-        for index, segment in enumerate(result.trace.segments):
+        segments = list(result.trace.segments)
+        for index, segment in enumerate(segments):
             if segment.kind == "run" \
                     and segment.point != machine0().fastest:
-                result.trace._segments[index] = Segment(
+                segments[index] = Segment(
                     start=segment.start, end=segment.end,
                     task=segment.task, point=machine0().fastest,
                     cycles=segment.cycles, energy=segment.energy,
                     kind=segment.kind)
+                result.trace = timeline_from(segments)
                 break
         else:  # pragma: no cover - ccEDF always slows down somewhere
             pytest.fail("no scaled-down run segment to corrupt")

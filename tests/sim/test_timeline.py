@@ -1,14 +1,16 @@
 """Tests for the columnar :class:`~repro.sim.timeline.SimTimeline`.
 
-Three properties anchor the array backend:
+Three properties anchor the columnar timeline:
 
 * the binary codec is lossless — ``from_bytes(to_bytes(t)) == t``
   bit-for-bit, for arbitrary recorded slice streams;
-* the lazy ``Segment`` view equals what the legacy segment-list backend
-  records eagerly, on real runs of all three engines;
-* switching backends never changes a simulation — ``SimResult`` energy,
-  switches, jobs and misses are bit-identical, and sweep curves stay
-  bit-identical across worker counts and cache states.
+* the lazy ``Segment`` view equals what the reference segment-list
+  recorder (``tests/sim/segment_list.py``) builds eagerly from the same
+  slice stream, on real runs of every engine, and the column reductions
+  agree with the reference's per-segment loops;
+* the recorder never changes a simulation — ``SimResult`` energy,
+  switches, jobs and misses are bit-identical with either recorder, and
+  sweep curves stay bit-identical across worker counts and cache states.
 """
 
 import sys
@@ -24,11 +26,16 @@ from repro.errors import SimulationError
 from repro.hw.machine import machine0
 from repro.hw.operating_point import OperatingPoint
 from repro.model.generator import TaskSetGenerator
+from repro.obs.metrics import residency_from_trace
+from repro.sim import batch_kernels, engine as engine_module, ticksim
 from repro.sim.baseline import BaselineSimulator
+from repro.sim.batch_kernels import CellKernel
 from repro.sim.engine import Simulator
 from repro.sim.ticksim import TickSimulator
 from repro.sim.timeline import SimTimeline, make_trace
-from repro.sim.trace import ExecutionTrace
+
+from tests.sim.segment_list import (SegmentList, reference_executed_cycles,
+                                    reference_residency)
 
 MACHINE = machine0()
 POINTS = MACHINE.points
@@ -121,37 +128,64 @@ class TestCodecRoundTrip:
 # lazy view vs eager segment list
 # ---------------------------------------------------------------------------
 
-def _paired_runs(engine):
-    """(segments-backend result, array-backend result) for one engine."""
+#: Where each engine builds its recorder: the test-local seam that swaps
+#: the reference recorder in for one run.
+ENGINE_MODULES = {Simulator: engine_module, BaselineSimulator: engine_module,
+                  TickSimulator: ticksim, CellKernel: batch_kernels}
+
+
+def _paired_runs(engine, monkeypatch):
+    """(reference-recorder result, SimTimeline result) for one engine."""
     results = []
-    for backend in ("segments", "array"):
-        taskset = TaskSetGenerator(n_tasks=8, utilization=0.7,
-                                   seed=42).generate()
-        if engine is TickSimulator:
-            sim = TickSimulator(taskset, MACHINE, CycleConservingEDF(),
-                                demand=0.8, duration=200.0, tick=0.05,
-                                record_trace=True, trace_backend=backend)
-        else:
-            sim = engine(taskset, MACHINE, CycleConservingEDF(),
-                         demand=0.8, duration=200.0, on_miss="drop",
-                         record_trace=True, trace_backend=backend)
-        results.append(sim.run())
+    for recorder in (SegmentList, SimTimeline):
+        with monkeypatch.context() as patch:
+            patch.setattr(ENGINE_MODULES[engine], "make_trace",
+                          lambda record_trace: recorder())
+            taskset = TaskSetGenerator(n_tasks=8, utilization=0.7,
+                                       seed=42).generate()
+            if engine is TickSimulator:
+                sim = TickSimulator(taskset, MACHINE, CycleConservingEDF(),
+                                    demand=0.8, duration=200.0, tick=0.05,
+                                    record_trace=True)
+            else:
+                sim = engine(taskset, MACHINE, CycleConservingEDF(),
+                             demand=0.8, duration=200.0, on_miss="drop",
+                             record_trace=True)
+            results.append(sim.run())
     return results
 
 
-ENGINES = (Simulator, BaselineSimulator, TickSimulator)
+ENGINES = tuple(ENGINE_MODULES)
 
 
 class TestLazyViewMatchesEagerList:
     @pytest.mark.parametrize("engine", ENGINES,
                              ids=lambda e: e.__name__)
-    def test_segments_identical(self, engine):
-        eager, lazy = _paired_runs(engine)
-        assert isinstance(eager.trace, ExecutionTrace)
+    def test_segments_identical(self, engine, monkeypatch):
+        eager, lazy = _paired_runs(engine, monkeypatch)
+        assert isinstance(eager.trace, SegmentList)
         assert isinstance(lazy.trace, SimTimeline)
         assert len(eager.trace) == len(lazy.trace)
         for a, b in zip(eager.trace, lazy.trace):
             assert a == b  # frozen dataclass: every field bit-equal
+
+    @pytest.mark.parametrize("engine", ENGINES,
+                             ids=lambda e: e.__name__)
+    def test_reductions_match_reference(self, engine, monkeypatch):
+        eager, lazy = _paired_runs(engine, monkeypatch)
+        reference, timeline = eager.trace, lazy.trace
+        assert timeline.busy_time() == reference.busy_time()
+        assert timeline.idle_time() == reference.idle_time()
+        assert timeline.frequency_profile() \
+            == reference.frequency_profile()
+        assert timeline.executed_cycles() \
+            == reference_executed_cycles(reference)
+        expected = reference_residency(reference)
+        residency = residency_from_trace(timeline)
+        assert sorted(residency) == sorted(expected)
+        for frequency, seconds in expected.items():
+            assert residency[frequency] == pytest.approx(seconds,
+                                                         rel=1e-9)
 
     def test_view_is_cached_until_the_next_append(self):
         timeline = record_stream(SimTimeline(),
@@ -164,14 +198,14 @@ class TestLazyViewMatchesEagerList:
 
 
 # ---------------------------------------------------------------------------
-# backend never changes the simulation
+# the recorder never changes the simulation
 # ---------------------------------------------------------------------------
 
 class TestBackendBitIdentity:
     @pytest.mark.parametrize("engine", ENGINES,
                              ids=lambda e: e.__name__)
-    def test_simresult_identical(self, engine):
-        a, b = _paired_runs(engine)
+    def test_simresult_identical(self, engine, monkeypatch):
+        a, b = _paired_runs(engine, monkeypatch)
         if engine is TickSimulator:
             assert a.energy == b.energy
             assert len(a.jobs) == len(b.jobs)
@@ -208,13 +242,10 @@ class TestExecutorDifferential:
 
 
 # ---------------------------------------------------------------------------
-# make_trace dispatch
+# make_trace
 # ---------------------------------------------------------------------------
 
 class TestMakeTrace:
     def test_backends(self):
-        assert make_trace(False, "array") is None
-        assert isinstance(make_trace(True, "array"), SimTimeline)
-        assert isinstance(make_trace(True, "segments"), ExecutionTrace)
-        with pytest.raises(SimulationError):
-            make_trace(True, "linkedlist")
+        assert make_trace(False) is None
+        assert isinstance(make_trace(True), SimTimeline)

@@ -16,30 +16,36 @@ from repro.model.task import Task, TaskSet, example_taskset
 from repro.obs import MetricsCollector
 from repro.sim.engine import Simulator, simulate
 from repro.sim.results import EnergyBreakdown, SimResult
-from repro.sim.trace import ExecutionTrace, Segment
+from repro.sim.timeline import SimTimeline
+from repro.sim.trace import Segment
 from repro.sim.validation import (Violation, rederive_counters,
                                   validate_schedule)
 
 from tests.conftest import fractions, tasksets
+from tests.sim.segment_list import timeline_from
 
 
 def run_traced(policy_name, ts=None, demand=0.7, duration=112.0,
-               idle_level=0.0, trace_backend="array"):
+               idle_level=0.0):
     ts = ts or example_taskset()
     model = EnergyModel(idle_level=idle_level)
     result = simulate(ts, machine0(), make_policy(policy_name),
                       demand=demand, duration=duration,
                       energy_model=model, record_trace=True,
-                      trace_backend=trace_backend, on_miss="drop")
+                      on_miss="drop")
     return result, model
 
 
-def doctor(trace, index, segment):
-    """Overwrite one trace row, whichever backend recorded it."""
-    if hasattr(trace, "replace"):
-        trace.replace(index, segment)
+def doctor(result, index, segment, rebuild=False):
+    """Overwrite one trace row: in place on the columns
+    (:meth:`SimTimeline.replace`), or by rebuilding the timeline from the
+    edited ``Segment`` view."""
+    if rebuild:
+        segments = list(result.trace.segments)
+        segments[index] = segment
+        result.trace = timeline_from(segments)
     else:
-        trace._segments[index] = segment
+        result.trace.replace(index, segment)
 
 
 class TestValidSchedules:
@@ -61,25 +67,31 @@ class TestValidSchedules:
 
 
 class TestViolationDetection:
-    """Corrupt valid results and check the validator notices — for both
-    trace backends (the columnar checks are vectorized)."""
+    """Corrupt valid results and check the validator notices — edited in
+    place on the columns ("array") or rebuilt from an edited ``Segment``
+    view ("segments")."""
 
     @pytest.fixture(params=["array", "segments"])
     def valid(self, request):
-        return run_traced("ccEDF", trace_backend=request.param)
+        result, model = run_traced("ccEDF")
+        rebuild = request.param == "segments"
+
+        def edit(index, segment):
+            doctor(result, index, segment, rebuild=rebuild)
+        return result, model, edit
 
     def _kinds(self, result, model):
         return {v.kind for v in validate_schedule(result, model)}
 
     def test_detects_energy_mismatch(self, valid):
-        result, model = valid
+        result, model, edit = valid
         result.energy.idle += 100.0
         assert "energy" in self._kinds(result, model)
 
     def test_detects_tiling_gap(self, valid):
-        result, model = valid
+        result, model, edit = valid
         segment = result.trace[1]
-        doctor(result.trace, 1, Segment(
+        edit(1, Segment(
             start=segment.start + 0.5, end=segment.end + 0.5,
             task=segment.task, point=segment.point,
             cycles=segment.cycles, energy=segment.energy,
@@ -87,10 +99,10 @@ class TestViolationDetection:
         assert "tiling" in self._kinds(result, model)
 
     def test_detects_wrong_cycle_rate(self, valid):
-        result, model = valid
+        result, model, edit = valid
         for index, segment in enumerate(result.trace.segments):
             if segment.kind == "run":
-                doctor(result.trace, index, Segment(
+                edit(index, Segment(
                     start=segment.start, end=segment.end,
                     task=segment.task, point=segment.point,
                     cycles=segment.cycles * 2.0, energy=segment.energy,
@@ -100,13 +112,13 @@ class TestViolationDetection:
         assert "cycles" in kinds
 
     def test_detects_priority_inversion(self, valid):
-        result, model = valid
+        result, model, edit = valid
         # Swap the executing task of an early segment to the lowest-
         # priority task (T3, longest deadline), faking an inversion.
         for index, segment in enumerate(result.trace.segments):
             if segment.kind == "run" and segment.task == "T1" \
                     and segment.start < 1.0:
-                doctor(result.trace, index, Segment(
+                edit(index, Segment(
                     start=segment.start, end=segment.end, task="T3",
                     point=segment.point, cycles=segment.cycles,
                     energy=segment.energy, kind=segment.kind))
@@ -115,10 +127,10 @@ class TestViolationDetection:
         assert "priority" in kinds or "budget" in kinds
 
     def test_detects_idle_with_ready_work(self, valid):
-        result, model = valid
+        result, model, edit = valid
         for index, segment in enumerate(result.trace.segments):
             if segment.kind == "run" and segment.start < 1.0:
-                doctor(result.trace, index, Segment(
+                edit(index, Segment(
                     start=segment.start, end=segment.end, task=None,
                     point=segment.point, cycles=0.0,
                     energy=segment.energy, kind="idle"))
@@ -127,9 +139,9 @@ class TestViolationDetection:
         assert "work-conservation" in kinds or "energy" in kinds
 
     def test_detects_phantom_execution(self, valid):
-        result, model = valid
+        result, model, edit = valid
         last = result.trace[-1]
-        doctor(result.trace, len(result.trace) - 1, Segment(
+        edit(len(result.trace) - 1, Segment(
             start=last.start, end=last.end, task="ghost",
             point=last.point,
             cycles=last.duration * last.point.frequency,
@@ -178,14 +190,12 @@ class TestRelativeBudgetTolerance:
         point = machine0().fastest  # f = 1.0, so cycles == seconds
         task = Task(demand, duration, name="big")
         end = recorded_cycles / point.frequency
-        trace = ExecutionTrace()
+        trace = SimTimeline()
         run_energy = model.execution_energy(point, recorded_cycles)
         idle_energy = model.idle_energy(point, duration - end)
-        trace.append(Segment(start=0.0, end=end, task="big", point=point,
-                             cycles=recorded_cycles, energy=run_energy))
-        trace.append(Segment(start=end, end=duration, task=None,
-                             point=point, cycles=0.0, energy=idle_energy,
-                             kind="idle"))
+        trace.record(0.0, end, "big", point, recorded_cycles, run_energy)
+        trace.record(end, duration, None, point, 0.0, idle_energy,
+                     kind="idle")
         job = Job(task=task, release_time=0.0, demand=demand, index=0,
                   executed=demand, completion_time=end)
         energy = EnergyBreakdown(idle=idle_energy)
@@ -343,7 +353,7 @@ class TestEngineMatrixValidation:
                                  duration=112.0, energy_model=model,
                                  record_trace=True)
         segment = result.trace[1]
-        doctor(result.trace, 1, Segment(
+        doctor(result, 1, Segment(
             start=segment.start + 0.5, end=segment.end + 0.5,
             task=segment.task, point=segment.point,
             cycles=segment.cycles, energy=segment.energy,
