@@ -1,4 +1,4 @@
-.PHONY: install test cov bench bench-mem bench-service bench-dist service-smoke bench-figures check test-fast-path catalog-audit experiments experiments-full sweep-cache-clean clean
+.PHONY: install test cov bench bench-mem bench-service bench-dist service-smoke bench-figures check test-fast-path test-no-numpy catalog-audit experiments experiments-full sweep-cache-clean clean
 
 install:
 	pip install -e .
@@ -56,6 +56,7 @@ bench-figures:
 
 # What CI runs: tier-1 tests, the repository benchmark's own tests (a
 # src rename that leaves a probe target missing fails here), the
+# fast-path differential suites, the numpy-absent leg, the
 # full-catalog trace audit, a smoke pass of the engine benchmarks (so
 # the perf harness itself cannot rot), the peak-RSS gate of the memory
 # workload (array trace backend must cut peak RSS >= 30%) and the
@@ -63,6 +64,8 @@ bench-figures:
 check:
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src python -m pytest perfbench -q
+	$(MAKE) test-fast-path
+	$(MAKE) test-no-numpy
 	$(MAKE) catalog-audit
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -k engine -q
 	PYTHONPATH=src python benchmarks/mem_workload.py --gate
@@ -77,6 +80,14 @@ test-fast-path:
 	  tests/core/test_incremental_state.py \
 	  tests/sim/test_steady_fast_path.py \
 	  tests/analysis/test_sweep_fast_path.py
+
+# The numpy-absent leg: the array engines' pure-Python fallback and every
+# trace consumer must stay bit-identical with numpy switched off.
+test-no-numpy:
+	RTDVS_NO_NUMPY=1 PYTHONPATH=src python -m pytest -q \
+	  tests/analysis/test_batch_engine.py \
+	  tests/analysis/test_block_engine.py \
+	  tests/sim/test_trace_numpy_free.py
 
 # Full-catalog trace audit at the small-N CI profile: every scenario's
 # cells are replayed with traces, counters/energy re-derived, aggregates

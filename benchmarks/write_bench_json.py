@@ -182,9 +182,9 @@ BATCH_WORKLOAD_POLICIES = ("EDF", "staticEDF", "staticRM", "ccEDF")
 POLICY_CALLBACK_TARGET_SPEEDUP = 2.0
 
 #: Per-policy overrides of the callback speedup floor.  laEDF's deferral
-#: loop got scratch-array hoisting and the batched
-#: ``worst_case_remaining_each`` view read, which push it well past the
-#: generic 2x; gate it at 3x so that headroom cannot silently erode.
+#: walk keeps task-set slots and reads jobs through the per-slot
+#: ``current_jobs`` view read, which pushes it well past the generic 2x;
+#: gate it at 3x so that headroom cannot silently erode.
 POLICY_CALLBACK_TARGET_SPEEDUPS = {"laEDF": 3.0}
 
 #: Ceiling on ccRM's one-time setup at 200 tasks (microseconds).  The

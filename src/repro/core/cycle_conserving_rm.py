@@ -44,26 +44,32 @@ the last allocation (the engine exposes per-invocation executed cycles).
 
 Maintained state
 ----------------
-Two aggregates are maintained instead of recomputed:
+Two aggregates are maintained instead of recomputed, both as task-set
+slots (indexes) so every walk reads the view's per-slot job read
+(:meth:`~repro.sim.engine.SchedulerView.current_jobs`) directly instead
+of resolving ``Task`` objects one call at a time:
 
 * **RM priority order** — ``allocate_cycles`` walks tasks by period.  The
-  sorted order only changes when the task set changes, so it is cached and
-  invalidated by the task-set hooks (guarded by a task-set identity check,
-  since :class:`~repro.model.task.TaskSet` is immutable).
+  sorted order only changes when the task set changes, so it is cached
+  as ``(slot, quota)`` pairs and invalidated by the task-set hooks
+  (guarded by a task-set identity check, since
+  :class:`~repro.model.task.TaskSet` is immutable).
 * **Active quota set** — ``select_frequency`` needs ``Σd_i``, but between
   allocations only tasks that were granted a non-zero allotment can
   contribute: every other task's lazily-decremented quota is *exactly*
   ``0.0`` (``max(0.0, …)`` of a non-positive value).  Each allocation
-  records the granted tasks in task-set order; the selection sums just
-  those.  Skipping exact zeros from a left-to-right sum of non-negative
-  floats leaves every partial sum bitwise unchanged (``x + 0.0 == x`` for
-  ``x >= 0.0``), so the reduced sum is bit-identical to the full sweep —
-  pinned by the differential tests against a from-scratch oracle.
+  records the granted ``(slot, quota)`` pairs in task-set order; the
+  selection sums just those.  Skipping exact zeros from a left-to-right
+  sum of non-negative floats leaves every partial sum bitwise unchanged
+  (``x + 0.0 == x`` for ``x >= 0.0``), so the reduced sum is
+  bit-identical to the full sweep — pinned by the differential tests
+  against a from-scratch oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.base import DVSPolicy
@@ -100,17 +106,15 @@ class CycleConservingRM(DVSPolicy):
         self._static = StaticRM(exact=exact_rm_test)
         self._static_frequency = 1.0
         self._quota: Dict[str, _Quota] = {}
-        self._rm_order: Tuple[Task, ...] = ()
-        self._rm_order_for: object = None  # taskset the cache was built for
-        self._rm_pairs: Tuple[Tuple[Task, _Quota], ...] = ()
-        self._ts_index: Dict[str, int] = {}
-        self._active: List[Tuple[Task, _Quota]] = []
+        self._rm_pairs: Tuple[Tuple[int, _Quota], ...] = ()
+        self._rm_pairs_for: object = None  # taskset the cache was built for
+        self._active: List[Tuple[int, _Quota]] = []
 
     def setup(self, view) -> Optional[OperatingPoint]:
         static_point = self._static.select_point(view.taskset, view.machine)
         self._static_frequency = static_point.frequency
         self._quota = {task.name: _Quota() for task in view.taskset}
-        self._rm_order_for = None
+        self._rm_pairs_for = None
         self._active = []
         # No jobs exist yet; the t=0 releases will allocate immediately.
         return view.machine.slowest
@@ -140,19 +144,20 @@ class CycleConservingRM(DVSPolicy):
         return self._select(view)
 
     # ------------------------------------------------------------------
-    def _rm_sorted_pairs(self, view) -> Tuple[Tuple[Task, _Quota], ...]:
-        """``(task, quota)`` pairs by period (RM priority), plus the
-        task-set-order index map.  The task set is immutable, so both are
-        cached until the set itself is replaced."""
-        if self._rm_order_for is not view.taskset:
-            self._rm_order = tuple(
-                sorted(view.taskset, key=lambda t: t.period))
+    def _rm_sorted_pairs(self, view) -> Tuple[Tuple[int, _Quota], ...]:
+        """``(slot, quota)`` pairs by period (RM priority; a stable sort,
+        so equal periods keep task-set order).  The task set is
+        immutable, so the pairs are cached until the set itself is
+        replaced."""
+        taskset = view.taskset
+        if self._rm_pairs_for is not taskset:
+            tasks = list(taskset)
+            order = sorted(range(len(tasks)),
+                           key=lambda slot: tasks[slot].period)
             self._rm_pairs = tuple(
-                (task, self._quota.setdefault(task.name, _Quota()))
-                for task in self._rm_order)
-            self._ts_index = {
-                task.name: i for i, task in enumerate(view.taskset)}
-            self._rm_order_for = view.taskset
+                (slot, self._quota.setdefault(tasks[slot].name, _Quota()))
+                for slot in order)
+            self._rm_pairs_for = taskset
         return self._rm_pairs
 
     def _allocate(self, view) -> None:
@@ -162,57 +167,48 @@ class CycleConservingRM(DVSPolicy):
         if deadline is None:
             return
         budget = max(0.0, (deadline - view.time) * self._static_frequency)
+        jobs = view.current_jobs()
         # Tasks that would be granted exactly 0.0 cycles keep their
         # *stale* snapshot — provably harmless, because a zero allotment
-        # yields a zero ``_current_quota`` under any snapshot (executed
+        # yields a zero current quota under any snapshot (executed
         # cycles never shrink within an invocation and invocation indexes
         # never repeat).  Only genuinely-granted tasks pay the snapshot
         # refresh.
-        granted: List[Tuple[Task, _Quota]] = []
-        for task, quota in self._rm_sorted_pairs(view):
+        granted: List[Tuple[int, _Quota]] = []
+        for slot, quota in self._rm_sorted_pairs(view):
             if budget <= 0.0:
                 # Capacity exhausted: every remaining allotment is exactly
                 # 0.0 (``min(c_left, 0.0)``).
                 quota.allotted = 0.0
                 continue
-            # One view call per task; c_left / executed are derived from
-            # the same job (bitwise what the dedicated accessors return).
-            job = view.job_of(task)
-            if job is None or job.is_complete:
+            job = jobs[slot]
+            if job is None or job.completion_time is not None:
                 # No outstanding invocation: ``worst_case_remaining`` is
                 # exactly 0.0, so the allotment is exactly 0.0.  In steady
                 # state this covers nearly every non-running task.
                 quota.allotted = 0.0
                 continue
-            c_left = job.worst_case_remaining
+            # c_left and the snapshot come from the same job (bitwise what
+            # Job.worst_case_remaining and Job.executed return).
+            executed = job.executed
+            left = job.task.wcet - executed
+            c_left = left if left > 0.0 else 0.0
             quota.invocation = job.index
-            quota.executed_at_alloc = job.executed
+            quota.executed_at_alloc = executed
             quota.completed = False
-            grant = min(c_left, budget)
+            # min(c_left, budget), spelled as a comparison.
+            grant = budget if budget < c_left else c_left
             quota.allotted = grant
             budget -= grant
             if grant > 0.0:
-                granted.append((task, quota))
+                granted.append((slot, quota))
         # Tasks granted nothing contribute an exact 0.0 to every later
         # quota sum (see module docstring); record the rest, in task-set
         # order so the reduced sum matches the full sweep.  The granted
         # list is tiny (bounded by the budget), so re-ordering it beats a
         # full task-set pass.
-        index = self._ts_index
-        granted.sort(key=lambda pair: index[pair[0].name])
+        granted.sort(key=itemgetter(0))
         self._active = granted
-
-    @staticmethod
-    def _current_quota(view, task: Task, quota: _Quota) -> float:
-        """``d_i`` right now: the allotment minus cycles executed since the
-        allocation; zero once the invocation completes."""
-        if quota.completed:
-            return 0.0
-        job = view.job_of(task)
-        if job is None or job.index != quota.invocation or job.is_complete:
-            return 0.0
-        executed_since = job.executed - quota.executed_at_alloc
-        return max(0.0, quota.allotted - executed_since)
 
     def _select(self, view) -> OperatingPoint:
         """``select_frequency``: pace the outstanding quotas over the time
@@ -223,9 +219,20 @@ class CycleConservingRM(DVSPolicy):
         s_m = deadline - view.time  # cycles at max frequency until deadline
         if s_m <= 1e-12:
             return view.machine.fastest
+        jobs = view.current_jobs()
         total = 0.0
-        for task, quota in self._active:
-            total += self._current_quota(view, task, quota)
+        for slot, quota in self._active:
+            # ``d_i`` right now: the allotment minus cycles executed since
+            # the allocation; zero once the invocation completes.
+            if quota.completed:
+                continue  # contributes an exact 0.0
+            job = jobs[slot]
+            if job is None or job.index != quota.invocation \
+                    or job.completion_time is not None:
+                continue
+            executed_since = job.executed - quota.executed_at_alloc
+            left = quota.allotted - executed_since
+            total += left if left > 0.0 else 0.0  # max(0.0, left)
         return view.machine.lowest_at_least(min(1.0, total / s_m))
 
     @property

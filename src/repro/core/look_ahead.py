@@ -39,15 +39,20 @@ Maintained order
 ``defer()`` is inherently O(n), but re-deriving the reverse-EDF order
 from scratch costs an additional O(n log n) sort per event.  A task's
 current deadline changes *only at its own release*, so the order is
-maintained instead: a sorted key list (``(-deadline, -taskset_index)``
-ascending — exactly a descending ``(deadline, index)`` sort) repositions
-one entry per release via ``bisect``.  Per-task worst-case utilizations
-and the task-set utilization sum are cached alongside (the task set only
-changes through the add/remove hooks, which rebuild everything).  Every
-float read in the maintained walk — deadlines, utilizations, the starting
-``U`` — is the identical bit pattern a from-scratch walk derives, so the
-selected operating points match bit-for-bit; the differential tests pin
-this against a from-scratch oracle on full simulations.
+maintained instead: a sorted key list (``(-deadline, -slot)`` ascending,
+where ``slot`` is the task-set index — exactly a descending
+``(deadline, index)`` sort) repositions one entry per release via
+``bisect``.  Parallel lists hold each position's slot, deadline and
+worst-case utilization, and the task-set utilization sum is cached (the
+task set only changes through the add/remove hooks, which rebuild
+everything).  The walk reads every ``c_left`` through the view's
+per-slot job read (:meth:`~repro.sim.engine.SchedulerView.current_jobs`),
+indexed by the stored slots, so no callback maps a ``Task`` back to its
+job.  Every float read in the walk — deadlines, utilizations, the
+starting ``U``, each ``c_left`` — is the identical bit pattern a
+from-scratch walk derives, so the selected operating points match
+bit-for-bit; the differential tests pin this against a from-scratch
+oracle on full simulations.
 """
 
 from __future__ import annotations
@@ -93,26 +98,19 @@ class LookAheadEDF(DVSPolicy):
     def __init__(self, strict: bool = False):
         self.strict = strict
         self.over_unity_events = 0
-        # Maintained reverse-EDF order: ascending (-deadline, -index) keys
-        # with parallel task/deadline/utilization lists; tasks without a
-        # current job live in ``_no_job`` (they contribute nothing to the
-        # walk).  ``_deadlines``/``_utils`` are spliced in lock-step with
-        # ``_keys``/``_tasks`` so the deferral walk reads plain list slots
-        # instead of negating key tuples and chasing ``task.name`` through
-        # a dict on every iteration of every callback.
+        # Maintained reverse-EDF order: ascending (-deadline, -slot) keys
+        # with parallel slot/deadline/utilization lists, spliced in
+        # lock-step so the walk reads plain list entries.  Tasks without
+        # a current job have no position (``_key_of[slot] is None``) and
+        # contribute nothing to the walk.
         self._keys: List[Tuple[float, int]] = []
-        self._tasks: List[Task] = []
+        self._slots: List[int] = []
         self._deadlines: List[float] = []
         self._utils: List[float] = []
-        self._key_of: Dict[str, Tuple[float, int]] = {}
-        self._no_job: List[Task] = []
+        self._key_of: List[Optional[Tuple[float, int]]] = []
         self._index_of: Dict[str, int] = {}
-        self._util_of: Dict[str, float] = {}
+        self._util_of: List[float] = []
         self._total_util = 0.0
-        # Reused c_left scratch buffer for the batch view read; resized
-        # (rarely) when the walk length changes, filled in place otherwise
-        # so the per-callback deferral allocates nothing.
-        self._c_left: List[float] = []
 
     def setup(self, view) -> Optional[OperatingPoint]:
         if view.taskset.utilization > 1.0 + 1e-9:
@@ -150,7 +148,7 @@ class LookAheadEDF(DVSPolicy):
         return self._defer(view)
 
     def on_task_removed(self, view, task: Task) -> Optional[OperatingPoint]:
-        self._rebuild(view)  # indexes of later tasks shift
+        self._rebuild(view)  # slots of later tasks shift
         return self._defer(view)
 
     # ------------------------------------------------------------------
@@ -159,67 +157,51 @@ class LookAheadEDF(DVSPolicy):
     def _rebuild(self, view) -> None:
         """Reconstruct every cached aggregate from the view (used at setup
         and on task-set changes; the per-release path is ``_reposition``)."""
-        self._index_of = {
-            task.name: index for index, task in enumerate(view.taskset)}
-        self._util_of = {
-            task.name: task.utilization for task in view.taskset}
+        taskset = view.taskset
+        self._index_of = {task.name: slot for slot, task in
+                          enumerate(taskset)}
+        self._util_of = [task.utilization for task in taskset]
         # Bitwise-identical to TaskSet.utilization (same terms, same order).
-        self._total_util = sum(
-            self._util_of[task.name] for task in view.taskset)
-        self._keys = []
-        self._tasks = []
-        self._key_of = {}
-        self._no_job = []
-        for index, task in enumerate(view.taskset):
-            deadline = view.current_deadline(task)
-            if deadline is None:
-                self._no_job.append(task)
-            else:
-                self._insert(task, (-deadline, -index))
-        self._tasks = [task for _, task in
-                       sorted(zip(self._keys, self._tasks),
-                              key=lambda e: e[0])]
-        self._keys.sort()
-        # Negating the stored key recovers the exact deadline bit pattern
-        # (float negation is sign-flip only), so the parallel lists read
-        # the identical values the key-based walk did.
+        self._total_util = sum(self._util_of)
+        # Negating a stored key recovers the exact deadline bit pattern
+        # and slot (float negation is sign-flip only).
+        self._keys = sorted(
+            (-job.absolute_deadline, -slot)
+            for slot, job in enumerate(view.current_jobs())
+            if job is not None)
+        self._slots = [-key[1] for key in self._keys]
         self._deadlines = [-key[0] for key in self._keys]
-        self._utils = [self._util_of[task.name] for task in self._tasks]
-
-    def _insert(self, task: Task, key: Tuple[float, int]) -> None:
-        self._keys.append(key)
-        self._tasks.append(task)
-        self._key_of[task.name] = key
+        self._utils = [self._util_of[slot] for slot in self._slots]
+        self._key_of = [None] * len(self._util_of)
+        for key, slot in zip(self._keys, self._slots):
+            self._key_of[slot] = key
 
     def _reposition(self, view, task: Task) -> None:
-        """Move ``task`` to the slot of its newly-released deadline.
+        """Move ``task`` to the position of its newly-released deadline.
         O(log n) search + one list splice."""
-        name = task.name
-        deadline = view.current_deadline(task)
-        if deadline is None:  # defensive: release without a job
-            return
-        index = self._index_of.get(name)
-        if index is None:  # task unknown (hook order surprise): resync
+        slot = self._index_of.get(task.name)
+        if slot is None:  # task unknown (hook order surprise): resync
             self._rebuild(view)
             return
-        key = (-deadline, -index)
-        old = self._key_of.get(name)
+        job = view.current_jobs()[slot]
+        if job is None:  # defensive: release without a job
+            return
+        key = (-job.absolute_deadline, -slot)
+        old = self._key_of[slot]
         if old is not None:
             if old == key:
                 return
             pos = bisect_left(self._keys, old)
             self._keys.pop(pos)
-            self._tasks.pop(pos)
+            self._slots.pop(pos)
             self._deadlines.pop(pos)
             self._utils.pop(pos)
-        else:
-            self._no_job.remove(task)  # first release only
         pos = bisect_left(self._keys, key)
         self._keys.insert(pos, key)
-        self._tasks.insert(pos, task)
-        self._deadlines.insert(pos, deadline)
-        self._utils.insert(pos, self._util_of[name])
-        self._key_of[name] = key
+        self._slots.insert(pos, slot)
+        self._deadlines.insert(pos, -key[0])
+        self._utils.insert(pos, self._util_of[slot])
+        self._key_of[slot] = key
 
     # ------------------------------------------------------------------
     def _defer(self, view) -> OperatingPoint:
@@ -228,19 +210,17 @@ class LookAheadEDF(DVSPolicy):
         earliest = view.earliest_deadline()
         if earliest is None or earliest <= now + 1e-12:
             return view.machine.slowest
+        jobs = view.current_jobs()
         utilization = self._total_util
         must_run = 0.0  # `s`: cycles that must execute before `earliest`
-        tasks = self._tasks
-        scratch = self._c_left
-        if len(scratch) != len(tasks):
-            scratch = self._c_left = [0.0] * len(tasks)
-        batch = getattr(view, "worst_case_remaining_each", None)
-        if batch is not None:
-            c_lefts = batch(tasks, scratch)
-        else:  # duck-typed view (stub/tick): same values, scalar reads
-            c_lefts = [view.worst_case_remaining(task) for task in tasks]
-        for deadline, util, c_left in zip(self._deadlines, self._utils,
-                                          c_lefts):
+        for slot, deadline, util in zip(self._slots, self._deadlines,
+                                        self._utils):
+            job = jobs[slot]
+            if job is None or job.completion_time is not None:
+                c_left = 0.0
+            else:  # Job.worst_case_remaining, inlined
+                left = job.task.wcet - job.executed
+                c_left = left if left > 0.0 else 0.0
             utilization -= util
             span = deadline - earliest
             if span <= 1e-12:
@@ -248,8 +228,11 @@ class LookAheadEDF(DVSPolicy):
                 # deferred.
                 deferred = 0.0
             else:
-                capacity = max(0.0, 1.0 - utilization) * span
-                deferred = min(c_left, capacity)
+                # max(0.0, 1.0 - U) * span and min(c_left, capacity),
+                # spelled as comparisons (same selected operands).
+                free = 1.0 - utilization
+                capacity = (free if free > 0.0 else 0.0) * span
+                deferred = capacity if capacity < c_left else c_left
                 utilization += deferred / span
             must_run += c_left - deferred
         speed = must_run / (earliest - now)

@@ -258,7 +258,8 @@ class CellKernel(SchedulerView):
       at-the-horizon releases follow the engine's suppression convention);
     * ``_job[i]`` / ``_job_deadline[i]`` — the deadline index (the current
       invocation's deadline persists after completion, exactly like the
-      engine's lazily-invalidated deadline heap);
+      engine's lazily-invalidated deadline heap); ``_job`` itself is the
+      :meth:`current_jobs` answer, so laEDF and ccRM index it directly;
     * ``_ready[i]`` — the ready queue (one slot per task: the supported
       miss modes never leave two live jobs of one task ready).
 
@@ -315,12 +316,6 @@ class CellKernel(SchedulerView):
         self._n = len(tasks)
         self._tindex: Dict[str, int] = {t.name: i for i, t in
                                         enumerate(tasks)}
-        # Identity fast path for job_of: policies pass the task objects of
-        # this task set, so an id() lookup skips the attribute access and
-        # string hash of the name lookup (kept as the fallback so
-        # equal-but-distinct Task objects still resolve, like the engine).
-        self._id_index: Dict[int, int] = {id(t): i for i, t in
-                                          enumerate(tasks)}
         if params is not None:
             self._period, self._wcet = params
         else:
@@ -369,12 +364,11 @@ class CellKernel(SchedulerView):
     # SchedulerView protocol
     # ------------------------------------------------------------------
     def job_of(self, task: Task) -> Optional[Job]:
-        index = self._id_index.get(id(task))
-        if index is None:
-            index = self._tindex.get(task.name)
-            if index is None:
-                return None
-        return self._job[index]
+        index = self._tindex.get(task.name)
+        return None if index is None else self._job[index]
+
+    def current_jobs(self) -> List[Optional[Job]]:
+        return self._job
 
     def current_deadline(self, task: Task) -> Optional[float]:
         job = self.job_of(task)
@@ -389,26 +383,6 @@ class CellKernel(SchedulerView):
         if job is None:
             return 0.0
         return job.worst_case_remaining
-
-    def worst_case_remaining_each(self, tasks: Sequence[Task],
-                                  out: Optional[List[float]] = None
-                                  ) -> List[float]:
-        id_index = self._id_index
-        tindex = self._tindex
-        jobs = self._job
-        if out is None or len(out) != len(tasks):
-            out = [0.0] * len(tasks)
-        for index, task in enumerate(tasks):
-            i = id_index.get(id(task))
-            if i is None:
-                i = tindex.get(task.name)
-            job = jobs[i] if i is not None else None
-            if job is None or job.completion_time is not None:
-                out[index] = 0.0
-            else:
-                remaining = job.task.wcet - job.executed
-                out[index] = remaining if remaining > 0.0 else 0.0
-        return out
 
     def executed_in_invocation(self, task: Task) -> float:
         job = self.job_of(task)

@@ -145,7 +145,9 @@ class SchedulerView:
       completes);
     * :meth:`earliest_deadline` — "the next deadline in the system";
     * :meth:`executed_in_invocation` — cycles the current invocation has
-      executed so far (lets ccRM maintain its ``d_i`` counters).
+      executed so far (lets ccRM maintain its ``d_i`` counters);
+    * :meth:`current_jobs` — every task's current job at once, by
+      task-set position (the per-slot read laEDF and ccRM walk).
 
     An admitted-but-not-yet-released task has no job: ``job_of`` returns
     ``None`` and ``current_deadline`` ``None``.  Policies treat such tasks
@@ -169,25 +171,17 @@ class SchedulerView:
     def worst_case_remaining(self, task: Task) -> float:
         raise NotImplementedError
 
-    def worst_case_remaining_each(self, tasks: Sequence[Task],
-                                  out: Optional[List[float]] = None
-                                  ) -> List[float]:
-        """Batch ``c_left`` lookup: one slot per task, the same values as
-        calling :meth:`worst_case_remaining` task by task.
+    def current_jobs(self) -> Sequence[Optional[Job]]:
+        """The current job of every task, indexed by task-set position.
 
-        Policies that walk the whole task set per callback (laEDF's
-        deferral loop fires on every release and completion) pay a
-        per-task method-call + property chain through the scalar API;
-        the batch form lets the simulator resolve its own state dict in
-        one tight loop.  ``out`` is an optional reused scratch list —
-        when it already has ``len(tasks)`` slots it is filled in place
-        and returned, so steady-state callbacks allocate nothing.
+        Slot ``i`` holds what :meth:`job_of` returns for ``taskset[i]``.
+        Policies that walk many tasks per callback (laEDF's deferral,
+        ccRM's quota allocation) read this once and index it by the slot
+        numbers they keep, instead of resolving ``Task`` objects one
+        call at a time.  The sequence may be the view's live state:
+        callers must not mutate it or keep it across callbacks.
         """
-        if out is not None and len(out) == len(tasks):
-            for index, task in enumerate(tasks):
-                out[index] = self.worst_case_remaining(task)
-            return out
-        return [self.worst_case_remaining(task) for task in tasks]
+        return [self.job_of(task) for task in self.taskset]
 
     def executed_in_invocation(self, task: Task) -> float:
         raise NotImplementedError
@@ -288,6 +282,10 @@ class Simulator(SchedulerView):
         # -- mutable run state --
         self.time = 0.0
         self._states: Dict[str, _TaskState] = {}
+        # Current job per task-set position (state ordinal == task-set
+        # index: states are created in task-set order and admissions
+        # append to both).
+        self._slot_jobs: List[Optional[Job]] = []
         self._jobs: List[Job] = []
         self._misses: List[DeadlineMiss] = []
         self._energy = EnergyBreakdown()
@@ -372,29 +370,10 @@ class Simulator(SchedulerView):
             return 0.0
         return job.worst_case_remaining
 
-    def worst_case_remaining_each(self, tasks: Sequence[Task],
-                                  out: Optional[List[float]] = None
-                                  ) -> List[float]:
-        """Batch ``c_left``, resolving the state dict directly.
-
-        Inlines :attr:`Job.worst_case_remaining` (complete -> 0, else
-        ``max(0, C_i - executed)``) so an n-task walk costs one method
-        call plus n dict probes instead of 4n calls through the scalar
-        property chain — laEDF's deferral loop reads every task on every
-        release and completion.
-        """
-        states = self._states
-        fill = out is not None and len(out) == len(tasks)
-        if not fill:
-            out = [0.0] * len(tasks)
-        for index, task in enumerate(tasks):
-            state = states.get(task.name)
-            job = state.job if state is not None else None
-            if job is None or job.completion_time is not None:
-                out[index] = 0.0
-            else:
-                out[index] = max(0.0, job.task.wcet - job.executed)
-        return out
+    def current_jobs(self) -> List[Optional[Job]]:
+        """The current job of every task by task-set position: the
+        per-slot list :meth:`_create_job` updates at each release."""
+        return self._slot_jobs
 
     def executed_in_invocation(self, task: Task) -> float:
         """Cycles executed by the current invocation so far."""
@@ -514,6 +493,7 @@ class Simulator(SchedulerView):
             state = _TaskState(task=task, next_release=0.0,
                                ordinal=len(self._states))
             self._states[task.name] = state
+            self._slot_jobs.append(None)
             self._schedule_release(state)
         initial = self.policy.setup(self)
         self._invalidate_wakeup()
@@ -672,6 +652,7 @@ class Simulator(SchedulerView):
             state.next_release = max(self.time, admission.time)
             state.pending_defer = False
         self._states[task.name] = state
+        self._slot_jobs.append(None)
         self._schedule_release(state)
         hook = getattr(self.policy, "on_task_added", None)
         if hook is not None:
@@ -780,6 +761,7 @@ class Simulator(SchedulerView):
         job = Job(task=state.task, release_time=release_time, demand=demand,
                   index=state.invocation)
         state.job = job
+        self._slot_jobs[state.ordinal] = job
         self._index_deadline(state, job)
         state.invocation += 1
         state.next_release = release_time + state.task.period

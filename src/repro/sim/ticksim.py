@@ -28,6 +28,7 @@ from repro.hw.operating_point import OperatingPoint
 from repro.model.demand import DemandModel, WorstCaseDemand, demand_from_spec
 from repro.model.job import Job
 from repro.model.task import Task, TaskSet
+from repro.sim.engine import SchedulerView
 from repro.sim.timeline import make_trace
 
 _EPS = 1e-9
@@ -124,6 +125,8 @@ class TickSimulator:
     # -- SchedulerView protocol (duck-typed) -----------------------------
     def job_of(self, task: Task) -> Optional[Job]:
         return self._jobs[task.name]
+
+    current_jobs = SchedulerView.current_jobs
 
     def current_deadline(self, task: Task) -> Optional[float]:
         job = self._jobs[task.name]

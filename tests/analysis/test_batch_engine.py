@@ -134,16 +134,21 @@ def snap(result):
 class TestKernelMatchesEngine:
     """Run-level differential: kernel_simulate vs engine.simulate."""
 
+    # Catalog panels use 5-10 tasks; sets that size make laEDF reposition
+    # releases mid-order and run ccRM's quota walk over many slots,
+    # which 3-task sets barely do.
     @RELAXED
     @given(seed=st.integers(0, 10_000),
+           n_tasks=st.integers(2, 10),
            utilization=st.floats(0.2, 1.0),
            policy=st.sampled_from(POLICIES),
            on_miss=st.sampled_from(("raise", "drop")),
            demand=st.sampled_from((None, "uniform", 0.7)),
            record_trace=st.booleans())
-    def test_bit_identical_or_same_error(self, seed, utilization, policy,
-                                         on_miss, demand, record_trace):
-        taskset = TaskSetGenerator(n_tasks=3, utilization=utilization,
+    def test_bit_identical_or_same_error(self, seed, n_tasks, utilization,
+                                         policy, on_miss, demand,
+                                         record_trace):
+        taskset = TaskSetGenerator(n_tasks=n_tasks, utilization=utilization,
                                    seed=seed).generate()
         duration = 3.0 * max(t.period for t in taskset)
         kwargs = dict(duration=duration, on_miss=on_miss, demand=demand,

@@ -158,7 +158,20 @@ def full_quota_sum(policy, view):
 
 def _quota_now(policy, view, task):
     quota = policy._quota.get(task.name)
-    return 0.0 if quota is None else policy._current_quota(view, task, quota)
+    return 0.0 if quota is None else quota_left(view, task, quota)
+
+
+def quota_left(view, task, quota):
+    """``d_i`` right now, read through the scalar ``job_of``: the
+    allotment minus cycles executed since the allocation; zero once the
+    invocation completes."""
+    if quota.completed:
+        return 0.0
+    job = view.job_of(task)
+    if job is None or job.index != quota.invocation or job.is_complete:
+        return 0.0
+    executed_since = job.executed - quota.executed_at_alloc
+    return max(0.0, quota.allotted - executed_since)
 
 
 def reverse_edf_order(view):
@@ -203,8 +216,8 @@ def check_ccrm(policy, view):
     if deadline is None or deadline - view.time <= 1e-12:
         return
     total = 0.0
-    for task, quota in policy._active:
-        total += policy._current_quota(view, task, quota)
+    for slot, quota in policy._active:
+        total += quota_left(view, view.taskset[slot], quota)
     exact = full_quota_sum(policy, view)
     if total != exact:
         raise StateDivergence(
@@ -221,8 +234,8 @@ def check_laedf(policy, view):
     expected = [(view.current_deadline(task), task.name)
                 for task in reverse_edf_order(view)
                 if view.current_deadline(task) is not None]
-    maintained = [(-key[0], task.name)
-                  for key, task in zip(policy._keys, policy._tasks)]
+    maintained = [(-key[0], view.taskset[slot].name)
+                  for key, slot in zip(policy._keys, policy._slots)]
     if maintained != expected:
         raise StateDivergence(
             f"laEDF maintained deferral order {maintained!r} diverged "

@@ -11,7 +11,9 @@ Hypothesis drives long random event sequences two ways:
 
 * whole-simulation differentials through the real engine (releases,
   completions, idle transitions, dynamic admissions via
-  :class:`~repro.sim.engine.Admission`);
+  :class:`~repro.sim.engine.Admission`) and through
+  :class:`~repro.sim.batch_kernels.CellKernel`, the simulator sweep cells
+  run on;
 * hook-level sequences against a stub view (releases, completions, task
   adds *and removes* — the engine has no removal path, so the removal
   aggregates are exercised directly).
@@ -35,6 +37,7 @@ from repro.errors import SchedulabilityError
 from repro.hw.machine import machine0, machine2
 from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet, example_taskset
+from repro.sim.batch_kernels import kernel_simulate
 from repro.sim.engine import Admission, simulate
 from tests.core.scratch_policies import (ORACLE_PAIRS, ScratchCcEDF,
                                          StateChecker, StateDivergence)
@@ -53,27 +56,33 @@ def _fingerprint(result):
                          for j in result.jobs if j.is_complete)))
 
 
-def _assert_matches_oracle(policy_name, taskset, machine, **kwargs):
-    """Production, oracle and checked-production runs agree bit-for-bit
-    (or all reject the task set with ``SchedulabilityError``)."""
+def _assert_matches_oracle(policy_name, taskset, machine,
+                           simulator=simulate, **kwargs):
+    """Production, oracle and checked-production runs on ``simulator``
+    agree bit-for-bit, over-unity counts included (or all reject the
+    task set with ``SchedulabilityError``)."""
     production, oracle = ORACLE_PAIRS[policy_name]
     try:
-        fast = simulate(taskset, machine, production(), **kwargs)
+        fast_policy = production()
+        fast = simulator(taskset, machine, fast_policy, **kwargs)
     except SchedulabilityError:
         with pytest.raises(SchedulabilityError):
-            simulate(taskset, machine, oracle(), **kwargs)
+            simulator(taskset, machine, oracle(), **kwargs)
         return None
-    slow = simulate(taskset, machine, oracle(), **kwargs)
+    slow_policy = oracle()
+    slow = simulator(taskset, machine, slow_policy, **kwargs)
     assert _fingerprint(fast) == _fingerprint(slow)
+    assert getattr(fast_policy, "over_unity_events", None) == \
+        getattr(slow_policy, "over_unity_events", None)
     checker = StateChecker(production())
-    checked = simulate(taskset, machine, checker, **kwargs)
+    checked = simulator(taskset, machine, checker, **kwargs)
     assert _fingerprint(checked) == _fingerprint(fast)
     assert checker.checks > 0
     return fast
 
 
 class TestWholeSimulationDifferential:
-    """production == from-scratch oracle == checked on full engine runs."""
+    """production == from-scratch oracle == checked on full runs."""
 
     @pytest.mark.parametrize("policy_name", sorted(ORACLE_PAIRS))
     @_SLOW
@@ -94,6 +103,28 @@ class TestWholeSimulationDifferential:
                                demand=fraction, duration=150.0,
                                on_miss="drop", admissions=admissions)
 
+    @pytest.mark.parametrize("policy_name", sorted(ORACLE_PAIRS))
+    @_SLOW
+    @given(seed=st.integers(0, 5000), n=st.integers(2, 10),
+           u=st.floats(0.15, 0.95), fraction=st.floats(0.3, 1.0),
+           fine_machine=st.booleans())
+    def test_kernel_bit_identical_simresults(self, policy_name, seed, n, u,
+                                             fraction, fine_machine):
+        """The same contract on ``CellKernel``, which every sweep cell
+        runs on: its batched ``on_releases_invalidate`` is where laEDF
+        repositions.  No admissions — they are outside
+        the kernel's envelope."""
+        taskset = TaskSetGenerator(n_tasks=n, utilization=u,
+                                   seed=seed).generate()
+        machine = machine2() if fine_machine else machine0()
+        kwargs = dict(demand=fraction, duration=150.0, on_miss="drop")
+        fast = _assert_matches_oracle(policy_name, taskset, machine,
+                                      simulator=kernel_simulate, **kwargs)
+        if fast is not None:
+            production, _ = ORACLE_PAIRS[policy_name]
+            engine = simulate(taskset, machine, production(), **kwargs)
+            assert _fingerprint(fast) == _fingerprint(engine)
+
 
 class _StubView:
     """The minimal SchedulerView surface the ccEDF hooks touch."""
@@ -106,6 +137,9 @@ class _StubView:
 
     def job_of(self, task):
         return self.jobs.get(task.name)
+
+    def current_jobs(self):
+        return [self.jobs.get(task.name) for task in self.taskset]
 
 
 def _outcome(hook, *args):
@@ -367,7 +401,7 @@ class _CorruptedLaEDF(LookAheadEDF):
         if not self._corrupted and len(self._keys) >= 2 \
                 and self._keys[0] != self._keys[1]:
             self._keys[0], self._keys[1] = self._keys[1], self._keys[0]
-            self._tasks[0], self._tasks[1] = self._tasks[1], self._tasks[0]
+            self._slots[0], self._slots[1] = self._slots[1], self._slots[0]
             self._corrupted = True
         return super()._defer(view)
 
