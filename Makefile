@@ -1,4 +1,4 @@
-.PHONY: install test cov bench bench-mem bench-service bench-dist service-smoke bench-figures check test-fast-path test-no-numpy catalog-audit experiments experiments-full sweep-cache-clean clean
+.PHONY: install test cov bench bench-mem bench-service bench-dist service-smoke bench-figures check test-policy-oracle test-no-numpy catalog-audit results experiments experiments-full sweep-cache-clean clean
 
 install:
 	pip install -e .
@@ -56,30 +56,28 @@ bench-figures:
 
 # What CI runs: tier-1 tests, the repository benchmark's own tests (a
 # src rename that leaves a probe target missing fails here), the
-# fast-path differential suites, the numpy-absent leg, the
-# full-catalog trace audit, a smoke pass of the engine benchmarks (so
-# the perf harness itself cannot rot), the peak-RSS gate of the memory
-# workload (array trace backend must cut peak RSS >= 30%) and the
-# distributed fan-out gates.
+# policy-oracle differential suite, the numpy-absent leg, the
+# full-catalog trace audit, the committed quick-results summary, a
+# smoke pass of the engine benchmarks (so the perf harness itself
+# cannot rot), the peak-RSS gate of the memory workload (array trace
+# backend must cut peak RSS >= 30%) and the distributed fan-out gates.
 check:
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src python -m pytest perfbench -q
-	$(MAKE) test-fast-path
+	$(MAKE) test-policy-oracle
 	$(MAKE) test-no-numpy
 	$(MAKE) catalog-audit
+	$(MAKE) results
+	git diff --exit-code results_quick_summary.txt
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -k engine -q
 	PYTHONPATH=src python benchmarks/mem_workload.py --gate
 	$(MAKE) service-smoke
 	$(MAKE) bench-dist
 
-# The fast-path differential suites: maintained policy state must produce
-# SimResults bit-identical to the from-scratch test oracle, and the hyperperiod
-# short-circuit must match full simulation to relative 1e-9.
-test-fast-path:
-	PYTHONPATH=src python -m pytest -q \
-	  tests/core/test_incremental_state.py \
-	  tests/sim/test_steady_fast_path.py \
-	  tests/analysis/test_sweep_fast_path.py
+# The policy-oracle differential suite: maintained policy state must
+# produce SimResults bit-identical to the from-scratch test oracle.
+test-policy-oracle:
+	PYTHONPATH=src python -m pytest -q tests/core/test_incremental_state.py
 
 # The numpy-absent leg: the array engines' pure-Python fallback and every
 # trace consumer must stay bit-identical with numpy switched off.
@@ -96,6 +94,11 @@ test-no-numpy:
 catalog-audit:
 	PYTHONPATH=src python -m repro catalog audit \
 	  --report audit-report.json
+
+# Regenerate the committed quick-scale shape-check summary from a cold
+# (cache-free) quick run-all.  CI fails when the committed file differs.
+results:
+	PYTHONPATH=src python -m repro run-all --no-cache > results_quick_summary.txt
 
 experiments:
 	python -m repro run-all --out results_quick

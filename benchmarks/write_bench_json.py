@@ -28,10 +28,6 @@ Workloads
   from-scratch test oracle (``tests/core/scratch_policies.py``).  The
   incremental and from-scratch runs must agree bit-for-bit on energy and
   switches.
-* ``steady_fast_path`` — one fast-path-eligible Fig. 9-style cell batch
-  (degenerate commensurable period bands, hyperperiod 100 against a
-  4000 s horizon) swept with and without ``steady_fast_path``; curves must
-  match to 1e-9 relative.
 * ``trace_timeline`` — the trace layer in isolation: a ~190k-slice
   long-horizon stream replayed into the columnar ``SimTimeline`` and into
   the reference segment-list recorder (``tests/sim/segment_list.py``),
@@ -68,8 +64,6 @@ Regression gates (non-zero exit on violation):
 * ``memory`` array-backend peak RSS must be >= 30 % below the
   segment-list backend, and must not exceed 1.25x the previous
   same-machine recording (tolerance documented at the constant);
-* ``steady_fast_path`` wall-clock speedup on the eligible cell batch must
-  reach 5x, with zero fallbacks;
 * ``fig9_sweep`` parallel speedup must reach 3x with >= 4 effective CPUs
   (scaled down to 0.75x-per-CPU below that; skipped on one CPU, where no
   parallel speedup is physically available);
@@ -197,9 +191,6 @@ POLICY_CALLBACK_TASK_COUNTS = (10, 50, 200)
 
 #: Policies with an incremental mode to microbenchmark.
 INCREMENTAL_POLICIES = ("ccEDF", "ccRM", "laEDF")
-
-#: Hyperperiod short-circuit wall-clock speedup floor on the eligible cell.
-FAST_PATH_TARGET_SPEEDUP = 5.0
 
 #: Array-vs-segments wall-clock floor on the trace-layer replay workload
 #: (record a long-horizon slice stream, run the kernel battery, ship it).
@@ -489,66 +480,6 @@ def check_callback_gates(entry):
             f"policy_callbacks: ccRM setup {setup_us:g} us at {top} tasks "
             f"exceeds the {CCRM_SETUP_US_CEILING:g} us ceiling (memoized "
             "RTA regressed toward the scheduling-point test)")
-    return failures
-
-
-def bench_steady_fast_path():
-    """One fast-path-eligible cell batch, with and without the short-circuit.
-
-    Degenerate commensurable period bands give every generated task set a
-    hyperperiod of 100 against a 4000 s horizon, so each policy run
-    simulates warmup + two hyperperiods (300 s) instead of 4000 s.
-    """
-    bands = ((25.0, 25.0), (50.0, 50.0), (100.0, 100.0))
-    base = dict(n_tasks=8, n_sets=3, utilizations=(0.3, 0.5, 0.7),
-                duration=4000.0, seed=SEED, period_bands=bands,
-                cache_dir=None)
-    start = time.perf_counter()
-    full = utilization_sweep(SweepConfig(**base))
-    full_s = time.perf_counter() - start
-    start = time.perf_counter()
-    fast = utilization_sweep(SweepConfig(**base, steady_fast_path=True))
-    fast_s = time.perf_counter() - start
-    worst_gap = 0.0
-    for label in full.raw.labels():
-        for a, b in zip(full.raw.get(label).ys, fast.raw.get(label).ys):
-            worst_gap = max(worst_gap, abs(a - b) / max(abs(a), 1e-12))
-    if worst_gap > 1e-9:
-        raise SystemExit(
-            f"steady_fast_path: extrapolated curves diverged from full "
-            f"simulation (worst relative gap {worst_gap:.2e})")
-    cells = len(base["utilizations"]) * base["n_sets"]
-    return {
-        "n_tasks": base["n_tasks"],
-        "n_sets": base["n_sets"],
-        "utilizations": list(base["utilizations"]),
-        "duration": base["duration"],
-        "period_bands": [list(band) for band in bands],
-        "cells": cells,
-        "full_wall_seconds": round(full_s, 6),
-        "fast_wall_seconds": round(fast_s, 6),
-        "speedup": round(full_s / fast_s, 2),
-        "fast_path_cells": fast.fast_path_cells,
-        "fallbacks": fast.fast_path_fallbacks,
-        "worst_relative_gap": worst_gap,
-    }
-
-
-def check_fast_path_gates(entry):
-    """steady_fast_path regression gates; returns failure strings."""
-    failures = []
-    if entry["speedup"] < FAST_PATH_TARGET_SPEEDUP:
-        failures.append(
-            f"steady_fast_path: speedup {entry['speedup']}x below the "
-            f"{FAST_PATH_TARGET_SPEEDUP:g}x target")
-    if entry["fast_path_cells"] != entry["cells"]:
-        failures.append(
-            f"steady_fast_path: only {entry['fast_path_cells']}/"
-            f"{entry['cells']} cells took the short-circuit")
-    if entry["fallbacks"]:
-        failures.append(
-            f"steady_fast_path: unexpected fallbacks {entry['fallbacks']} "
-            "on an all-eligible batch")
     return failures
 
 
@@ -1068,15 +999,6 @@ def main(argv=None) -> int:
               f"{sized['incremental']['per_callback_us']} us/callback "
               f"incremental vs {sized['from_scratch']['per_callback_us']} "
               f"us from-scratch -> {sized['speedup']:.2f}x", flush=True)
-    print("[bench] steady_fast_path ...", flush=True)
-    fast_entry = bench_steady_fast_path()
-    report["workloads"]["steady_fast_path"] = fast_entry
-    print(f"[bench]   {fast_entry['cells']} eligible cells: full "
-          f"{fast_entry['full_wall_seconds']:.2f}s vs fast-path "
-          f"{fast_entry['fast_wall_seconds']:.2f}s -> "
-          f"{fast_entry['speedup']:.2f}x "
-          f"({fast_entry['fast_path_cells']} short-circuited, fallbacks "
-          f"{fast_entry['fallbacks']})", flush=True)
     print("[bench] trace_timeline ...", flush=True)
     timeline_entry = bench_trace_timeline()
     report["workloads"]["trace_timeline"] = timeline_entry
@@ -1143,7 +1065,6 @@ def main(argv=None) -> int:
                 f"{name} instrumentation overhead {overhead:.2f}% exceeds "
                 f"the {budget:g}% budget")
     failures.extend(check_callback_gates(callback_entry))
-    failures.extend(check_fast_path_gates(fast_entry))
     failures.extend(check_trace_timeline_gates(timeline_entry))
     failures.extend(check_memory_gates(memory_entry, previous_rss,
                                        previous_rss_fingerprint))

@@ -89,7 +89,7 @@ from repro.core import (
     make_policy,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     # errors

@@ -14,15 +14,12 @@ A sweep cell runs on one of :data:`ENGINES`:
   every *policy run* of every cell into one lane of the cross-cell
   vectorized simulator (:mod:`repro.sim.block_kernels`); the whole cell
   stream advances in lockstep array passes over the lane axis.  The
-  planner runs each policy's real ``setup`` to seed the lane, shares the
-  steady fast path's window decision
-  (:func:`repro.sim.steady.fast_path_window`) so warmup windows are
-  batched across the cell axis too, and hands every run the lanes cannot
-  replicate exactly (unsupported policies, instrumented runs, abandoned
-  lanes, no numpy) to the scalar engine's per-cell simulator: block lane
-  → ``CellKernel`` → event engine.  Per-run fallback reasons and
-  per-stage timings are reported through :class:`BlockStats` so silent
-  degradation is visible in sweep results.
+  planner runs each policy's real ``setup`` to seed the lane, and hands
+  every run the lanes cannot replicate exactly (unsupported policies,
+  instrumented runs, abandoned lanes, no numpy) to the scalar engine's
+  per-cell simulator: block lane → ``CellKernel`` → event engine.
+  Per-run fallback reasons and per-stage timings are reported through
+  :class:`BlockStats` so silent degradation is visible in sweep results.
 
 :func:`iter_cells` and :func:`encode_cells` are the engine→runner
 decision every executor shares (the in-process pool, the inline path,
@@ -35,10 +32,10 @@ Two invariants anchor the design:
   scalar path: every cell is assembled by
   :func:`repro.analysis.sweep.run_cell` itself, parameterized with a
   lane-serving simulation entry point, so the RM fallback logic, the
-  bound, residency instrumentation, and the hyperperiod short-circuit
-  compose identically.  Both engines are held to the discrete-event
-  engine (``run_cell(..., simulate_fn=repro.sim.engine.simulate)``) by
-  the differential tests and the catalog audit's ``engine-parity`` check.
+  bound and residency instrumentation compose identically.  Both
+  engines are held to the discrete-event engine (``run_cell(...,
+  simulate_fn=repro.sim.engine.simulate)``) by the differential tests
+  and the catalog audit's ``engine-parity`` check.
 * **Lazy loading.**  Importing this module, :mod:`repro.analysis.sweep`
   or :mod:`repro.service` loads no kernel module: ``run_cell`` imports
   the per-cell kernel when a cell first runs, and the block modules load
@@ -59,9 +56,8 @@ from time import perf_counter
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from repro.analysis.sweep import (REFERENCE_POLICY, STEADY_RESOLUTION,
-                                  CellSpec, SweepContext, materialize_cell,
-                                  run_cell)
+from repro.analysis.sweep import (REFERENCE_POLICY, CellSpec, SweepContext,
+                                  materialize_cell, run_cell)
 from repro.analysis.transport import encode_cell
 from repro.core import make_policy
 from repro.core.cycle_conserving import CycleConservingEDF
@@ -70,8 +66,6 @@ from repro.core.static_scaling import StaticEDF, StaticRM
 from repro.errors import MachineError, ReproError, SchedulabilityError
 from repro.model.demand import TraceDemand
 from repro.model.task import TaskSet
-from repro.sim.steady import fast_path_window
-from repro.sim.timeline import SimTimeline
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.sim.block_kernels import LaneResult, LaneSpec
@@ -166,10 +160,7 @@ class ColumnBlock:
     Every array is laid out with the **cell index as the leading axis**:
     ``periods[c][i]`` is task ``i`` of cell ``c``.  The block carries the
     release/deadline state seed (flattened task parameters consumed by
-    :class:`~repro.sim.batch_kernels.CellKernel`), the per-cell
-    hyperperiod on the sweep grid
-    :data:`~repro.analysis.sweep.STEADY_RESOLUTION` (so the fast path and
-    block-column grouping agree on eligibility), and the per-cell initial
+    :class:`~repro.sim.batch_kernels.CellKernel`) and the per-cell initial
     frequency-selection state (the operating-point index a
     utilization-proportional policy starts from, computed with the
     vectorized ``lowest_at_least`` kernel — diagnostic block stats, never
@@ -182,7 +173,6 @@ class ColumnBlock:
     demands: List[TraceDemand]
     periods: List[List[float]]
     wcets: List[List[float]]
-    hyperperiods: List[Optional[float]]
     initial_point_index: List[int] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -197,7 +187,6 @@ def build_column_block(context: SweepContext,
     demands: List[TraceDemand] = []
     periods: List[List[float]] = []
     wcets: List[List[float]] = []
-    hyperperiods: List[Optional[float]] = []
     utilizations: List[float] = []
     for spec in specs:
         taskset, demand = materialize_cell(context, spec)
@@ -205,7 +194,6 @@ def build_column_block(context: SweepContext,
         demands.append(demand)
         periods.append([t.period for t in taskset])
         wcets.append([t.wcet for t in taskset])
-        hyperperiods.append(taskset.hyperperiod(resolution=STEADY_RESOLUTION))
         total = 0.0
         for task in taskset:
             total += task.wcet / task.period
@@ -214,7 +202,6 @@ def build_column_block(context: SweepContext,
     return ColumnBlock(context=context, specs=list(specs),
                        tasksets=tasksets, demands=demands,
                        periods=periods, wcets=wcets,
-                       hyperperiods=hyperperiods,
                        initial_point_index=initial)
 
 
@@ -226,10 +213,10 @@ def build_column_block(context: SweepContext,
 class BlockStats:
     """Eligibility and timing accounting for one block-engine run.
 
-    Mirrors the sweep's fast-path counters: ``block_cells`` counts cells
-    where at least one policy run was served straight from a vectorized
-    lane; ``fallbacks`` maps a reason to the number of simulation calls
-    routed down the per-cell fallback ladder instead.
+    ``block_cells`` counts cells where at least one policy run was served
+    straight from a vectorized lane; ``fallbacks`` maps a reason to the
+    number of simulation calls routed down the per-cell fallback ladder
+    instead.
     """
 
     block_cells: int = 0
@@ -293,20 +280,18 @@ class _PlannedLane:
     """One planned lane and (after the kernel pass) its result."""
 
     lane: LaneSpec
-    fast: bool
     result: Optional[LaneResult] = None
 
 
 class _LaneOutcome:
     """The ``SimResult`` slice the sweep cell actually consumes."""
 
-    __slots__ = ("total_energy", "executed_cycles", "trace")
+    __slots__ = ("total_energy", "executed_cycles")
 
     def __init__(self, total_energy: float,
-                 executed_cycles: Optional[float], trace) -> None:
+                 executed_cycles: Optional[float]) -> None:
         self.total_energy = total_energy
         self.executed_cycles = executed_cycles
-        self.trace = trace
 
 
 def _plan_cell(block: ColumnBlock, index: int,
@@ -342,18 +327,6 @@ def _plan_cell(block: ColumnBlock, index: int,
                 break
             values_by_task.append(values)
 
-    # The steady fast path's own window decision (at the block's
-    # pinned-resolution hyperperiod), so the lane simulates exactly the
-    # warmup window the extrapolation will scan.
-    fast = False
-    duration = context.duration
-    if context.steady_fast_path and demand_ok:
-        window, _ = fast_path_window(taskset, demand,
-                                     block.hyperperiods[index], duration)
-        if window is not None:
-            fast = True
-            duration = window
-
     def add_lane(key: tuple, policy, rm_priority: bool, dynamic: bool,
                  drop_on_miss: bool, need_cycles: bool) -> None:
         if key in plans:
@@ -379,14 +352,13 @@ def _plan_cell(block: ColumnBlock, index: int,
             wcets=block.wcets[index],
             demand_values=values_by_task,
             demand_repeat=demand.repeat,
-            duration=duration,
+            duration=context.duration,
             initial_point=point_index,
             rm_priority=rm_priority,
             dynamic=dynamic,
             drop_on_miss=drop_on_miss,
-            need_cycles=need_cycles and not fast,
-            capture=fast)
-        planned = _PlannedLane(lane=lane, fast=fast)
+            need_cycles=need_cycles)
+        planned = _PlannedLane(lane=lane)
         plans[key] = planned
         lane_specs.append(lane)
         planned_lanes.append(planned)
@@ -411,43 +383,20 @@ def _plan_cell(block: ColumnBlock, index: int,
     return plans
 
 
-def _lane_timeline(machine, taskset: TaskSet, segments) -> SimTimeline:
-    """Replay captured lane segments through a real columnar timeline.
-
-    The merge/drop semantics of :meth:`SimTimeline.record` apply during
-    the replay, so the steady fast path scans exactly the trace a
-    per-cell run would have recorded.
-    """
-    from repro.sim.block_kernels import SEG_RUN
-    timeline = SimTimeline()
-    record = timeline.record
-    points = machine.points
-    names = [task.name for task in taskset]
-    for start, end, task_idx, op_idx, cycles, energy, kind in segments:
-        record(start, end,
-               names[task_idx] if task_idx >= 0 else None,
-               points[op_idx], cycles, energy,
-               "run" if kind == SEG_RUN else "idle")
-    return timeline
-
-
 def _block_simulate_fn(block: ColumnBlock, index: int,
                        plans: Dict[tuple, object],
                        stats: BlockStats, flags: Dict[str, bool]):
     """A ``simulate``-shaped callable serving one cell from its lanes.
 
-    Calls that match a clean planned lane return its precomputed figures
-    (full-horizon totals, or the captured warmup trace for the steady
-    fast path); everything else — rejected policies, abandoned lanes,
-    instrumented or unexpected call shapes — is counted in ``stats`` and
-    delegated to :func:`~repro.sim.batch_kernels.batch_simulate` — the
-    scalar engine's own per-cell simulator — so the outcome is the scalar
-    one, exceptions included.
+    Calls that match a clean planned lane return its precomputed
+    full-horizon totals; everything else — rejected policies, abandoned
+    lanes, instrumented or unexpected call shapes — is counted in
+    ``stats`` and delegated to
+    :func:`~repro.sim.batch_kernels.batch_simulate` — the scalar engine's
+    own per-cell simulator — so the outcome is the scalar one, exceptions
+    included.
     """
-    context = block.context
     params = (block.periods[index], block.wcets[index])
-    taskset = block.tasksets[index]
-    machine = context.machine
 
     from repro.sim.batch_kernels import batch_simulate
 
@@ -468,22 +417,12 @@ def _block_simulate_fn(block: ColumnBlock, index: int,
             reason = "kernel-unavailable"
         elif planned.result.abandoned is not None:
             reason = planned.result.abandoned
-        elif (record_trace and planned.fast
-                and duration == planned.lane.duration):
+        elif not record_trace and duration == planned.lane.duration:
             flags["hit"] = True
             result = planned.result
-            return _LaneOutcome(result.total_energy, result.executed_cycles,
-                                _lane_timeline(machine, taskset,
-                                               result.segments))
-        elif (not record_trace and not planned.fast
-                and duration == planned.lane.duration):
-            flags["hit"] = True
-            result = planned.result
-            return _LaneOutcome(result.total_energy,
-                                result.executed_cycles, None)
+            return _LaneOutcome(result.total_energy, result.executed_cycles)
         else:
-            # A fast-eligible cell whose verification failed re-simulates
-            # the full horizon; a full lane cannot serve a trace request.
+            # A lane holds totals only; it cannot serve a trace request.
             reason = "call-shape"
         stats.fallback(reason)
         return batch_simulate(ts, mach, policy, params=params,

@@ -70,8 +70,8 @@ from repro.errors import ReproError
 
 #: Bump whenever simulator/policy/energy semantics change in a way that
 #: alters cell outcomes without changing the sweep parameters themselves.
-#: 2: outcomes gained the ``_fast_path`` accounting block and the steady
-#: fast path / period-band options entered the context description.
+#: 2: outcomes gained a (since removed) fast-path accounting block and
+#: the period-band option entered the context description.
 #: 3: entries moved from JSON to the columnar ``transport`` codec
 #: (``.bin``); old ``.json`` entries are evicted on sight.
 CACHE_SCHEMA = 3
@@ -123,9 +123,6 @@ def encode_outcome(outcome: Dict[str, object]) -> Dict[str, object]:
         encoded["residency"] = {
             policy: sorted([f, frac] for f, frac in table.items())
             for policy, table in residency.items()}
-    fast_path = outcome.get("_fast_path")
-    if fast_path is not None:
-        encoded["fast_path"] = fast_path
     return encoded
 
 
@@ -138,12 +135,6 @@ def decode_outcome(encoded: Dict[str, object]) -> Dict[str, object]:
         outcome["_residency"] = {
             policy: {float(f): float(frac) for f, frac in pairs}
             for policy, pairs in residency.items()}
-    fast_path = encoded.get("fast_path")
-    if fast_path is not None:
-        outcome["_fast_path"] = {
-            "used": int(fast_path.get("used", 0)),
-            "fallbacks": {reason: int(count) for reason, count in
-                          fast_path.get("fallbacks", {}).items()}}
     return outcome
 
 

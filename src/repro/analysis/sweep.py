@@ -64,18 +64,12 @@ from repro.sim.bound import minimum_energy_for_cycles
 # differential tests and the catalog audit hold both sweep engines to
 # (perfbench's probes also look the name up here).
 from repro.sim.engine import simulate  # noqa: F401
-from repro.sim.steady import try_steady_fast_path
 
 #: Label used for the theoretical lower bound pseudo-policy.
 BOUND_LABEL = "bound"
 
 #: The reference policy every sweep runs for normalization.
 REFERENCE_POLICY = "EDF"
-
-#: Hyperperiod detection grid of every sweep: the steady fast path and
-#: block-column grouping both read it, so they agree on each cell's
-#: hyperperiod.  It is not cache-key material.
-STEADY_RESOLUTION = 1e-6
 
 DEFAULT_UTILIZATIONS: Tuple[float, ...] = tuple(
     round(0.1 * k, 1) for k in range(1, 11))
@@ -140,17 +134,9 @@ class SweepConfig:
     #: residency fractions land in :attr:`SweepResult.residency`.
     residency_policies: Tuple[str, ...] = ()
     cache_dir: Optional[str] = None
-    #: Opt-in hyperperiod short-circuit (``--steady-fast-path``): cells
-    #: whose task set has a finite hyperperiod and whose demand trace
-    #: verifies as hyperperiod-periodic simulate warmup + two hyperperiods
-    #: and extrapolate instead of simulating the whole horizon; every
-    #: failed verification falls back to full simulation (reported in
-    #: :attr:`SweepResult.fast_path_fallbacks`).
-    steady_fast_path: bool = False
     #: Custom period bands ``((low, high), ...)`` for the task-set
     #: generator; ``None`` keeps the paper's 1-10/10-100/100-1000 ms
-    #: defaults.  Narrow or degenerate bands produce commensurable
-    #: periods, making cells eligible for the steady fast path.
+    #: defaults.  Result-determining: non-default bands enter the cell key.
     period_bands: Optional[Tuple[Tuple[float, float], ...]] = None
     #: Cell execution backend, one of
     #: :data:`repro.analysis.batch.ENGINES`: ``"scalar"`` (one cell at a
@@ -194,18 +180,8 @@ class SweepResult:
     #: Cells re-leased after a lost/expired distributed lease (always 0
     #: on in-process executors; see :mod:`repro.dist`).
     retries: int = 0
-    #: Cells where at least one policy run took the hyperperiod
-    #: short-circuit (only populated when
-    #: :attr:`SweepConfig.steady_fast_path` is on).
-    fast_path_cells: int = 0
-    #: Fallback reason -> count of policy runs that had to simulate the
-    #: full horizon despite the fast path being enabled ("no-hyperperiod",
-    #: "short-horizon", "aperiodic-demand", "not-periodic",
-    #: "instrumented").
-    fast_path_fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Cells where at least one policy run was served straight from a
-    #: vectorized lane (``engine="block"`` only) — the block-engine
-    #: mirror of :attr:`fast_path_cells`.
+    #: vectorized lane (``engine="block"`` only).
     block_cells: int = 0
     #: Fallback reason -> count of simulation calls the block engine
     #: routed down the per-cell ladder instead of serving from a lane
@@ -256,7 +232,6 @@ class SweepContext:
     idle_level: float
     cycle_energy_scale: float
     residency_policies: Tuple[str, ...] = ()
-    steady_fast_path: bool = False
 
     def description(self) -> Dict[str, object]:
         """JSON-safe canonical description (cache-key material)."""
@@ -268,7 +243,8 @@ class SweepContext:
             "idle_level": self.idle_level,
             "cycle_energy_scale": self.cycle_energy_scale,
             "residency_policies": list(self.residency_policies),
-            "steady_fast_path": self.steady_fast_path,
+            # Former option, now constant: keeps existing caches addressable.
+            "steady_fast_path": False,
         }
 
     def digest(self) -> str:
@@ -358,8 +334,7 @@ def utilization_sweep(config: SweepConfig,
         duration=config.duration,
         idle_level=config.idle_level,
         cycle_energy_scale=config.cycle_energy_scale,
-        residency_policies=tuple(config.residency_policies),
-        steady_fast_path=config.steady_fast_path)
+        residency_policies=tuple(config.residency_policies))
     specs = _build_cell_specs(config)
     cache = open_cache(config.cache_dir)
 
@@ -444,8 +419,7 @@ def sweep_context(config: SweepConfig) -> SweepContext:
         duration=config.duration,
         idle_level=config.idle_level,
         cycle_energy_scale=config.cycle_energy_scale,
-        residency_policies=tuple(config.residency_policies),
-        steady_fast_path=config.steady_fast_path)
+        residency_policies=tuple(config.residency_policies))
 
 
 def sweep_cell_specs(config: SweepConfig) -> List[CellSpec]:
@@ -570,12 +544,9 @@ def run_cell(context: SweepContext, spec: CellSpec,
              materialized: Optional[Tuple[TaskSet, TraceDemand]] = None,
              ) -> Dict[str, object]:
     """Simulate every policy on one cell; returns label -> energy
-    (plus ``_rm_fallbacks``, ``_fast_path`` when the short-circuit is on,
-    and, when requested, ``_residency``).
+    (plus ``_rm_fallbacks`` and, when requested, ``_residency``).
 
-    Every run goes through ``simulate_fn``, which is threaded through the
-    hyperperiod short-circuit too, so fast-path warmup windows run on the
-    same backend.  The default is
+    Every run goes through ``simulate_fn``.  The default is
     :func:`repro.sim.batch_kernels.batch_simulate` (the flat-array
     ``CellKernel``, residency collectors included, with the event engine
     outside its envelope); the block engine passes its lane server, and
@@ -597,30 +568,8 @@ def run_cell(context: SweepContext, spec: CellSpec,
     out: Dict[str, object] = {"_rm_fallbacks": 0}
     residency: Dict[str, Dict[float, float]] = {}
     reference_cycles: Optional[float] = None
-    fast_used = 0
-    fast_fallbacks: Dict[str, int] = {}
 
     def run_one(policy, on_miss, collector):
-        """(total_energy, executed_cycles) via the hyperperiod
-        short-circuit when it verifies, full simulation otherwise."""
-        nonlocal fast_used
-        if context.steady_fast_path:
-            if collector is not None:
-                # Residency instrumentation observes the whole run; an
-                # extrapolated run has no full-horizon trace to observe.
-                fast_fallbacks["instrumented"] = \
-                    fast_fallbacks.get("instrumented", 0) + 1
-            else:
-                fast, reason = try_steady_fast_path(
-                    taskset, context.machine, policy, demand=demand,
-                    duration=context.duration, energy_model=energy_model,
-                    on_miss=on_miss,
-                    resolution=STEADY_RESOLUTION,
-                    simulate_fn=simulate_fn)
-                if fast is not None:
-                    fast_used += 1
-                    return fast.total_energy, fast.executed_cycles
-                fast_fallbacks[reason] = fast_fallbacks.get(reason, 0) + 1
         result = simulate_fn(taskset, context.machine, policy,
                              demand=demand, duration=context.duration,
                              energy_model=energy_model, on_miss=on_miss,
@@ -661,8 +610,6 @@ def run_cell(context: SweepContext, spec: CellSpec,
         context.machine, reference_cycles, context.duration)
     if residency:
         out["_residency"] = residency
-    if context.steady_fast_path:
-        out["_fast_path"] = {"used": fast_used, "fallbacks": fast_fallbacks}
     return out
 
 
@@ -680,22 +627,11 @@ def _aggregate(config: SweepConfig, labels: List[str],
         policy: {f: [] for f in frequencies}
         for policy in config.residency_policies}
     rm_fallbacks = 0
-    fast_path_cells = 0
-    fast_path_fallbacks: Dict[str, int] = {}
     for u_index in range(len(config.utilizations)):
         row = outcomes[u_index * config.n_sets:(u_index + 1) * config.n_sets]
         for label in labels:
             per_label[label].append([o[label] for o in row])
         rm_fallbacks += sum(o["_rm_fallbacks"] for o in row)
-        for o in row:
-            fast = o.get("_fast_path")
-            if not fast:
-                continue
-            if fast.get("used", 0):
-                fast_path_cells += 1
-            for reason, count in fast.get("fallbacks", {}).items():
-                fast_path_fallbacks[reason] = \
-                    fast_path_fallbacks.get(reason, 0) + count
         for policy, per_freq in res_acc.items():
             for f in frequencies:
                 per_freq[f].append(
@@ -732,9 +668,7 @@ def _aggregate(config: SweepConfig, labels: List[str],
         residency[policy] = table
     return SweepResult(config=config, raw=raw, normalized=normalized,
                        std=std, rm_fallbacks=rm_fallbacks,
-                       residency=residency,
-                       fast_path_cells=fast_path_cells,
-                       fast_path_fallbacks=fast_path_fallbacks)
+                       residency=residency)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def encode_cell(outcome: Dict[str, object],
     """Flatten one cell outcome into the columnar wire format.
 
     ``outcome`` maps policy labels to float energies plus the private
-    ``_rm_fallbacks`` / ``_residency`` / ``_fast_path`` blocks
+    ``_rm_fallbacks`` / ``_residency`` blocks
     :func:`repro.analysis.sweep.run_cell` produces.  ``meta`` is an
     optional JSON-safe dict stored alongside (the cell cache uses it for
     its schema tag and key); it never affects the outcome columns.
@@ -69,13 +69,6 @@ def encode_cell(outcome: Dict[str, object],
                 columns.append(frequency)
                 columns.append(fraction)
         header["residency"] = shape
-    fast_path = outcome.get("_fast_path")
-    if fast_path is not None:
-        header["fast_path"] = {
-            "used": int(fast_path.get("used", 0)),
-            "fallbacks": {reason: int(count) for reason, count in
-                          fast_path.get("fallbacks", {}).items()},
-        }
     if meta is not None:
         header["meta"] = meta
     head = json.dumps(header, separators=(",", ":"),
@@ -121,13 +114,6 @@ def decode_cell(data: bytes, with_meta: bool = False
                     cursor += 2
                 residency[policy] = table
             outcome["_residency"] = residency
-        fast_path = header.get("fast_path")
-        if fast_path is not None:
-            outcome["_fast_path"] = {
-                "used": int(fast_path["used"]),
-                "fallbacks": {reason: int(count) for reason, count in
-                              fast_path["fallbacks"].items()},
-            }
     except (KeyError, ValueError, IndexError, TypeError,
             UnicodeDecodeError, struct.error) as exc:
         raise ReproError(f"malformed cell payload: {exc}") from exc

@@ -22,8 +22,8 @@ downstream:
   collectors the sweep used;
 * every invariant the scenario declares (``invariant:<name>``, see
   :data:`repro.catalog.schema.KNOWN_INVARIANTS`) is evaluated at its
-  declared tolerance, including scalar/block engine parity and
-  hyperperiod-fast-path parity on sampled cells;
+  declared tolerance, including scalar/block engine parity on sampled
+  cells;
 * scenarios without sweep panels (worked examples, extensions) are
   audited through their drivers' shape checks (``driver:shape-checks``).
 
@@ -128,7 +128,7 @@ class AuditProfile:
     duration: Optional[float] = 300.0
     #: Cells per panel whose runs get full trace validation.
     trace_cells: int = 2
-    #: Cells per panel used for engine/fast-path parity invariants.
+    #: Cells per panel used for the engine-parity invariant.
     parity_cells: int = 1
     #: Trace-validation checks to run on sampled cells.
     trace_checks: Tuple[str, ...] = ALL_CHECKS
@@ -276,7 +276,7 @@ def replay_cell(context: SweepContext, spec: CellSpec) -> CellReplay:
     """Re-simulate one cell with trace recording, mirroring
     :func:`~repro.analysis.sweep.run_cell`'s semantics (policy order,
     RM fallback, bound from the EDF reference's executed cycles) but
-    through the plain engine — never the fast path or block kernels —
+    through the plain engine — never the per-cell or block kernels —
     so the result is an independent reference."""
     taskset, demand = materialize_cell(context, spec)
     energy_model = context.energy_model()
@@ -555,22 +555,6 @@ def _audit_invariant(invariant: Invariant, name: str, panel: str,
                     bad.append(f"cell {index}: {engine} outcome differs "
                                f"from the event engine on "
                                f"{diffs or 'keys'}")
-        return _check(name, panel, check_name, not bad, "; ".join(bad[:3]))
-
-    if invariant.name == "fast-path-parity":
-        slack = max(tol, _REL_EPS)
-        fast_context = replace(context, steady_fast_path=True)
-        bad = []
-        for index in _sample_indices(len(specs), profile.parity_cells):
-            full = run_cell(context, specs[index])
-            fast = run_cell(fast_context, specs[index])
-            for label, energy in full.items():
-                if not isinstance(energy, float):
-                    continue
-                other = fast[label]
-                if abs(other - energy) > slack * max(1.0, abs(energy)):
-                    bad.append(f"cell {index} {label}: full {energy!r} "
-                               f"vs fast-path {other!r}")
         return _check(name, panel, check_name, not bad, "; ".join(bad[:3]))
 
     raise CatalogError(  # pragma: no cover - schema rejects unknown names

@@ -77,10 +77,10 @@ def panel_sweep_config(scenario_name: str, panel_label: str,
                        quick: bool = True, **execution) -> SweepConfig:
     """Resolve one catalog panel to a runnable :class:`SweepConfig`.
 
-    ``execution`` keywords (``workers``, ``cache_dir``,
-    ``steady_fast_path``, ``engine``) select *how* the sweep runs; the
-    catalog entry determines everything that affects its results.  This
-    is the entry point the per-figure drivers use.
+    ``execution`` keywords (``workers``, ``cache_dir``, ``engine``)
+    select *how* the sweep runs; the catalog entry determines everything
+    that affects its results.  This is the entry point the per-figure
+    drivers use.
     """
     scenario = get_scenario(scenario_name)
     return scenario.panel(panel_label).sweep_config(quick=quick,

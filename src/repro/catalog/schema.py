@@ -73,9 +73,6 @@ KNOWN_INVARIANTS: Dict[str, str] = {
     "engine-parity":
         "scalar engine and one block-engine pass over sampled cells "
         "produce identical outcome dicts",
-    "fast-path-parity":
-        "the hyperperiod short-circuit matches full simulation on "
-        "sampled cells (within its verified tolerance)",
     "shape-checks":
         "the experiment driver's own shape checks all pass",
 }
@@ -197,7 +194,6 @@ class PanelSpec:
 
     def sweep_config(self, quick: bool = True, *, workers=1,
                      cache_dir: Optional[str] = None,
-                     steady_fast_path: bool = False,
                      engine: str = "scalar") -> SweepConfig:
         """Resolve this panel to a runnable :class:`SweepConfig`.
 
@@ -222,7 +218,6 @@ class PanelSpec:
                 self.cycle_energy_scale),
             residency_policies=tuple(self.residency_policies),
             cache_dir=cache_dir,
-            steady_fast_path=steady_fast_path,
             period_bands=self.period_bands,
             engine=engine)
 

@@ -92,12 +92,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                         help="disable the cell-result cache")
     parser.add_argument("--progress", action="store_true",
                         help="print per-sweep progress/ETA lines to stderr")
-    parser.add_argument("--steady-fast-path", action="store_true",
-                        help="enable the hyperperiod short-circuit: cells "
-                             "with a finite hyperperiod and verified "
-                             "periodic demand simulate warmup + two "
-                             "hyperperiods and extrapolate (fallback to "
-                             "full simulation whenever verification fails)")
     parser.add_argument("--engine", choices=ENGINES, default="scalar",
                         help="cell execution backend: 'scalar' simulates "
                              "each cell on the per-cell kernel; 'block' "
@@ -427,7 +421,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                             workers=args.workers,
                             cache_dir=_cache_dir_from(args),
                             progress=args.progress,
-                            steady_fast_path=args.steady_fast_path,
                             engine=args.engine)
     print(result.render(charts=not args.no_charts))
     if args.csv:
@@ -441,7 +434,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
                       output_dir=args.out,
                       cache_dir=_cache_dir_from(args),
                       progress=args.progress,
-                      steady_fast_path=args.steady_fast_path,
                       engine=args.engine)
     print(summary_table(results))
     code = 0 if all(r.all_checks_pass for r in results) else 1
@@ -627,7 +619,6 @@ def _cmd_catalog_run(args: argparse.Namespace) -> int:
                           workers=args.workers,
                           cache_dir=_cache_dir_from(args),
                           progress=args.progress,
-                          steady_fast_path=args.steady_fast_path,
                           engine=args.engine)
     print(result.render(charts=not args.no_charts))
     return 0 if result.all_checks_pass else 1

@@ -195,7 +195,6 @@ def context_to_wire(context: SweepContext) -> Dict[str, object]:
         "idle_level": context.idle_level,
         "cycle_energy_scale": context.cycle_energy_scale,
         "residency_policies": list(context.residency_policies),
-        "steady_fast_path": context.steady_fast_path,
     }
 
 
@@ -209,8 +208,7 @@ def context_from_wire(data: Dict[str, object]) -> SweepContext:
             duration=data["duration"],
             idle_level=data["idle_level"],
             cycle_energy_scale=data["cycle_energy_scale"],
-            residency_policies=tuple(data.get("residency_policies", ())),
-            steady_fast_path=bool(data.get("steady_fast_path", False)))
+            residency_policies=tuple(data.get("residency_policies", ())))
     except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise WireError(f"malformed wire context: {exc}") from exc
 

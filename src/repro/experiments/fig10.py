@@ -26,19 +26,17 @@ N_TASKS = 8
 
 def sweep_for(idle_level: float, quick: bool, workers=1, executor=None,
               cache_dir=None, progress=False,
-              steady_fast_path=False,
               engine="scalar") -> SweepResult:
     """The Fig. 10 sweep for one idle level (catalog panel
     ``fig10/idle-<level>``)."""
     return utilization_sweep(panel_sweep_config(
         "fig10", f"idle-{idle_level}", quick=quick, workers=workers,
-        cache_dir=cache_dir, steady_fast_path=steady_fast_path,
-        engine=engine), executor=executor, progress=progress)
+        cache_dir=cache_dir, engine=engine),
+        executor=executor, progress=progress)
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, steady_fast_path=False,
-        engine="scalar") -> ExperimentResult:
+        progress=False, engine="scalar") -> ExperimentResult:
     """Reproduce Fig. 10 (three panels, one per idle level)."""
     result = ExperimentResult(
         experiment_id="fig10",
@@ -50,7 +48,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     sweeps: Dict[float, SweepResult] = {}
     for idle in IDLE_LEVELS:
         sweep = sweep_for(idle, quick, workers, executor, cache_dir,
-                          progress, steady_fast_path, engine)
+                          progress, engine)
         sweeps[idle] = sweep
         table = sweep.normalized
         table.title = f"Fig. 10 panel: idle level {idle} (normalized)"

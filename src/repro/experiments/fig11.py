@@ -30,19 +30,17 @@ RESIDENCY_POLICIES = ("ccEDF", "laEDF")
 
 def sweep_for(machine: Machine, quick: bool, workers=1, executor=None,
               cache_dir=None, progress=False,
-              steady_fast_path=False,
               engine="scalar") -> SweepResult:
     """The Fig. 11 sweep for one machine specification (catalog panel
     ``fig11/<machine name>``)."""
     return utilization_sweep(panel_sweep_config(
         "fig11", machine.name, quick=quick, workers=workers,
-        cache_dir=cache_dir, steady_fast_path=steady_fast_path,
-        engine=engine), executor=executor, progress=progress)
+        cache_dir=cache_dir, engine=engine),
+        executor=executor, progress=progress)
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, steady_fast_path=False,
-        engine="scalar") -> ExperimentResult:
+        progress=False, engine="scalar") -> ExperimentResult:
     """Reproduce Fig. 11 (three panels, one per machine)."""
     result = ExperimentResult(
         experiment_id="fig11",
@@ -54,7 +52,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     sweeps: Dict[str, SweepResult] = {}
     for name, machine in machines.items():
         sweep = sweep_for(machine, quick, workers, executor, cache_dir,
-                          progress, steady_fast_path, engine)
+                          progress, engine)
         sweeps[name] = sweep
         table = sweep.normalized
         table.title = f"Fig. 11 panel: {name} (normalized energy)"

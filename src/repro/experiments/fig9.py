@@ -26,19 +26,17 @@ RESIDENCY_TABLE_POLICIES: Tuple[str, ...] = ("ccEDF", "laEDF")
 
 def sweep_for(n_tasks: int, quick: bool, workers=1, executor=None,
               cache_dir=None, progress=False,
-              steady_fast_path=False,
               engine="scalar") -> SweepResult:
     """The Fig. 9 sweep for one task count (catalog panel
     ``fig9/<n>-tasks``)."""
     return utilization_sweep(panel_sweep_config(
         "fig9", f"{n_tasks}-tasks", quick=quick, workers=workers,
-        cache_dir=cache_dir, steady_fast_path=steady_fast_path,
-        engine=engine), executor=executor, progress=progress)
+        cache_dir=cache_dir, engine=engine),
+        executor=executor, progress=progress)
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, steady_fast_path=False,
-        engine="scalar") -> ExperimentResult:
+        progress=False, engine="scalar") -> ExperimentResult:
     """Reproduce Fig. 9 (three panels, one per task count)."""
     result = ExperimentResult(
         experiment_id="fig9",
@@ -49,7 +47,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     sweeps: Dict[int, SweepResult] = {}
     for n_tasks in TASK_COUNTS:
         sweep = sweep_for(n_tasks, quick, workers, executor, cache_dir,
-                          progress, steady_fast_path, engine)
+                          progress, engine)
         sweeps[n_tasks] = sweep
         # The paper's Fig. 9 y-axis is *absolute* energy; include both
         # views (the shape checks run on the normalized one).

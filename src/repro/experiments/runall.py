@@ -69,7 +69,6 @@ def run_all(quick: bool = True, workers=1,
             output_dir: Optional[str] = None,
             cache_dir: Optional[str] = None,
             progress: bool = False,
-            steady_fast_path: bool = False,
             engine: str = "scalar") -> List[ExperimentResult]:
     """Run every experiment; optionally write reports and CSVs.
 
@@ -85,7 +84,6 @@ def run_all(quick: bool = True, workers=1,
         "executor": executor,
         "cache_dir": cache_dir,
         "progress": progress,
-        "steady_fast_path": steady_fast_path,
         "engine": engine,
     }
     results = []

@@ -109,7 +109,7 @@ def thermal_trajectory(result: SimResult, model: ThermalModel,
     ``power_scale`` converts the run's energy units to the thermal
     model's power units (e.g. the laptop calibration constant).  The
     temperature is sampled at every segment boundary; within a segment
-    temperature moves monotonically, and the per-segment peak is captured
+    temperature moves monotonically, and the per-segment peak is observed
     because the extremum of a first-order response lies at a boundary.
     """
     if result.trace is None:

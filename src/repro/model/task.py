@@ -123,7 +123,6 @@ class TaskSet:
             seen.add(name)
             named.append(task if task.name == name else task.with_name(name))
         self._tasks: Tuple[Task, ...] = tuple(named)
-        self._hyperperiod_cache: dict = {}
 
     # -- sequence protocol -------------------------------------------------
     def __len__(self) -> int:
@@ -186,20 +185,7 @@ class TaskSet:
         LCM is computed.  Returns ``None`` when the LCM would be absurdly
         large (more than ``1e12`` resolution ticks), which indicates
         effectively incommensurable periods.
-
-        The result is cached per ``resolution`` (the task tuple is
-        immutable), so per-cell eligibility checks and ccRM pacing do not
-        repay the LCM computation.
         """
-        try:
-            return self._hyperperiod_cache[resolution]
-        except KeyError:
-            pass
-        result = self._hyperperiod_uncached(resolution)
-        self._hyperperiod_cache[resolution] = result
-        return result
-
-    def _hyperperiod_uncached(self, resolution: float) -> Optional[float]:
         ticks: List[int] = []
         for task in self._tasks:
             scaled = task.period / resolution

@@ -33,6 +33,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.errors import SimulationError
 from repro.obs.hooks import HotCounters, Instrumentation
 
 
@@ -299,7 +300,7 @@ class MetricsCollector(Instrumentation):
     def on_run_end(self, sim, result) -> None:
         """Snapshot the run cheaply; the O(jobs) rollup happens lazily.
 
-        Everything captured here is either a scalar, a small per-frequency
+        Everything recorded here is either a scalar, a small per-frequency
         dict, or a reference to state that is immutable once the run ends
         (the result's job/miss lists), so deferring the aggregation to
         :attr:`runs` cannot change the answer — and keeps the collector
@@ -314,7 +315,7 @@ class MetricsCollector(Instrumentation):
         try:
             busy_time: Optional[float] = sim.busy_time
             idle_time: Optional[float] = sim.idle_time
-        except Exception:  # TickSimulator does not track these
+        except SimulationError:  # TickSimulator does not track these
             busy_time = idle_time = None
         self._pending.append({
             "result": result,

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.hw.energy import EnergyModel
 from repro.hw.machine import Machine
@@ -59,10 +59,6 @@ _EPS = 1e-9
 _PH_RELEASE = 0
 _PH_EXEC = 1
 _PH_DONE = 2
-
-#: Captured-segment kind codes (match ``repro.sim.timeline.KINDS`` order).
-SEG_RUN = 0
-SEG_IDLE = 1
 
 #: Below this many lanes the vectorized pass costs more than per-cell
 #: kernels (numpy per-op overhead dominates tiny lane counts); callers
@@ -109,9 +105,6 @@ class LaneSpec:
     #: Track per-job executed cycles (the EDF reference lane needs the
     #: jobs-log sum for the bound).
     need_cycles: bool = False
-    #: Capture the segment stream (steady fast-path lanes replay it
-    #: through a real timeline for the extrapolation scan).
-    capture: bool = False
 
 
 @dataclass
@@ -126,9 +119,6 @@ class LaneResult:
     abandoned: Optional[str] = None
     total_energy: float = 0.0
     executed_cycles: Optional[float] = None
-    #: ``(start, end, task_index, point_index, cycles, energy, kind)``
-    #: tuples (``task_index < 0`` = idle), only for ``capture`` lanes.
-    segments: Optional[List[tuple]] = None
 
 
 def run_lanes(machine: Machine, energy_model: EnergyModel,
@@ -179,8 +169,6 @@ def run_lanes(machine: Machine, energy_model: EnergyModel,
     rm_key = np.asarray([lane.rm_priority for lane in lanes], dtype=bool)
     dyn = np.asarray([lane.dynamic for lane in lanes], dtype=bool)
     drop = np.asarray([lane.drop_on_miss for lane in lanes], dtype=bool)
-    cap = np.asarray([lane.capture for lane in lanes], dtype=bool)
-    any_capture = bool(cap.any())
     point = np.asarray([lane.initial_point for lane in lanes],
                        dtype=np.int64)
 
@@ -236,9 +224,6 @@ def run_lanes(machine: Machine, energy_model: EnergyModel,
     # Static original-row -> jobs_exec slot map for the finalize pass
     # (``cyc_rows`` itself is renumbered by compaction, never mutated).
     cyc_rows_full = cyc_rows
-
-    segments: List[Optional[List[tuple]]] = [
-        [] if lane.capture else None for lane in lanes]
 
     # -- final per-original-lane stores, filled as lanes leave the pass --
     final_idle = np.zeros(n_lanes, dtype=np.float64)
@@ -350,8 +335,6 @@ def run_lanes(machine: Machine, energy_model: EnergyModel,
                 rm_key = rm_key[idx]
                 dyn = dyn[idx]
                 drop = drop[idx]
-                cap = cap[idx]
-                any_capture = bool(cap.any())
                 point = point[idx]
                 time = time[idx]
                 phase = phase[idx]
@@ -550,17 +533,6 @@ def run_lanes(machine: Machine, energy_model: EnergyModel,
                 cycles = (horizon[rows] - time[rows]) * f
                 energy = (idle_coeff * cycles) * epc
                 idle_energy[rows] += energy
-                if any_capture:
-                    seg_rows = cap[rows]
-                    if np.count_nonzero(seg_rows):
-                        for row, start, end, op_idx, joule in zip(
-                                orig[rows][seg_rows].tolist(),
-                                time[rows][seg_rows].tolist(),
-                                horizon[rows][seg_rows].tolist(),
-                                points_now[seg_rows].tolist(),
-                                energy[seg_rows].tolist()):
-                            segments[row].append(
-                                (start, end, -1, op_idx, 0.0, joule, SEG_IDLE))
                 time[rows] = horizon[rows]
                 phase[rows] = _PH_RELEASE
 
@@ -580,7 +552,6 @@ def run_lanes(machine: Machine, energy_model: EnergyModel,
                 crows = rows[completes]
                 if crows.size:
                     cidx = ridx[completes]
-                    ctask = task[completes]
                     cpoints = points_now[completes]
                     energy = (scale * remaining[completes]) * epc[completes]
                     sidx = crows * n_points + cpoints
@@ -592,20 +563,6 @@ def run_lanes(machine: Machine, energy_model: EnergyModel,
                                                cpoints[fresh].tolist()):
                             slot_order[row].append(op_idx)
                     done_demand = demand_f[cidx]
-                    if any_capture:
-                        seg_rows = cap[crows]
-                        if np.count_nonzero(seg_rows):
-                            for row, start, end, t_idx, op_idx, cyc, joule in \
-                                    zip(orig[crows[seg_rows]].tolist(),
-                                        time[crows][seg_rows].tolist(),
-                                        finish[completes][seg_rows].tolist(),
-                                        ctask[seg_rows].tolist(),
-                                        cpoints[seg_rows].tolist(),
-                                        remaining[completes][seg_rows].tolist(),
-                                        energy[seg_rows].tolist()):
-                                segments[row].append(
-                                    (start, end, t_idx, op_idx, cyc, joule,
-                                     SEG_RUN))
                     # Completion absorbs float residue: executed = demand.
                     executed_f[cidx] = done_demand
                     live_f[cidx] = False
@@ -641,7 +598,6 @@ def run_lanes(machine: Machine, energy_model: EnergyModel,
                 prows = rows[~completes]
                 if prows.size:
                     partial_idx = ridx[~completes]
-                    ptask = task[~completes]
                     ppoints = points_now[~completes]
                     cycles = (horizon[prows] - time[prows]) * f[~completes]
                     energy = (scale * cycles) * epc[~completes]
@@ -660,20 +616,6 @@ def run_lanes(machine: Machine, energy_model: EnergyModel,
                             jobs_exec[cyc_rows[prows][tracked],
                                       job_of_f[partial_idx[tracked]]] += \
                                 cycles[tracked]
-                    if any_capture:
-                        seg_rows = cap[prows]
-                        if np.count_nonzero(seg_rows):
-                            for row, start, end, t_idx, op_idx, cyc, joule in \
-                                    zip(orig[prows[seg_rows]].tolist(),
-                                        time[prows][seg_rows].tolist(),
-                                        horizon[prows][seg_rows].tolist(),
-                                        ptask[seg_rows].tolist(),
-                                        ppoints[seg_rows].tolist(),
-                                        cycles[seg_rows].tolist(),
-                                        energy[seg_rows].tolist()):
-                                segments[row].append(
-                                    (start, end, t_idx, op_idx, cyc, joule,
-                                     SEG_RUN))
                     time[prows] = horizon[prows]
                     phase[prows] = _PH_RELEASE
 
@@ -711,8 +653,7 @@ def run_lanes(machine: Machine, energy_model: EnergyModel,
         results.append(LaneResult(
             abandoned=None,
             total_energy=total_energy,
-            executed_cycles=cycles_total,
-            segments=segments[row]))
+            executed_cycles=cycles_total))
     return results
 
 

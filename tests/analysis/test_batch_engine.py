@@ -6,8 +6,8 @@ on the scalar engine and the rung every run the block lanes cannot serve
 lands on.  Its one promise is *bit identity*: the flat-array kernel must
 produce exactly the outcome the discrete-event engine produces — same
 energies, same switch counts, same misses, same trace, same residency
-metrics, same aggregate tables — across numpy-on/numpy-off, fast-path
-on/off, serial/parallel, and cold/warm cache.  These tests hold that line
+metrics, same aggregate tables — across numpy-on/numpy-off,
+serial/parallel, and cold/warm cache.  These tests hold that line
 against the event engine at run level, at cell level over every catalog
 panel, and at sweep level; the throughput side lives in
 ``benchmarks/write_bench_json.py`` (``fig9_sweep_batch``).
@@ -21,14 +21,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import batch as batch_module
-from repro.analysis.batch import ENGINES, build_column_block
+from repro.analysis.batch import ENGINES
 from repro.analysis.sweep import (
-    CellSpec,
     SweepConfig,
-    SweepContext,
     aggregate_outcomes,
-    cell_cache_key,
     run_cell,
     sweep_cell_specs,
     sweep_context,
@@ -127,7 +123,6 @@ def snap(result):
         "rm_fallbacks": result.rm_fallbacks,
         "residency": {name: table.rows()
                       for name, table in result.residency.items()},
-        "fast_path": (result.fast_path_cells, result.fast_path_fallbacks),
     }
 
 
@@ -394,20 +389,6 @@ class TestBatchSweepIdentity:
         assert snap(reference) == snap(scalar) == snap(batch)
         assert batch.residency  # the instrumented table actually exists
 
-    def test_batch_composes_with_fast_path(self, per_cell_rung):
-        # Degenerate commensurable bands: every cell is fast-path
-        # eligible, so the short-circuit's warmup windows run on the
-        # per-cell kernel and extrapolate identically.
-        bands = ((25.0, 25.0), (50.0, 50.0))
-        config = dict(TINY, duration=2000.0, period_bands=bands,
-                      steady_fast_path=True)
-        reference = engine_sweep(**config)
-        scalar = utilization_sweep(SweepConfig(**config))
-        batch = rung_sweep(**config)
-        assert snap(reference) == snap(scalar) == snap(batch)
-        assert batch.fast_path_cells == len(TINY["utilizations"]) * \
-            TINY["n_sets"]
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batch_workers_and_cache(self, per_cell_rung, tmp_path,
                                      workers):
@@ -419,49 +400,3 @@ class TestBatchSweepIdentity:
             TINY["n_sets"]
         assert warm.simulated_cells == 0
         assert warm.cache_hits == cold.simulated_cells
-
-
-class TestSteadyResolutionPinning:
-    """Every sweep detects hyperperiods on one grid,
-    :data:`~repro.analysis.sweep.STEADY_RESOLUTION`."""
-
-    def _pathological_taskset(self):
-        # 1.0005 is not representable on a 1e-3 grid (0.5-tick error) but
-        # is exact on 1e-4 — so the hyperperiod flips between None and
-        # finite purely on the detection resolution.
-        return TaskSet([Task(0.1, 1.0005, "A"), Task(0.2, 2.0, "B")])
-
-    def test_resolution_changes_the_hyperperiod(self):
-        taskset = self._pathological_taskset()
-        assert taskset.hyperperiod(resolution=1e-3) is None
-        finite = taskset.hyperperiod(resolution=1e-4)
-        assert finite == pytest.approx(4002.0)
-
-    def _context(self):
-        return SweepContext(machine=MACHINE, policies=("EDF",),
-                            duration=400.0, idle_level=0.0,
-                            cycle_energy_scale=1.0)
-
-    def test_resolution_never_enters_cache_key(self):
-        spec = CellSpec(utilization=0.5, set_index=0, n_tasks=3,
-                        gen_seed=11, demand_seed=12, demand="worst")
-        assert "steady_resolution" not in self._context().description()
-        # The key this cell had while the resolution was a sweep option
-        # at its default: folding the option into a constant moved no
-        # cached cell.
-        assert cell_cache_key(self._context(), spec) == (
-            "e87653be5a613b06a7c95939a0a25efe4c493fb44e3f114c693f4f96de6b26b0")
-
-    def test_column_block_honours_pinned_resolution(self, monkeypatch):
-        # Degenerate bands force exactly commensurable 25/50 s periods:
-        # the sweep grid resolves their hyperperiod, while a 10 s grid
-        # cannot even represent a 25 s period (2.5 ticks) and reports
-        # None — so the block must use the pinned resolution.
-        spec = CellSpec(utilization=0.5, set_index=0, n_tasks=3,
-                        gen_seed=11, demand_seed=12, demand="worst",
-                        bands=((25.0, 25.0), (50.0, 50.0)))
-        fine = build_column_block(self._context(), [spec])
-        monkeypatch.setattr(batch_module, "STEADY_RESOLUTION", 10.0)
-        coarse = build_column_block(self._context(), [spec])
-        assert fine.hyperperiods == [50.0]
-        assert coarse.hyperperiods == [None]

@@ -4,11 +4,11 @@ The block engine advances every policy run of a sweep column as one
 **lane** in lockstep array passes (:mod:`repro.sim.block_kernels`), and
 its one promise is *bit identity* with the scalar discrete-event engine
 — same energies, same misses, same aggregate tables — across
-numpy-on/numpy-off, fast-path on/off, serial/parallel workers, and
-cold/warm cache.  Anything the array
-program cannot replicate exactly abandons its lane and reruns on the
-per-cell kernel, so divergence is impossible by construction; these
-tests hold that line and pin the fallback accounting.  The throughput
+numpy-on/numpy-off, serial/parallel workers, and cold/warm cache.
+Anything the array program cannot replicate exactly abandons its lane
+and reruns on the per-cell kernel, so divergence is impossible by
+construction; these tests hold that line and pin the fallback
+accounting.  The throughput
 side lives in ``benchmarks/write_bench_json.py`` (``fig9_sweep_batch``).
 """
 
@@ -65,7 +65,6 @@ def snap(result):
         "rm_fallbacks": result.rm_fallbacks,
         "residency": {name: table.rows()
                       for name, table in result.residency.items()},
-        "fast_path": (result.fast_path_cells, result.fast_path_fallbacks),
     }
 
 
@@ -114,20 +113,6 @@ class TestBlockSweepIdentity:
         assert snap(scalar) == snap(block)
         assert block.block_cells == 0
         assert block.block_fallbacks == {"small-block": 2}
-
-    def test_block_composes_with_fast_path(self, tight_lanes):
-        # Degenerate commensurable bands make every cell fast-path
-        # eligible: the warmup windows run as capture lanes whose segment
-        # streams replay through a real timeline, and the extrapolation
-        # must land on the scalar path's exact figures.
-        bands = ((25.0, 25.0), (50.0, 50.0))
-        config = dict(TINY, duration=2000.0, period_bands=bands,
-                      steady_fast_path=True)
-        scalar = utilization_sweep(SweepConfig(**config))
-        block = utilization_sweep(SweepConfig(engine="block", **config))
-        assert snap(scalar) == snap(block)
-        assert block.fast_path_cells == len(TINY["utilizations"]) * \
-            TINY["n_sets"]
 
     def test_block_with_residency_instrumentation(self, tight_lanes):
         # Instrumented runs are outside the lane envelope; they fall back

@@ -2,6 +2,8 @@
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -15,15 +17,19 @@ from repro.analysis.cellcache import (
     encode_outcome,
     open_cache,
 )
+from repro.analysis.sweep import CellSpec, SweepContext, cell_cache_key
 from repro.analysis.transport import decode_cell, encode_cell
+from repro.hw.machine import machine0
 
 OUTCOME = {
     "EDF": 123.456789012345,
     "laEDF": 98.7,
     "_rm_fallbacks": 1,
     "_residency": {"ccEDF": {0.5: 0.25, 1.0: 0.75}},
-    "_fast_path": {"used": 5, "fallbacks": {"instrumented": 1}},
 }
+
+#: Committed schema-1 cache entries (see :class:`TestStaleSchemaFixtures`).
+FIXTURE_DIR = Path(__file__).parent / "data" / "cells"
 
 
 class TestCellKey:
@@ -44,6 +50,26 @@ class TestCellKey:
         # Nearby floats must hash apart — keys are built from exact
         # round-trip JSON reprs, not rounded display forms.
         assert cell_key({"u": 0.1 + 0.2}) != cell_key({"u": 0.3})
+
+
+class TestDefaultKeyPinning:
+    """Default-cell cache keys are pinned byte for byte, so removing an
+    execution option can never orphan an existing cache."""
+
+    def _context(self):
+        return SweepContext(machine=machine0(), policies=("EDF",),
+                            duration=400.0, idle_level=0.0,
+                            cycle_energy_scale=1.0)
+
+    def test_resolution_never_enters_cache_key(self):
+        spec = CellSpec(utilization=0.5, set_index=0, n_tasks=3,
+                        gen_seed=11, demand_seed=12, demand="worst")
+        assert "steady_resolution" not in self._context().description()
+        # The key this cell had while the resolution was a sweep option
+        # at its default: folding the option into a constant moved no
+        # cached cell.
+        assert cell_cache_key(self._context(), spec) == (
+            "e87653be5a613b06a7c95939a0a25efe4c493fb44e3f114c693f4f96de6b26b0")
 
 
 class TestOutcomeCodec:
@@ -216,3 +242,27 @@ class TestCellCache:
         monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
         assert default_cache_dir() == os.path.expanduser(
             "~/.cache/rtdvs-repro/cells")
+
+
+class TestStaleSchemaFixtures:
+    """The committed schema-1 fixtures (the survivors of the deleted
+    ``results/cells`` blobs) must read as misses and self-evict under the
+    current schema."""
+
+    def test_fixtures_are_stale_schema(self):
+        fixtures = sorted(FIXTURE_DIR.glob("*/*.json"))
+        assert fixtures, "expected committed cell fixtures"
+        for path in fixtures:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            assert entry["schema"] != CACHE_SCHEMA
+            assert entry["schema"] == 1
+
+    def test_stale_fixture_entries_self_evict(self, tmp_path):
+        shutil.copytree(FIXTURE_DIR, tmp_path / "cells")
+        cache = CellCache(str(tmp_path / "cells"))
+        keys = [path.stem for path in sorted(FIXTURE_DIR.glob("*/*.json"))]
+        assert len(cache) == len(keys)
+        for key in keys:
+            assert cache.get(key) is None          # stale schema: a miss
+            assert not cache.path_for(key).exists()  # and evicted
+        assert len(cache) == 0

@@ -15,7 +15,7 @@ from repro.errors import ReproError
 finite = st.floats(allow_nan=False, allow_infinity=False)
 fractions = st.floats(min_value=0.0, max_value=1.0)
 # Labels never start with "_" — run_cell reserves that prefix for the
-# private blocks (_rm_fallbacks/_residency/_fast_path) the codec encodes
+# private blocks (_rm_fallbacks/_residency) the codec encodes
 # structurally, and the encoder keys off exactly that convention.
 labels = st.text(st.characters(categories=("L", "Nd"),
                                include_characters="_- "),
@@ -31,23 +31,15 @@ def outcomes():
         st.dictionaries(st.sampled_from([0.25, 0.5, 0.75, 1.0]),
                         fractions, min_size=1, max_size=4),
         max_size=3)
-    fast_path = st.one_of(
-        st.none(),
-        st.fixed_dictionaries({
-            "used": st.integers(0, 50),
-            "fallbacks": st.dictionaries(labels, st.integers(1, 9),
-                                         max_size=3)}))
-    return st.tuples(energies, residency, fast_path,
+    return st.tuples(energies, residency,
                      st.integers(0, 5)).map(_assemble)
 
 
 def _assemble(parts):
-    energies, residency, fast_path, fallbacks = parts
+    energies, residency, fallbacks = parts
     outcome = {"_rm_fallbacks": fallbacks, **energies}
     if residency:
         outcome["_residency"] = residency
-    if fast_path is not None:
-        outcome["_fast_path"] = fast_path
     return outcome
 
 

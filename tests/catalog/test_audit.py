@@ -52,7 +52,6 @@ SCENARIO = Scenario(
         Invariant("bound-not-above-policies", 1e-9),
         Invariant("residency-conservation", 1e-9),
         Invariant("engine-parity"),
-        Invariant("fast-path-parity", 1e-9),
     ),
 )
 
@@ -108,8 +107,7 @@ class TestCleanAudit:
                          "invariant:utilization-monotone-energy",
                          "invariant:bound-not-above-policies",
                          "invariant:residency-conservation",
-                         "invariant:engine-parity",
-                         "invariant:fast-path-parity"):
+                         "invariant:engine-parity"):
             assert expected in names, f"missing check {expected!r}"
 
 

@@ -149,6 +149,15 @@ class TestHyperperiod:
         # co-prime ticks explode past the guard
         assert ts.hyperperiod(resolution=1e-3) is None
 
+    def test_resolution_changes_the_hyperperiod(self):
+        # 1.0005 is not representable on a 1e-3 grid (0.5-tick error) but
+        # is exact on 1e-4 — so the hyperperiod flips between None and
+        # finite purely on the detection resolution.
+        taskset = TaskSet([Task(0.1, 1.0005, "A"), Task(0.2, 2.0, "B")])
+        assert taskset.hyperperiod(resolution=1e-3) is None
+        finite = taskset.hyperperiod(resolution=1e-4)
+        assert finite == pytest.approx(4002.0)
+
 
 class TestScaledToUtilization:
     def test_scaling_hits_target(self):

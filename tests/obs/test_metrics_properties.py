@@ -130,6 +130,34 @@ class TestTickSimulatorConservation:
         assert abs(m.residency_total - m.span) <= 1e-9 * max(1.0, m.span)
         assert m.jobs_released == sum(tm.released for tm in m.tasks.values())
 
+    def test_untracked_busy_time_records_none(self, example_ts):
+        collector = MetricsCollector()
+        TickSimulator(example_ts, machine0(), make_policy("ccEDF"),
+                      demand=0.7, duration=56.0, tick=0.01,
+                      instrument=collector).run()
+        run = collector.runs[0]
+        assert run.busy_time is None and run.idle_time is None
+
+
+class _BrokenBusyTime(Simulator):
+    """A view whose ``busy_time`` fails with something other than the
+    :class:`~repro.errors.SimulationError` an untracking simulator
+    raises."""
+
+    @property
+    def busy_time(self):
+        raise RuntimeError("busy-time bookkeeping broke")
+
+
+class TestCollectorErrors:
+    def test_unexpected_busy_time_error_propagates(self, example_ts):
+        collector = MetricsCollector()
+        sim = _BrokenBusyTime(example_ts, machine0(), make_policy("ccEDF"),
+                              demand=0.7, duration=56.0,
+                              instrument=collector)
+        with pytest.raises(RuntimeError, match="bookkeeping broke"):
+            sim.run()
+
 
 class TestCollectorLifecycle:
     def test_metrics_before_any_run_raises(self):

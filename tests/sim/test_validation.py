@@ -367,59 +367,28 @@ class TestEngineMatrixValidation:
                         Task(4.0, 16.0, name="C")])
 
     @pytest.mark.parametrize("policy_name", ("EDF", "ccEDF", "laEDF"))
-    def test_fast_path_warmup_window_validates(self, policy_name):
-        """The fast path extrapolates from a short traced simulation;
-        that window must itself pass full schedule validation and miss
-        re-derivation, and the extrapolated totals must match a full
-        traced run of the whole horizon."""
-        from repro.sim.steady import try_steady_fast_path
-        ts = self._harmonic_ts()
+    def test_harmonic_full_run_validates(self, policy_name):
+        """A long traced run of a harmonic set, with imperfect idle,
+        passes full schedule validation and miss re-derivation."""
         model = EnergyModel(idle_level=0.25)
-        captured = {}
-
-        def capturing(*args, **kwargs):
-            result = simulate(*args, **kwargs)
-            captured["run"] = result
-            return result
-
-        outcome, reason = try_steady_fast_path(
-            ts, machine0(), make_policy(policy_name), demand=0.7,
-            duration=2000.0, energy_model=model, simulate_fn=capturing)
-        assert reason == "ok" and outcome is not None
-        window = captured["run"]
-        violations = validate_schedule(window, model)
+        result = simulate(self._harmonic_ts(), machine0(),
+                          make_policy(policy_name), demand=0.7,
+                          duration=2000.0, energy_model=model,
+                          record_trace=True)
+        violations = validate_schedule(result, model)
         assert violations == [], [str(v) for v in violations]
-        counters = rederive_counters(window)
-        assert counters["deadline_misses"] == len(window.misses) == 0
-        assert counters["frequency_transitions"] <= window.switches
+        counters = rederive_counters(result)
+        assert counters["deadline_misses"] == len(result.misses) == 0
+        assert counters["frequency_transitions"] <= result.switches
 
-        full = simulate(ts, machine0(), make_policy(policy_name),
-                        demand=0.7, duration=2000.0, energy_model=model,
-                        record_trace=True)
-        assert validate_schedule(full, model) == []
-        assert outcome.total_energy \
-            == pytest.approx(full.total_energy, rel=1e-9)
-        assert outcome.executed_cycles \
-            == pytest.approx(full.executed_cycles, rel=1e-9)
-
-    def test_fast_path_window_corruption_is_caught(self):
-        """A doctored warmup window cannot silently extrapolate: the
-        trace checks that guard the fast path's inputs fire on it."""
-        from repro.sim.steady import try_steady_fast_path
+    def test_harmonic_run_energy_corruption_is_caught(self):
+        """A doctored energy ledger on a long harmonic run cannot pass:
+        the trace's energy check fires on it."""
         model = EnergyModel(idle_level=0.25)
-        captured = {}
-
-        def capturing(*args, **kwargs):
-            result = simulate(*args, **kwargs)
-            captured["run"] = result
-            return result
-
-        _outcome, reason = try_steady_fast_path(
-            self._harmonic_ts(), machine0(), make_policy("ccEDF"),
-            demand=0.7, duration=2000.0, energy_model=model,
-            simulate_fn=capturing)
-        assert reason == "ok"
-        window = captured["run"]
-        window.energy.idle += 10.0
-        kinds = {v.kind for v in validate_schedule(window, model)}
+        result = simulate(self._harmonic_ts(), machine0(),
+                          make_policy("ccEDF"), demand=0.7,
+                          duration=2000.0, energy_model=model,
+                          record_trace=True)
+        result.energy.idle += 10.0
+        kinds = {v.kind for v in validate_schedule(result, model)}
         assert "energy" in kinds
