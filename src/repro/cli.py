@@ -768,7 +768,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     print(f"worker done: {stats['leases']} lease(s), "
           f"{stats['cells']} cell(s), {stats['bytes_out']} bytes out, "
           f"{stats['reconnects']} reconnect(s), "
-          f"{stats['errors']} error(s)")
+          f"{stats['errors']} error(s), "
+          f"simulate_s={stats['simulate_s']:.3f}, "
+          f"wait_s={stats['wait_s']:.3f}")
     return 0
 
 

@@ -5,7 +5,9 @@ The package slots a multi-host worker backend behind the existing
 
 * :mod:`repro.dist.wire` — length-prefixed TCP frames; cell outcomes
   travel as the CTR1 bytes of :mod:`repro.analysis.transport`, so
-  distributed results are bit-identical to in-process ones.
+  distributed results are bit-identical to in-process ones.  Both ends
+  of a connection set ``TCP_NODELAY`` through
+  :func:`~repro.dist.wire.tune_socket`.
 * :mod:`repro.dist.queue` — the :class:`~repro.dist.queue.LeaseQueue`:
   deadlines, heartbeats, bounded retries, exactly-once delivery.
 * :mod:`repro.dist.coordinator` —

@@ -26,6 +26,7 @@ the in-process executor would.
 
 from __future__ import annotations
 
+import logging
 import queue as _queue_mod
 import socket
 import threading
@@ -37,8 +38,10 @@ from repro.analysis.executor import SweepProgress
 from repro.analysis.transport import decode_cell
 from repro.dist.queue import LeaseQueue
 from repro.dist.wire import (WireError, context_to_wire, recv_frame,
-                             send_frame, spec_to_wire)
+                             send_frame, spec_to_wire, tune_socket)
 from repro.errors import ReproError
+
+_LOG = logging.getLogger("repro.dist")
 
 
 class RemoteCellExecutor:
@@ -176,7 +179,8 @@ class RemoteCellExecutor:
                     continue
                 if isinstance(value, BaseException):
                     raise value
-                self.ipc_bytes += len(value)
+                with self._lock:  # submit_cell's handlers add too
+                    self.ipc_bytes += len(value)
                 outcome = decode_cell(value)
                 remaining -= 1
                 if on_result is not None:
@@ -211,7 +215,9 @@ class RemoteCellExecutor:
             if isinstance(value, BaseException):
                 future.set_exception(value)
                 return
-            self.ipc_bytes += len(value)
+            # Runs on whichever handler thread completed the ticket.
+            with self._lock:
+                self.ipc_bytes += len(value)
             try:
                 future.set_result(decode_cell(value))
             except ReproError as exc:  # pragma: no cover - codec bug
@@ -279,7 +285,8 @@ class RemoteCellExecutor:
 
     def _serve_worker(self, conn: socket.socket, addr, worker_id: str
                       ) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        tune_socket(conn)
+        dropped: Optional[str] = None
         try:
             conn.settimeout(10.0)
             hello = recv_frame(conn)
@@ -295,12 +302,18 @@ class RemoteCellExecutor:
                 self.peak_workers = max(self.peak_workers,
                                         len(self._connected))
             self._worker_loop(conn, worker_id)
-        except (WireError, OSError):
-            pass  # lease recovery below handles in-flight work
+        except (WireError, OSError) as exc:
+            dropped = repr(exc)  # lease recovery below handles the work
         finally:
             with self._lock:
                 self._connected.pop(worker_id, None)
-            self._queue.release_worker(worker_id)
+            released = self._queue.release_worker(worker_id)
+            if dropped is None and released and not self._shutdown:
+                dropped = "closed the connection mid-lease"
+            if dropped is not None:
+                _LOG.warning("dropped worker %s at %s: %s; released %d "
+                             "in-flight ticket(s)", worker_id, addr,
+                             dropped, released)
             try:
                 conn.close()
             except OSError:  # pragma: no cover - already closed
@@ -324,7 +337,7 @@ class RemoteCellExecutor:
                         send_frame(conn, "shutdown")
                         return
                     lease = self._queue.lease(
-                        worker_id, self._lease_size(), timeout=0.25)
+                        worker_id, self._lease_size, timeout=0.25)
                 header: Dict[str, object] = {
                     "lease": lease.lease_id,
                     "digest": lease.digest,
@@ -360,10 +373,13 @@ class RemoteCellExecutor:
                 raise WireError(
                     f"unexpected frame kind {kind!r} from {worker_id}")
 
-    def _lease_size(self) -> int:
-        """Adaptive lease sizing: split pending work across the fleet."""
+    def _lease_size(self, pending: int) -> int:
+        """Adaptive lease sizing: split pending work across the fleet.
+
+        The queue calls this when it grants a lease, so ``pending`` is
+        the work actually there (never the empty queue a waiting worker
+        saw when it asked).
+        """
         with self._lock:
             fleet = max(1, len(self._connected))
-        pending = self._queue.pending
-        fair = -(-pending // (2 * fleet)) if pending else 1
-        return max(1, min(self.lease_cells, fair))
+        return max(1, min(self.lease_cells, -(-pending // (2 * fleet))))

@@ -25,7 +25,9 @@ a lease as one homogeneous column batch).
 Locking: all state lives behind one condition variable; delivery
 callbacks are collected under the lock but *invoked outside it*, so a
 callback may re-enter the queue (e.g. a future's waiter immediately
-submitting more work) without deadlocking.
+submitting more work) without deadlocking.  The one callable run under
+the lock is a lease's size rule (see :meth:`LeaseQueue.lease`), which
+must not call back into the queue.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.errors import ReproError
 
@@ -132,7 +135,8 @@ class LeaseQueue:
             return len(self._leases)
 
     # -- worker side (via connection handlers) ------------------------------
-    def lease(self, worker: str, max_cells: int,
+    def lease(self, worker: str,
+              max_cells: Union[int, Callable[[int], int]],
               timeout: Optional[float] = None) -> Optional[Lease]:
         """Grant up to ``max_cells`` homogeneous pending cells.
 
@@ -142,6 +146,11 @@ class LeaseQueue:
         ``(digest, engine, group)`` — skipping over non-matching items
         would reorder delivery priorities for no benefit, since each
         group is homogeneous by construction.
+
+        ``max_cells`` may be a callable taking the pending count: it is
+        called under the queue lock once work is there, so a lease is
+        sized by the work it is granted from, not by the (often empty)
+        queue the worker saw when it started waiting.
         """
         deadline = None if timeout is None else self._clock() + timeout
         with self._cond:
@@ -157,6 +166,8 @@ class LeaseQueue:
                     self._cond.wait()
             if self._closed:
                 return None
+            if callable(max_cells):
+                max_cells = max_cells(len(self._pending))
             head = self._pending[0]
             lease = Lease(
                 lease_id=self._next_lease, worker=worker,
@@ -247,15 +258,17 @@ class LeaseQueue:
 
     def release_worker(self, worker: str, reason: str = "disconnect"
                        ) -> int:
-        """Release every lease held by ``worker``."""
+        """Release every lease held by ``worker``; returns the number
+        of in-flight tickets released (requeued, or failed once past
+        their retry budget)."""
         with self._cond:
             items: List[WorkItem] = []
             for lease_id in [lid for lid, lease in self._leases.items()
                              if lease.worker == worker]:
                 items.extend(self._leases.pop(lease_id).items.values())
-            requeued, exhausted = self._requeue_locked(items)
+            _, exhausted = self._requeue_locked(items)
         self._fail_exhausted(exhausted, reason)
-        return requeued
+        return len(items)
 
     def expire(self, now: Optional[float] = None) -> int:
         """Requeue cells of every lease past its deadline."""

@@ -40,6 +40,15 @@ Message kinds
 ``shutdown`` (coordinator -> worker)
     No more work will ever arrive; the worker exits its loop.
 
+Socket invariant
+----------------
+Both ends of a worker connection go through :func:`tune_socket`
+(``TCP_NODELAY``), and each protocol turn is one ``sendall`` of one
+packed frame.  A worker sends ``result`` and then ``request``
+back to back; with Nagle on, the small ``request`` would wait for the
+ACK of ``result``, which the coordinator delays (~40 ms on Linux)
+because it has nothing to send until that ``request`` arrives.
+
 Specs and contexts travel as JSON built from the same canonical fields
 :meth:`~repro.analysis.sweep.SweepContext.description` hashes, so a
 worker-side rebuild reproduces cache keys and outcomes exactly.
@@ -120,6 +129,15 @@ def unpack_frame(body: bytes) -> Tuple[Dict[str, object], List[bytes]]:
             UnicodeDecodeError) as exc:
         raise WireError(f"malformed frame: {exc}") from exc
     return header, payloads
+
+
+def tune_socket(sock: socket.socket) -> None:
+    """Configure a connected DWP1 socket (both ends call this).
+
+    Disables Nagle's algorithm so a frame written right after another
+    one leaves at once instead of waiting for the peer's delayed ACK.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def send_frame(sock: socket.socket, kind: str,

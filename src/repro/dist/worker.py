@@ -40,7 +40,8 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.analysis.batch import ENGINES, encode_cells
 from repro.analysis.sweep import SweepContext
 from repro.dist.wire import (WIRE_VERSION, WireError, context_from_wire,
-                             recv_frame, send_frame, specs_from_wire)
+                             recv_frame, send_frame, specs_from_wire,
+                             tune_socket)
 from repro.errors import ReproError
 
 #: Engines a worker accepts for ``--engine`` (``"auto"`` = follow the
@@ -106,6 +107,11 @@ def run_worker(host: str, port: int, engine: str = "auto",
     BACKOFF_CAP)`` through the injectable ``sleep``.  ``max_leases``
     exits after N leases (test harnesses simulate short-lived workers
     with it).
+
+    Besides counts, the stats hold ``simulate_s`` (seconds spent
+    simulating leases) and ``wait_s`` (seconds from sending each
+    ``request`` to receiving its answer): their share of the worker's
+    wall time is its busy and idle time.
     """
     if engine not in WORKER_ENGINES:
         raise WorkerError(
@@ -113,7 +119,7 @@ def run_worker(host: str, port: int, engine: str = "auto",
             f"{', '.join(repr(name) for name in WORKER_ENGINES)}")
     stats: Dict[str, object] = {
         "leases": 0, "cells": 0, "bytes_out": 0,
-        "reconnects": 0, "errors": 0,
+        "reconnects": 0, "errors": 0, "simulate_s": 0.0, "wait_s": 0.0,
     }
     while True:
         try:
@@ -126,6 +132,7 @@ def run_worker(host: str, port: int, engine: str = "auto",
                 ) from exc
         else:
             try:
+                tune_socket(sock)
                 finished = _serve_connection(sock, engine, max_leases,
                                              stats, log)
             except (OSError, WireError) as exc:
@@ -172,8 +179,10 @@ def _serve_connection(sock: socket.socket, engine: str,
     while True:
         if max_leases is not None and stats["leases"] >= max_leases:
             return True
+        asked = time.perf_counter()
         stats["bytes_out"] += send_frame(sock, "request", lock=write_lock)
         frame = recv_frame(sock)
+        stats["wait_s"] += time.perf_counter() - asked
         if frame is None:
             raise WireError("coordinator closed the connection")
         head, _ = frame
@@ -196,6 +205,7 @@ def _serve_connection(sock: socket.socket, engine: str,
             else head.get("engine", "scalar")
         heartbeat = _Heartbeat(sock, write_lock, head["lease"],
                                heartbeat_interval)
+        started = time.perf_counter()
         try:
             encoded, block_stats = encode_cells(context, specs,
                                                 lease_engine)
@@ -209,6 +219,7 @@ def _serve_connection(sock: socket.socket, engine: str,
             continue
         finally:
             heartbeat.stop()
+            stats["simulate_s"] += time.perf_counter() - started
         result_header = {"lease": head["lease"], "tickets": tickets}
         if block_stats is not None:
             result_header["stats"] = block_stats

@@ -1,5 +1,8 @@
 """LeaseQueue semantics: exactly-once delivery under worker churn."""
 
+import threading
+import time
+
 import pytest
 
 from repro.dist.queue import LeaseQueue
@@ -55,6 +58,25 @@ class TestLeasing:
     def test_lease_timeout_returns_none_when_empty(self):
         queue = LeaseQueue()
         assert queue.lease("w1", max_cells=1, timeout=0.01) is None
+
+    def test_callable_size_sees_the_work_a_waiter_is_granted(self):
+        queue = LeaseQueue()
+        seen = []
+
+        def share(pending):
+            seen.append(pending)
+            return -(-pending // 4)
+
+        box = {}
+        waiter = threading.Thread(
+            target=lambda: box.setdefault(
+                "lease", queue.lease("w1", share, timeout=10)))
+        waiter.start()
+        time.sleep(0.05)  # the waiter blocks on an empty queue
+        enqueue(queue, 40)
+        waiter.join(timeout=10)
+        assert seen == [40]
+        assert len(box["lease"].items) == 10
 
 
 class TestExactlyOnce:
@@ -136,6 +158,14 @@ class TestLiveness:
         assert queue.release_worker("w1") == 2
         assert queue.active_leases == 0
         assert queue.pending == 2
+
+    def test_release_worker_counts_tickets_past_their_budget(self):
+        queue = LeaseQueue(max_retries=0)
+        _, sinks = enqueue(queue, 3)
+        queue.lease("w1", max_cells=3, timeout=0)
+        assert queue.release_worker("w1") == 3
+        assert queue.failed == 3 and queue.pending == 0
+        assert all(isinstance(sink.values[0], ReproError) for sink in sinks)
 
 
 class TestFailurePaths:
