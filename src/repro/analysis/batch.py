@@ -16,8 +16,9 @@ A sweep cell runs on one of :data:`ENGINES`:
   stream advances in lockstep array passes over the lane axis.  The
   planner runs each policy's real ``setup`` to seed the lane, and hands
   every run the lanes cannot replicate exactly (unsupported policies,
-  instrumented runs, abandoned lanes, no numpy) to the scalar engine's
-  per-cell simulator: block lane → ``CellKernel`` → event engine.
+  instrumented runs, abandoned lanes, no numpy) or would run slower
+  (:func:`repro.sim.block_kernels.lane_cut`'s cost model) to the scalar
+  engine's per-cell simulator: block lane → ``CellKernel`` → event engine.
   Per-run fallback reasons and per-stage timings are reported through
   :class:`BlockStats` so silent degradation is visible in sweep results.
 
@@ -449,9 +450,16 @@ def _run_planned_cell(block: ColumnBlock, index: int,
 
 
 def _plan_and_execute(cells: List[Tuple[ColumnBlock, int]],
-                      stats: BlockStats) -> List[Dict[tuple, object]]:
-    """Plan lanes for every cell, run one vectorized mega-pass over all
-    of them, and attach the results (or a shared fallback reason)."""
+                      stats: BlockStats,
+                      lane_cut: Optional[float] = None,
+                      ) -> List[Dict[tuple, object]]:
+    """Plan lanes for every cell, run one vectorized mega-pass over the
+    lanes worth it, and attach the results (or a fallback reason).
+
+    ``lane_cut`` pins the release-count cut (lanes above it run on the
+    per-cell kernel, reason ``small-block``); ``None`` takes
+    :func:`~repro.sim.block_kernels.lane_cut`'s cost-model choice.
+    """
     from repro.sim import block_kernels
     from repro.sim.batch_kernels import numpy_backend
     context = cells[0][0].context if cells else None
@@ -460,45 +468,56 @@ def _plan_and_execute(cells: List[Tuple[ColumnBlock, int]],
     started = perf_counter()
     plans = [_plan_cell(block, index, lane_specs, planned_lanes)
              for block, index in cells]
+    counts = [block_kernels.lane_segment_bound(lane.periods, lane.duration)
+              for lane in lane_specs]
+    if lane_cut is None:
+        lane_cut = block_kernels.lane_cut(counts)
+    laned = [planned for planned, count in zip(planned_lanes, counts)
+             if count <= lane_cut]
     stats.build_seconds += perf_counter() - started
 
     results = None
-    if lane_specs and len(lane_specs) >= block_kernels.BLOCK_MIN_LANES:
+    if laned:
         started = perf_counter()
-        results = block_kernels.run_lanes(context.machine, context.energy_model(),
-                            lane_specs)
+        results = block_kernels.run_lanes(
+            context.machine, context.energy_model(),
+            [planned.lane for planned in laned])
         stats.kernel_seconds += perf_counter() - started
     if results is not None:
-        for planned, result in zip(planned_lanes, results):
+        for planned, result in zip(laned, results):
             planned.result = result
-    elif planned_lanes:
-        reason = ("no-numpy" if numpy_backend() is None
-                  else "small-block" if lane_specs
-                  and len(lane_specs) < block_kernels.BLOCK_MIN_LANES
-                  else "kernel-unavailable")
+    if any(planned.result is None for planned in planned_lanes):
+        # With numpy, every lane left without a result is one the cut
+        # routed to the kernel.
+        reason = "no-numpy" if numpy_backend() is None else "small-block"
         for cell_plans in plans:
             for key, planned in list(cell_plans.items()):
-                if isinstance(planned, _PlannedLane):
+                if isinstance(planned, _PlannedLane) \
+                        and planned.result is None:
                     cell_plans[key] = reason
     return plans
 
 
 def iter_cells_block(context: SweepContext, specs: Sequence[CellSpec],
                      stats: Optional[BlockStats] = None,
+                     lane_cut: Optional[float] = None,
                      ) -> Iterator[Tuple[int, Dict[str, object]]]:
     """Yield ``(index, outcome)`` for every spec, in submission order.
 
     The inline block path: all columns are materialized and planned up
     front, one mega-pass advances the lanes of the *entire* sweep
     simultaneously (the lane axis concatenates columns; lanes pad to the
-    widest task count), and outcomes are then assembled per cell.
+    widest task count), and outcomes are then assembled per cell.  The
+    pass takes the lanes the cost model says it beats the per-cell kernel
+    on, or those at or under an explicit ``lane_cut``
+    (:data:`~repro.sim.block_kernels.ALL_LANES` keeps them all).
     """
     stats = BlockStats() if stats is None else stats
     cells: List[Tuple[ColumnBlock, int]] = []
     for column in _columns(specs):
         block = build_column_block(context, column)
         cells.extend((block, index) for index in range(len(column)))
-    plans = _plan_and_execute(cells, stats)
+    plans = _plan_and_execute(cells, stats, lane_cut)
     for position, ((block, index), cell_plans) in \
             enumerate(zip(cells, plans)):
         yield position, _run_planned_cell(block, index, cell_plans, stats)

@@ -186,7 +186,10 @@ class SweepResult:
     #: Fallback reason -> count of simulation calls the block engine
     #: routed down the per-cell ladder instead of serving from a lane
     #: ("unsupported-policy", "demand-shape", "deadline-miss",
-    #: "schedulability", "no-numpy", "small-block", ...).
+    #: "schedulability", "no-numpy", ...).  "small-block" counts runs the
+    #: lane-versus-kernel cost model
+    #: (:func:`repro.sim.block_kernels.lane_cut`) sent to the per-cell
+    #: kernel because it predicted them cheaper there.
     block_fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Wall seconds per pipeline stage: always ``"aggregate"``; block
     #: runs add ``"block-build"`` (column materialization + lane

@@ -531,11 +531,14 @@ def _audit_invariant(invariant: Invariant, name: str, panel: str,
 
     if invariant.name == "engine-parity":
         from repro.analysis.batch import fan_out_units, iter_cells_block
+        from repro.sim.block_kernels import ALL_LANES
         sampled = set(_sample_indices(len(specs), profile.parity_cells))
         # The event engine is the reference; both production paths (the
         # scalar engine's per-cell kernel and the block engine) must
         # match it.  Block runs every sampled cell's whole column, so it
-        # plans lanes the way a sweep does and the lanes get audited.
+        # plans lanes the way a sweep does, and it keeps every lane on
+        # the lane pass (the cost model would send these narrow columns
+        # to the kernel) so the lanes get audited.
         cells: List[int] = []
         start = 0
         for column in fan_out_units(specs, "block"):
@@ -543,7 +546,8 @@ def _audit_invariant(invariant: Invariant, name: str, panel: str,
             if sampled.intersection(range(start, stop)):
                 cells.extend(range(start, stop))
             start = stop
-        outcomes = iter_cells_block(context, [specs[i] for i in cells])
+        outcomes = iter_cells_block(context, [specs[i] for i in cells],
+                                    lane_cut=ALL_LANES)
         bad = []
         for index, (_, block) in zip(cells, outcomes):
             reference = run_cell(context, specs[index], simulate_fn=simulate)

@@ -95,11 +95,12 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=ENGINES, default="scalar",
                         help="cell execution backend: 'scalar' simulates "
                              "each cell on the per-cell kernel; 'block' "
-                             "advances every cell of a column at once in "
-                             "cross-cell vectorized lane passes, falling "
-                             "back to the same per-cell kernel "
-                             "(bit-identical to scalar, faster cold "
-                             "sweeps)")
+                             "advances the runs of many cells at once in "
+                             "cross-cell vectorized lane passes where a "
+                             "cost model predicts that beats the per-cell "
+                             "kernel, and runs the rest on that kernel "
+                             "(bit-identical to scalar; lanes pay off on "
+                             "wide columns, narrow ones run like scalar)")
 
 
 def _cache_dir_from(args: argparse.Namespace):

@@ -60,10 +60,26 @@ _PH_RELEASE = 0
 _PH_EXEC = 1
 _PH_DONE = 2
 
-#: Below this many lanes the vectorized pass costs more than per-cell
-#: kernels (numpy per-op overhead dominates tiny lane counts); callers
-#: should fall back.  Exposed for tests to tighten.
-BLOCK_MIN_LANES = 8
+#: The lane-versus-kernel cost model :func:`lane_cut` minimises, in
+#: seconds.  A lockstep pass runs about two iterations per release of its
+#: densest lane, each costing a fixed numpy overhead ``a`` plus ``b`` per
+#: lane still running; :class:`~repro.sim.batch_kernels.CellKernel` costs
+#: ``c`` per release.  So a pass over the lanes with release counts
+#: ``r_i <= R`` costs ``2*a*R + 2*b*sum(r_i)`` and the kernel runs the
+#: rest for ``c*sum(r_i)``.  Fitted by least squares (lanes: ``R`` and
+#: ``sum(r_i)``; kernel: ``sum(r_i)``) over 24 sweep shapes of EDF,
+#: staticEDF, staticRM and ccEDF (3/8/10 tasks, 200/1000 ms, 8/24 sets,
+#: one 0.7 column or 0.3 and 0.9; lanes as planned and copied 4x) on a
+#: 2-CPU x86_64 host, CPython 3 with numpy 2.4.  Single predictions there
+#: are within about 30%; only the ratios decide the cut.
+LANE_ITERATION_S = 190e-6
+LANE_RELEASE_S = 0.27e-6
+KERNEL_RELEASE_S = 4.4e-6
+
+#: A cut for :func:`lane_cut`'s callers that keeps every lane on the
+#: lane pass (the catalog audit's engine-parity replay uses it so lanes
+#: stay audited whatever the model would pick).
+ALL_LANES = math.inf
 
 #: How often (in lockstep iterations) the pass considers compacting the
 #: working set down to still-running lanes.  Lanes finish at wildly
@@ -658,9 +674,35 @@ def run_lanes(machine: Machine, energy_model: EnergyModel,
 
 
 def lane_segment_bound(periods: Sequence[float], duration: float) -> int:
-    """Upper bound on the jobs one lane can release (sizing helper)."""
+    """Upper bound on the jobs one lane can release (the release count
+    :func:`lane_cut` weighs)."""
     total = 0
     for period_value in periods:
         if math.isfinite(period_value) and period_value > 0.0:
             total += int(math.ceil(duration / period_value)) + 1
     return total
+
+
+def lane_cut(release_counts: Sequence[int]) -> int:
+    """The release-count cut ``R`` that minimises a pass's predicted cost.
+
+    Lanes with ``release_counts[i] <= R`` run in the lockstep pass; the
+    rest run on the per-cell kernel.  ``R`` is ``0`` (every lane on the
+    kernel) or one of the counts (the largest one: every lane on the
+    pass); ties go to the smaller cut.  A cut between the two sheds the
+    few dense lanes that would set a wide pass's iteration count (as on
+    full-profile catalog columns).  See :data:`LANE_ITERATION_S` for the
+    model.
+    """
+    counts = sorted(release_counts)
+    remaining = sum(counts)
+    best_cut, best_cost = 0, KERNEL_RELEASE_S * remaining
+    laned = 0
+    for count in counts:
+        laned += count
+        remaining -= count
+        cost = (2.0 * LANE_ITERATION_S * count + 2.0 * LANE_RELEASE_S * laned
+                + KERNEL_RELEASE_S * remaining)
+        if cost < best_cost:
+            best_cut, best_cost = count, cost
+    return best_cut

@@ -72,9 +72,9 @@ def numpy_off():
 
 @pytest.fixture
 def per_cell_rung(monkeypatch):
-    """Keep every lane pass below ``BLOCK_MIN_LANES``, so the block engine
-    runs every policy run on its per-cell kernel rung."""
-    monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES", 10 ** 9)
+    """Cut every lane from the lane pass, so the block engine runs every
+    policy run on its per-cell kernel rung."""
+    monkeypatch.setattr(block_kernels, "lane_cut", lambda counts: 0)
 
 
 def rung_sweep(**config):

@@ -15,16 +15,20 @@ side lives in ``benchmarks/write_bench_json.py`` (``fig9_sweep_batch``).
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.sweep import SweepConfig, utilization_sweep
+from repro.analysis.sweep import (SweepConfig, materialize_cell,
+                                  sweep_cell_specs, sweep_context,
+                                  utilization_sweep)
 from repro.hw.energy import EnergyModel
 from repro.hw.machine import machine0
 from repro.sim import block_kernels
 from repro.sim.batch_kernels import set_numpy_enabled, numpy_backend
 from repro.sim.block_kernels import (
     LaneSpec,
+    lane_cut,
     lane_segment_bound,
     run_lanes,
 )
+from tests.analysis.lanes import force_all_lanes
 
 MACHINE = machine0()
 ENERGY = EnergyModel(idle_level=0.1, cycle_energy_scale=1.0)
@@ -49,11 +53,13 @@ def numpy_off():
 
 @pytest.fixture
 def tight_lanes(monkeypatch):
-    """Force the lane pass on even for tiny columns, with compaction
-    firing every other iteration — so small differential sweeps exercise
-    the exact code paths the 1000-cell benchmark takes."""
-    monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES", 1)
+    """Force every lane onto the lane pass, even in tiny columns the cost
+    model would send to the kernel, with compaction firing every other
+    iteration — so small differential sweeps exercise the exact code
+    paths the 1000-cell benchmark takes.  Returns the lane counts
+    :func:`force_all_lanes` records."""
     monkeypatch.setattr(block_kernels, "COMPACT_INTERVAL", 2)
+    return force_all_lanes(monkeypatch)
 
 
 def snap(result):
@@ -104,8 +110,9 @@ class TestBlockSweepIdentity:
         assert all(value >= 0.0 for value in block.stage_seconds.values())
 
     def test_small_column_falls_back(self):
-        # Below BLOCK_MIN_LANES the lane pass would cost more than the
-        # per-cell kernels; the ladder records why and stays identical.
+        # On two lanes the cost model predicts the lane pass costs more
+        # than the per-cell kernel; the ladder records why and stays
+        # identical.
         config = dict(n_tasks=3, n_sets=1, utilizations=(0.5,),
                       duration=400.0, seed=5, policies=("EDF", "ccEDF"))
         scalar = utilization_sweep(SweepConfig(**config))
@@ -155,11 +162,18 @@ class TestBlockSweepIdentity:
         # Columns mixing healthy and miss-heavy cells: the miss-heavy
         # lanes abandon (raise mode) or run dropped jobs inline, and in
         # either case every *other* cell's figures must be untouched.
+        # These columns are far too narrow for the cost model to keep
+        # lanes, so the cut is pinned as in ``tight_lanes``.
         config = dict(n_tasks=3, n_sets=2, utilizations=tuple(utilizations),
                       duration=300.0, seed=seed)
-        scalar = utilization_sweep(SweepConfig(**config))
-        block = utilization_sweep(SweepConfig(engine="block", **config))
+        with pytest.MonkeyPatch.context() as patcher:
+            patcher.setattr(block_kernels, "COMPACT_INTERVAL", 2)
+            ran = force_all_lanes(patcher)
+            scalar = utilization_sweep(SweepConfig(**config))
+            block = utilization_sweep(SweepConfig(engine="block", **config))
         assert snap(scalar) == snap(block)
+        if numpy_backend() is not None:
+            assert sum(ran) > 0
 
 
 class TestLaneIsolation:
@@ -177,7 +191,6 @@ class TestLaneIsolation:
     def test_deadline_miss_does_not_perturb_neighbors(self, monkeypatch):
         if numpy_backend() is None:  # pragma: no cover - numpy-less CI
             pytest.skip("lane simulator needs numpy")
-        monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES", 1)
         monkeypatch.setattr(block_kernels, "COMPACT_INTERVAL", 2)
         # Point 0 runs at half speed, so a 9.9-cycle job in a 10 s period
         # overruns its deadline: in raise mode the lane must abandon.
@@ -215,3 +228,81 @@ class TestLaneIsolation:
     def test_segment_bound(self):
         assert lane_segment_bound([10.0, 20.0], 100.0) == (11 + 6)
         assert lane_segment_bound([float("inf")], 100.0) == 0
+
+
+#: The four policies the lanes serve (``BATCH_WORKLOAD_POLICIES`` in
+#: ``benchmarks/write_bench_json.py``).
+LANE_POLICIES = ("EDF", "staticEDF", "staticRM", "ccEDF")
+
+
+def release_counts(**config):
+    """The release counts the planner hands :func:`lane_cut` for a sweep:
+    one lane per lane-envelope policy per cell, each with its cell's
+    :func:`lane_segment_bound`."""
+    sweep_config = SweepConfig(**config)
+    context = sweep_context(sweep_config)
+    policies = [name for name in sweep_config.policies
+                if name in LANE_POLICIES]
+    counts = []
+    for spec in sweep_cell_specs(sweep_config):
+        taskset, _ = materialize_cell(context, spec)
+        count = lane_segment_bound([task.period for task in taskset],
+                                   sweep_config.duration)
+        counts.extend([count] * len(policies))
+    return counts
+
+
+class TestLaneCostModel:
+    """The cut between the lane pass and the per-cell kernel."""
+
+    def test_block_column_runs_on_the_kernel(self):
+        # perfbench's block-column: one 24-cell 0.7 column, 8 tasks,
+        # 1000 ms.  Its densest lane sets ~3800 lockstep iterations for
+        # 96 lanes; the kernel runs them all for less.
+        counts = release_counts(n_tasks=8, n_sets=24, duration=1000.0,
+                                utilizations=(0.7,), seed=2001,
+                                policies=LANE_POLICIES)
+        assert len(counts) == 96
+        assert lane_cut(counts) == 0
+
+    def test_fig9_sweep_batch_keeps_its_lanes(self):
+        # The 1000-cell benchmark sweep: ~4000 lanes amortize the pass.
+        counts = release_counts(n_tasks=8, n_sets=100, duration=400.0,
+                                seed=2001, policies=LANE_POLICIES)
+        assert len(counts) == 4000
+        cut = lane_cut(counts)
+        assert sum(count <= cut for count in counts) >= 0.99 * len(counts)
+
+    def test_only_the_densest_lanes_are_cut(self):
+        # A few very dense lanes would set the iteration count of the
+        # whole pass; the cut sends just them to the kernel.
+        counts = [200] * 1000 + [5000] * 3 + [150] * 500
+        assert lane_cut(counts) == 200
+
+    def test_empty_and_single_lane(self):
+        assert lane_cut([]) == 0
+        assert lane_cut([40]) == 0
+        assert lane_cut([10 ** 6]) == 0
+
+    def test_mixed_cut_sweep_is_bit_identical(self, monkeypatch):
+        # Pin the cut between the counts the planner reports: part of
+        # every pass runs as lanes, the rest on the kernel, and the
+        # tables must not move.
+        seen = []
+
+        def median_cut(counts):
+            seen.append(list(counts))
+            return sorted(counts)[len(counts) // 2]
+
+        monkeypatch.setattr(block_kernels, "lane_cut", median_cut)
+        config = dict(TINY, n_sets=4)
+        scalar = utilization_sweep(SweepConfig(**config))
+        block = utilization_sweep(SweepConfig(engine="block", **config))
+        assert snap(scalar) == snap(block)
+        assert seen == [release_counts(**config)]
+        cut = median_cut(seen[0])
+        above = sum(count > cut for count in seen[0])
+        assert above > 0
+        if numpy_backend() is not None:
+            assert block.block_cells > 0
+            assert block.block_fallbacks["small-block"] == above

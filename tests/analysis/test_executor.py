@@ -19,6 +19,8 @@ from repro.analysis.sweep import (
     run_cell,
 )
 from repro.errors import ReproError
+from repro.sim.batch_kernels import numpy_backend
+from tests.analysis.lanes import force_all_lanes
 
 TINY = SweepConfig(n_tasks=3, n_sets=2, utilizations=(0.4, 0.8),
                    duration=300.0, seed=13)
@@ -119,7 +121,8 @@ class TestSubmitCell:
             assert future.result(timeout=120) == expected
         assert executor.ipc_bytes > 0  # columnar payload was shipped
 
-    def test_block_engine_matches_scalar(self):
+    def test_block_engine_matches_scalar(self, monkeypatch):
+        ran = force_all_lanes(monkeypatch)
         context, specs = _specs_and_context()
         with CellExecutor(1) as executor:
             scalar = executor.submit_cell(context, specs[0],
@@ -127,6 +130,8 @@ class TestSubmitCell:
             block = executor.submit_cell(context, specs[0],
                                          engine="block").result(60)
         assert block == scalar
+        if numpy_backend() is not None:
+            assert sum(ran) > 0
 
     def test_unknown_engine_fails_loudly(self):
         context, specs = _specs_and_context()

@@ -256,6 +256,29 @@ class TestEngineParityMutations:
         detail = by_name(checks, "invariant:engine-parity")[0].detail
         assert "scalar outcome differs from the event engine" in detail
 
+    def test_drifting_lane_flagged(self, clean, monkeypatch):
+        # The block side keeps every lane on the lane pass, so lanes are
+        # audited even in a two-lane column the cost model would send to
+        # the kernel.
+        from repro.sim import block_kernels
+        from repro.sim.batch_kernels import numpy_backend
+        if numpy_backend() is None:  # pragma: no cover - numpy-less CI
+            pytest.skip("lane simulator needs numpy")
+        real = block_kernels.run_lanes
+
+        def drifting(*args, **kwargs):
+            results = real(*args, **kwargs)
+            for result in results:
+                if result.abandoned is None:
+                    result.total_energy += 1e-9
+            return results
+
+        monkeypatch.setattr(block_kernels, "run_lanes", drifting)
+        checks = audit(*clean)
+        assert_flagged(checks, "invariant:engine-parity")
+        detail = by_name(checks, "invariant:engine-parity")[0].detail
+        assert "block outcome differs from the event engine" in detail
+
 
 class TestReportPlumbing:
     def test_audit_scenario_end_to_end(self):

@@ -17,6 +17,8 @@ from repro.analysis.sweep import utilization_sweep
 from repro.catalog.schema import PanelSpec
 from repro.dist import RemoteCellExecutor, run_worker
 from repro.dist.wire import WIRE_VERSION, recv_frame, send_frame
+from repro.sim.batch_kernels import numpy_backend
+from tests.analysis.lanes import force_all_lanes
 
 TINY_SPEC = {"n_tasks": 3, "n_sets_quick": 2, "duration_quick": 100.0,
              "utilizations": [0.5, 0.9]}
@@ -120,7 +122,11 @@ class TestHappyPath:
         assert executor.duplicates_dropped == 0
         assert executor.ipc_bytes > 0
 
-    def test_block_engine_over_the_wire_bit_identical(self, reference):
+    def test_block_engine_over_the_wire_bit_identical(self, reference,
+                                                      monkeypatch):
+        # The workers are threads of this process, so the pinned cut
+        # reaches them: the column's lanes run on the lane pass.
+        ran = force_all_lanes(monkeypatch)
         executor = RemoteCellExecutor()
         threads = start_fleet(executor, 1)
         try:
@@ -131,6 +137,8 @@ class TestHappyPath:
         raw, normalized = reference
         assert result.raw.rows() == raw
         assert result.normalized.rows() == normalized
+        if numpy_backend() is not None:
+            assert sum(ran) > 0
 
     def test_submit_cell_future_resolves(self):
         from repro.analysis.sweep import sweep_cell_specs, sweep_context
