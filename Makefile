@@ -20,8 +20,8 @@ cov:
 	fi
 
 # Perf trajectory: canonical engine workloads -> BENCH_engine.json
-# (indexed engine vs recorded pre-refactor baseline), then the pytest
-# micro-benchmarks.
+# (each engine workload checked against the cell kernel), then the
+# pytest micro-benchmarks.
 bench:
 	PYTHONPATH=src python benchmarks/write_bench_json.py
 	pytest benchmarks/ --benchmark-only

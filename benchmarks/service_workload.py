@@ -23,10 +23,12 @@ repository root:
 * ``distributed`` — a cold sweep fanned out to :data:`DIST_WORKERS`
   loopback ``rtdvs worker`` subprocesses (one of them running with
   ``RTDVS_NO_NUMPY=1``, so the mixed fleet doubles as a no-numpy
-  differential) vs the same sweep in-process, plus a second fleet where
-  one worker is SIGKILLed mid-sweep.  Both distributed results must be
-  bit-identical to the in-process rows with every cell delivered
-  exactly once.
+  differential) vs the same sweep in-process, timed as
+  :data:`DIST_REPEATS` alternating pairs (a fresh fleet each time, the
+  in-process memos emptied before each in-process run), plus a further
+  fleet where one worker is SIGKILLed mid-sweep.  Every distributed
+  result must be bit-identical to the in-process rows with every cell
+  delivered exactly once.
 
 Usage::
 
@@ -51,11 +53,11 @@ when its workload was run):
   :data:`OVERHEAD_CEILING_PCT` percent of the in-process sweep;
 * ``distributed`` must deliver every cell exactly once in both the
   clean and the worker-kill runs (bit-identity checked inline), and the
-  clean fan-out must clear :data:`DIST_SPEEDUP_FLOOR` x over
-  in-process when the box has at least :data:`DIST_WORKERS` CPUs — on
-  smaller boxes the floor is clamped proportionally to the effective
-  lanes (``min(workers, cpus)``), since loopback workers cannot beat
-  the physical core count.
+  median clean fan-out must clear :data:`DIST_SPEEDUP_FLOOR` x over the
+  median in-process run when the box has at least :data:`DIST_WORKERS`
+  CPUs — on smaller boxes the floor is clamped proportionally to the
+  effective lanes (``min(workers, cpus)``), since loopback workers
+  cannot beat the physical core count.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -74,11 +77,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.analysis import sweep  # noqa: E402
 from repro.analysis.cellcache import CellCache  # noqa: E402
 from repro.analysis.sweep import utilization_sweep  # noqa: E402
 from repro.catalog import panel_sweep_config  # noqa: E402
 from repro.catalog.schema import PanelSpec  # noqa: E402
 from repro.dist import RemoteCellExecutor  # noqa: E402
+from repro.model import schedulability  # noqa: E402
 from repro.service import (ServiceThread, SweepService,  # noqa: E402
                            SweepServiceClient, TenantQuotas)
 
@@ -127,6 +132,10 @@ OVERHEAD_CEILING_PCT = 15.0
 #: horizon, ~25 ms each) so the wire cost stays a rounding error.
 DIST_WORKERS = 4
 DIST_SPEEDUP_FLOOR = 2.5
+#: Alternating (in-process, fresh fleet) timing pairs; the gate compares
+#: their medians, since a single pair swings across the floor on a
+#: shared host.
+DIST_REPEATS = 3
 DIST_SPEC = {
     "n_tasks": 5,
     "n_sets_quick": 8,
@@ -313,28 +322,53 @@ def _check_dist_run(leg, result, raw, normalized):
             f"/{DIST_CELLS} cells")
 
 
-def bench_distributed():
-    """Cold fan-out to a loopback worker fleet vs in-process, twice:
-    once clean (timed) and once with a worker SIGKILLed mid-sweep."""
-    config = _dist_config()
+def _in_process_run(config):
+    """One cold in-process sweep: the per-process RTA and task-set
+    generator memos are emptied first, as a fresh fleet's workers start
+    without them.  Returns ``(result, seconds)``."""
+    schedulability._RTA_MEMO.clear()
+    sweep._GENERATOR_MEMO.clear()
     start = time.perf_counter()
-    direct = utilization_sweep(config)
-    direct_s = time.perf_counter() - start
-    raw, normalized = direct.raw.rows(), direct.normalized.rows()
+    result = utilization_sweep(config)
+    return result, time.perf_counter() - start
 
+
+def _fleet_run(config):
+    """One sweep on a freshly started fleet.  Returns ``(result,
+    seconds, ipc_bytes)``; the fleet's startup is not timed."""
     executor = RemoteCellExecutor()
     procs = _spawn_workers(executor, DIST_WORKERS)
     try:
         if not executor.wait_for_workers(DIST_WORKERS, timeout=60):
             raise SystemExit("distributed: worker fleet failed to connect")
         start = time.perf_counter()
-        dist = utilization_sweep(config, executor=executor)
-        dist_s = time.perf_counter() - start
-        ipc_bytes = executor.ipc_bytes
+        result = utilization_sweep(config, executor=executor)
+        return result, time.perf_counter() - start, executor.ipc_bytes
     finally:
         executor.shutdown()
         _reap_workers(procs)
-    _check_dist_run("fan-out", dist, raw, normalized)
+
+
+def bench_distributed():
+    """Cold fan-out to a loopback worker fleet vs in-process:
+    :data:`DIST_REPEATS` alternating clean pairs (timed, medians gated),
+    then once with a worker SIGKILLed mid-sweep."""
+    config = _dist_config()
+    raw = normalized = None
+    direct_samples, dist_samples = [], []
+    for _ in range(DIST_REPEATS):
+        direct, seconds = _in_process_run(config)
+        direct_samples.append(seconds)
+        if raw is None:
+            raw, normalized = direct.raw.rows(), direct.normalized.rows()
+        elif direct.raw.rows() != raw \
+                or direct.normalized.rows() != normalized:
+            raise SystemExit("distributed: in-process repeats diverged")
+        dist, seconds, ipc_bytes = _fleet_run(config)
+        _check_dist_run("fan-out", dist, raw, normalized)
+        dist_samples.append(seconds)
+    direct_s = statistics.median(direct_samples)
+    dist_s = statistics.median(dist_samples)
 
     # Worker-kill leg: same fleet, one worker SIGKILLed mid-sweep.  The
     # dropped connection releases its lease; survivors re-run the lost
@@ -378,8 +412,11 @@ def bench_distributed():
         "workers": DIST_WORKERS,
         "no_numpy_workers": 1,
         "effective_lanes": lanes,
+        "repeats": DIST_REPEATS,
         "in_process_wall_seconds": round(direct_s, 6),
         "distributed_wall_seconds": round(dist_s, 6),
+        "in_process_samples": [round(x, 6) for x in direct_samples],
+        "distributed_samples": [round(x, 6) for x in dist_samples],
         "speedup": round(direct_s / dist_s, 3),
         "speedup_floor_effective": floor,
         "simulated_cells": dist.simulated_cells,

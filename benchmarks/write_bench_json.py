@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Engine performance trajectory: canonical workloads -> BENCH_engine.json.
 
-Runs a fixed battery of canonical workloads on both engines —
-:class:`~repro.sim.engine.Simulator` (indexed event queues) and
-:class:`~repro.sim.baseline.BaselineSimulator` (the pre-refactor linear
-hot paths) — and records events/second, wall time, and peak RSS in
-``BENCH_engine.json`` at the repository root.  Every run cross-checks that
-the two engines produce identical energy and miss counts, so the speedup
-numbers can never come from a semantic divergence.
+Runs a fixed battery of canonical workloads on the event engine
+(:class:`~repro.sim.engine.Simulator`, indexed event queues) and records
+events/second, wall time, and peak RSS in ``BENCH_engine.json`` at the
+repository root.  Every engine workload is cross-checked against
+:func:`~repro.sim.batch_kernels.kernel_simulate` (the workloads sit inside
+the cell kernel's envelope): energy and miss counts must be identical, so
+the recorded rates can never come from a semantic divergence.
 
 Workloads
 ---------
@@ -43,10 +43,6 @@ Usage::
     PYTHONPATH=src python benchmarks/write_bench_json.py [--out PATH]
         [--parallel-workers N]
     make bench
-
-The file keeps both engines' numbers side by side, so future PRs have a
-recorded pre-refactor baseline to compare against; ``speedup_events_per_sec``
-is the headline ratio (indexed / baseline).
 
 Regression gates (non-zero exit on violation):
 
@@ -108,16 +104,16 @@ from repro.core import make_policy  # noqa: E402
 from repro.hw.machine import machine0  # noqa: E402
 from repro.model.generator import TaskSetGenerator  # noqa: E402
 from repro.obs import MetricsCollector  # noqa: E402
-from repro.sim.baseline import BaselineSimulator  # noqa: E402
+from repro.sim.batch_kernels import kernel_simulate  # noqa: E402
 from repro.sim.engine import Simulator, simulate  # noqa: E402
 from tests.core.scratch_policies import ORACLE_PAIRS  # noqa: E402
 from tests.sim.segment_list import (SegmentList,  # noqa: E402
                                     reference_executed_cycles,
                                     reference_residency)
 
-#: (name, n_tasks, policy, duration) — durations are sized so the baseline
-#: engine finishes each workload in seconds while still processing enough
-#: events for stable rates.
+#: (name, n_tasks, policy, duration) — durations are sized so each
+#: workload finishes in seconds while still processing enough events for
+#: stable rates.
 WORKLOADS = (
     ("tasks10", 10, "ccEDF", 2000.0),
     ("tasks50", 50, "ccEDF", 600.0),
@@ -296,13 +292,16 @@ def bench_workload(name, n_tasks, policy_name, duration):
     taskset = TaskSetGenerator(n_tasks=n_tasks, utilization=UTILIZATION,
                                seed=SEED).generate()
     indexed = _run_engine(Simulator, taskset, policy_name, duration)
-    legacy = _run_engine(BaselineSimulator, taskset, policy_name, duration)
-    if indexed["energy"] != legacy["energy"] \
-            or indexed["misses"] != legacy["misses"]:
+    kernel = kernel_simulate(taskset, machine0(), make_policy(policy_name),
+                             demand=DEMAND, duration=duration,
+                             on_miss="drop")
+    if indexed["energy"] != kernel.total_energy \
+            or indexed["misses"] != len(kernel.misses):
         raise SystemExit(
             f"{name}: engines diverged — indexed "
             f"(E={indexed['energy']}, misses={indexed['misses']}) vs "
-            f"baseline (E={legacy['energy']}, misses={legacy['misses']})")
+            f"cell kernel (E={kernel.total_energy}, "
+            f"misses={len(kernel.misses)})")
     # Collector overhead is a one-sided measurement: co-tenancy noise can
     # inflate it but never deflate a real regression below its true value,
     # so retry a few times and keep the *lowest* observed overhead.
@@ -316,7 +315,6 @@ def bench_workload(name, n_tasks, policy_name, duration):
             instrumented = attempt
         if budget is None or instrumented["overhead_pct"] <= budget:
             break
-    speedup = indexed["events_per_sec"] / legacy["events_per_sec"]
     overhead = instrumented["overhead_pct"]
     return {
         "n_tasks": n_tasks,
@@ -325,10 +323,8 @@ def bench_workload(name, n_tasks, policy_name, duration):
         "demand": DEMAND,
         "duration": duration,
         "indexed": indexed,
-        "baseline": legacy,
         "instrumented": instrumented,
         "instrumented_overhead_pct": round(overhead, 2),
-        "speedup_events_per_sec": round(speedup, 2),
     }
 
 
@@ -980,9 +976,7 @@ def main(argv=None) -> int:
         entry = bench_workload(name, n_tasks, policy_name, duration)
         report["workloads"][name] = entry
         print(f"[bench]   indexed {entry['indexed']['events_per_sec']:,.0f} "
-              f"ev/s vs baseline {entry['baseline']['events_per_sec']:,.0f} "
-              f"ev/s -> speedup {entry['speedup_events_per_sec']:.2f}x",
-              flush=True)
+              "ev/s (cell kernel agrees)", flush=True)
         print(f"[bench]   instrumented "
               f"{entry['instrumented']['events_per_sec_cpu']:,.0f} ev/s "
               f"(CPU) vs "
@@ -1051,9 +1045,6 @@ def main(argv=None) -> int:
 
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"[bench] wrote {args.out}")
-
-    headline = report["workloads"]["tasks200"]["speedup_events_per_sec"]
-    print(f"[bench] headline (tasks200 speedup): {headline:.2f}x")
 
     failures = []
     for name, budget in INSTRUMENT_BUDGETS_PCT.items():

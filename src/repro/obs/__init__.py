@@ -6,12 +6,12 @@ context and frequency switches, energy.  This package surfaces those
 observables from live runs without re-running with full traces:
 
 * :class:`~repro.obs.hooks.Instrumentation` — the hook protocol the
-  engines (:class:`~repro.sim.engine.Simulator`,
-  :class:`~repro.sim.baseline.BaselineSimulator`,
-  :class:`~repro.sim.ticksim.TickSimulator`) call at release, completion,
-  deadline-miss, context-switch, frequency-change, and event-dispatch
-  points.  Hooks default to ``None`` so a disabled or partial instrument
-  costs the hot path a single pointer test.
+  simulators (:class:`~repro.sim.engine.Simulator` and
+  :class:`~repro.sim.ticksim.TickSimulator`; the run-level subset in
+  :class:`~repro.sim.batch_kernels.CellKernel`) call at release,
+  completion, deadline-miss, context-switch, frequency-change, and
+  event-dispatch points.  Hooks default to ``None`` so a disabled or
+  partial instrument costs the hot path a single pointer test.
 * :class:`~repro.obs.metrics.MetricsCollector` — the standard collector:
   per-task and per-policy counters, frequency/voltage residency
   histograms (busy/idle/switch-halt split), preemption and over-unity

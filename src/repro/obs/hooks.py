@@ -1,14 +1,14 @@
 """The instrumentation hook protocol the engines call into.
 
 Design goal: **zero overhead when disabled, bounded overhead when on**.
-The simulators (:mod:`repro.sim.engine`, :mod:`repro.sim.baseline`,
-:mod:`repro.sim.ticksim`) accept an ``instrument`` object and cache each
-hook as a bound method *or* ``None`` at construction time.  Every
-per-event hook on :class:`Instrumentation` is therefore a **class
-attribute defaulting to** ``None``: a subclass that does not care about an
-event simply leaves the attribute alone, and the engine's hot path pays a
-single ``is not None`` test for it (the whole mechanism is off when no
-``instrument`` is passed).
+The simulators (:mod:`repro.sim.engine`, :mod:`repro.sim.ticksim`)
+accept an ``instrument`` object and cache each hook as a bound method
+*or* ``None`` at construction time.  Every per-event hook on
+:class:`Instrumentation` is therefore a **class attribute defaulting to**
+``None``: a subclass that does not care about an event simply leaves the
+attribute alone, and the engine's hot path pays a single ``is not None``
+test for it (the whole mechanism is off when no ``instrument`` is
+passed).
 
 Two tiers of observation exist, matching two cost profiles:
 

@@ -23,7 +23,8 @@ in ``tests/obs/`` pin it to the run duration within relative 1e-9.
 Everything lands in a :class:`RunMetrics` record; its
 :meth:`RunMetrics.deterministic_dict` view excludes wall-clock-dependent
 fields, so two engines producing the same schedule yield *bit-identical*
-metrics (pinned against :class:`~repro.sim.baseline.BaselineSimulator` in
+metrics (the event engine against
+:class:`~repro.sim.batch_kernels.CellKernel` in
 ``tests/sim/test_event_queue.py``).
 """
 
@@ -315,7 +316,7 @@ class MetricsCollector(Instrumentation):
         try:
             busy_time: Optional[float] = sim.busy_time
             idle_time: Optional[float] = sim.idle_time
-        except SimulationError:  # TickSimulator does not track these
+        except SimulationError:  # a view that does not track them
             busy_time = idle_time = None
         self._pending.append({
             "result": result,

@@ -9,7 +9,6 @@ and optional voltage-switch overheads.
 from repro.sim.scheduler import PriorityPolicy, EDFPriority, RMPriority
 from repro.sim.trace import Segment, render_trace
 from repro.sim.results import SimResult, EnergyBreakdown, DeadlineMiss
-from repro.sim.baseline import BaselineSimulator
 from repro.sim.engine import Admission, Simulator, SchedulerView, simulate
 from repro.sim.bound import theoretical_bound, minimum_energy_for_cycles
 from repro.sim.ticksim import TickSimulator
@@ -27,7 +26,6 @@ __all__ = [
     "EnergyBreakdown",
     "DeadlineMiss",
     "Admission",
-    "BaselineSimulator",
     "Simulator",
     "SchedulerView",
     "simulate",

@@ -52,11 +52,11 @@ rather than linear (see ``DESIGN.md`` for the full complexity table):
   a policy hook has run (the only code that can change it).
 
 Simultaneous releases still fire their ``on_release`` hooks in task-set
-order (states carry an ``ordinal``), so scheduling decisions are
-bit-for-bit identical to the pre-refactor linear engine — a property pinned
-by the cross-validation suite against
-:class:`~repro.sim.baseline.BaselineSimulator` and
-:class:`~repro.sim.ticksim.TickSimulator`.
+order (states carry an ``ordinal``).  Two independent simulators pin these
+semantics (``tests/sim/test_event_queue.py``): the flat-array
+:class:`~repro.sim.batch_kernels.CellKernel` bit for bit inside its
+envelope, and :class:`~repro.sim.ticksim.TickSimulator` within tick error
+for admissions, policy wakeups and ``on_miss="continue"``.
 
 Horizon convention: a release landing within ``_EPS`` of ``duration`` (in
 particular, *exactly at* the horizon when the period divides the duration)
@@ -401,7 +401,7 @@ class Simulator(SchedulerView):
         return self._idle_time
 
     # ------------------------------------------------------------------
-    # event-queue primitives (overridden by BaselineSimulator)
+    # event-queue primitives
     # ------------------------------------------------------------------
     def _schedule_release(self, state: _TaskState) -> None:
         """Index ``state``'s next release.  O(log n).

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.core import make_policy
-from repro.errors import SchedulabilityError
+from repro.errors import SchedulabilityError, SimulationError
 from repro.hw.machine import machine0
 from repro.obs import MetricsCollector
 from repro.sim.engine import Simulator
@@ -129,14 +129,24 @@ class TestTickSimulatorConservation:
         m = collector.metrics
         assert abs(m.residency_total - m.span) <= 1e-9 * max(1.0, m.span)
         assert m.jobs_released == sum(tm.released for tm in m.tasks.values())
+        assert m.busy_time + m.idle_time == pytest.approx(m.span, rel=1e-9)
 
     def test_untracked_busy_time_records_none(self, example_ts):
         collector = MetricsCollector()
-        TickSimulator(example_ts, machine0(), make_policy("ccEDF"),
-                      demand=0.7, duration=56.0, tick=0.01,
-                      instrument=collector).run()
+        _UntrackedBusyTime(example_ts, machine0(), make_policy("ccEDF"),
+                           demand=0.7, duration=56.0, tick=0.01,
+                           instrument=collector).run()
         run = collector.runs[0]
         assert run.busy_time is None and run.idle_time is None
+
+
+class _UntrackedBusyTime(TickSimulator):
+    """A view that does not track busy time: ``busy_time`` raises the
+    :class:`~repro.errors.SimulationError` the collector tolerates."""
+
+    @property
+    def busy_time(self):
+        raise SimulationError("busy time is not tracked")
 
 
 class _BrokenBusyTime(Simulator):

@@ -28,7 +28,6 @@ from repro.hw.operating_point import OperatingPoint
 from repro.model.generator import TaskSetGenerator
 from repro.obs.metrics import residency_from_trace
 from repro.sim import batch_kernels, engine as engine_module, ticksim
-from repro.sim.baseline import BaselineSimulator
 from repro.sim.batch_kernels import CellKernel
 from repro.sim.engine import Simulator
 from repro.sim.ticksim import TickSimulator
@@ -130,8 +129,8 @@ class TestCodecRoundTrip:
 
 #: Where each engine builds its recorder: the test-local seam that swaps
 #: the reference recorder in for one run.
-ENGINE_MODULES = {Simulator: engine_module, BaselineSimulator: engine_module,
-                  TickSimulator: ticksim, CellKernel: batch_kernels}
+ENGINE_MODULES = {Simulator: engine_module, TickSimulator: ticksim,
+                  CellKernel: batch_kernels}
 
 
 def _paired_runs(engine, monkeypatch):
