@@ -110,8 +110,7 @@ class CycleConservingEDF(DVSPolicy):
         return self._select(view)
 
     def on_completion(self, view, task: Task) -> Optional[OperatingPoint]:
-        job = view.job_of(task)
-        actual = job.executed if job is not None else 0.0
+        actual = view.executed_in_invocation(task)
         self._update(task.name, actual / task.period)
         return self._select(view)
 

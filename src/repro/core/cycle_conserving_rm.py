@@ -45,13 +45,16 @@ the last allocation (the engine exposes per-invocation executed cycles).
 Maintained state
 ----------------
 Two aggregates are maintained instead of recomputed, both as task-set
-slots (indexes) so every walk reads the view's per-slot job read
-(:meth:`~repro.sim.engine.SchedulerView.current_jobs`) directly instead
+slots (indexes) so every walk reads the view's per-slot arrays
+(:meth:`~repro.sim.engine.SchedulerView.slot_executed`,
+:meth:`~repro.sim.engine.SchedulerView.slot_completed` and
+:meth:`~repro.sim.engine.SchedulerView.slot_invocation`) directly instead
 of resolving ``Task`` objects one call at a time:
 
 * **RM priority order** — ``allocate_cycles`` walks tasks by period.  The
   sorted order only changes when the task set changes, so it is cached
-  as ``(slot, quota)`` pairs and invalidated by the task-set hooks
+  as ``(slot, quota)`` pairs (plus each slot's WCET) and invalidated by
+  the task-set hooks
   (guarded by a task-set identity check, since
   :class:`~repro.model.task.TaskSet` is immutable).
 * **Active quota set** — ``select_frequency`` needs ``Σd_i``, but between
@@ -107,6 +110,7 @@ class CycleConservingRM(DVSPolicy):
         self._static_frequency = 1.0
         self._quota: Dict[str, _Quota] = {}
         self._rm_pairs: Tuple[Tuple[int, _Quota], ...] = ()
+        self._wcets: List[float] = []  # by slot, cached with the pairs
         self._rm_pairs_for: object = None  # taskset the cache was built for
         self._active: List[Tuple[int, _Quota]] = []
 
@@ -124,7 +128,9 @@ class CycleConservingRM(DVSPolicy):
         return self._select(view)
 
     def on_completion(self, view, task: Task) -> Optional[OperatingPoint]:
-        quota = self._quota.setdefault(task.name, _Quota())
+        quota = self._quota.get(task.name)
+        if quota is None:
+            quota = self._quota[task.name] = _Quota()
         quota.completed = True
         return self._select(view)
 
@@ -157,6 +163,7 @@ class CycleConservingRM(DVSPolicy):
             self._rm_pairs = tuple(
                 (slot, self._quota.setdefault(tasks[slot].name, _Quota()))
                 for slot in order)
+            self._wcets = [task.wcet for task in tasks]
             self._rm_pairs_for = taskset
         return self._rm_pairs
 
@@ -167,7 +174,11 @@ class CycleConservingRM(DVSPolicy):
         if deadline is None:
             return
         budget = max(0.0, (deadline - view.time) * self._static_frequency)
-        jobs = view.current_jobs()
+        pairs = self._rm_sorted_pairs(view)
+        wcets = self._wcets
+        executed = view.slot_executed()
+        completed = view.slot_completed()
+        invocation = view.slot_invocation()
         # Tasks that would be granted exactly 0.0 cycles keep their
         # *stale* snapshot — provably harmless, because a zero allotment
         # yields a zero current quota under any snapshot (executed
@@ -175,26 +186,26 @@ class CycleConservingRM(DVSPolicy):
         # never repeat).  Only genuinely-granted tasks pay the snapshot
         # refresh.
         granted: List[Tuple[int, _Quota]] = []
-        for slot, quota in self._rm_sorted_pairs(view):
+        for slot, quota in pairs:
             if budget <= 0.0:
                 # Capacity exhausted: every remaining allotment is exactly
                 # 0.0 (``min(c_left, 0.0)``).
                 quota.allotted = 0.0
                 continue
-            job = jobs[slot]
-            if job is None or job.completion_time is not None:
+            if completed[slot]:
                 # No outstanding invocation: ``worst_case_remaining`` is
                 # exactly 0.0, so the allotment is exactly 0.0.  In steady
                 # state this covers nearly every non-running task.
                 quota.allotted = 0.0
                 continue
-            # c_left and the snapshot come from the same job (bitwise what
-            # Job.worst_case_remaining and Job.executed return).
-            executed = job.executed
-            left = job.task.wcet - executed
+            # c_left and the snapshot come from the same invocation
+            # (bitwise what Job.worst_case_remaining and Job.executed
+            # return).
+            done = executed[slot]
+            left = wcets[slot] - done
             c_left = left if left > 0.0 else 0.0
-            quota.invocation = job.index
-            quota.executed_at_alloc = executed
+            quota.invocation = invocation[slot]
+            quota.executed_at_alloc = done
             quota.completed = False
             # min(c_left, budget), spelled as a comparison.
             grant = budget if budget < c_left else c_left
@@ -219,18 +230,18 @@ class CycleConservingRM(DVSPolicy):
         s_m = deadline - view.time  # cycles at max frequency until deadline
         if s_m <= 1e-12:
             return view.machine.fastest
-        jobs = view.current_jobs()
+        executed = view.slot_executed()
+        completed = view.slot_completed()
+        invocation = view.slot_invocation()
         total = 0.0
         for slot, quota in self._active:
             # ``d_i`` right now: the allotment minus cycles executed since
             # the allocation; zero once the invocation completes.
             if quota.completed:
                 continue  # contributes an exact 0.0
-            job = jobs[slot]
-            if job is None or job.index != quota.invocation \
-                    or job.completion_time is not None:
+            if completed[slot] or invocation[slot] != quota.invocation:
                 continue
-            executed_since = job.executed - quota.executed_at_alloc
+            executed_since = executed[slot] - quota.executed_at_alloc
             left = quota.allotted - executed_since
             total += left if left > 0.0 else 0.0  # max(0.0, left)
         return view.machine.lowest_at_least(min(1.0, total / s_m))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.hooks import HotCounters, Instrumentation
@@ -249,6 +249,21 @@ class MetricsCollector(Instrumentation):
         if not runs:
             raise LookupError("no instrumented run has finished yet")
         return runs[-1]
+
+    def last_residency(self) -> Tuple[Dict[float, float], float]:
+        """``(residency, span)`` of the most recently finished run.
+
+        The same histogram and span :attr:`metrics` reports, read off the
+        run-end snapshot without the O(jobs) per-task rollup — for
+        callers (sweep cells) that need nothing else.
+        """
+        if self._pending:
+            snap = self._pending[-1]
+            return snap["residency"], snap["span"]
+        if self._finished:
+            last = self._finished[-1]
+            return last.residency, last.span
+        raise LookupError("no instrumented run has finished yet")
 
     # -- lifecycle -------------------------------------------------------
     def _reset(self, sim) -> None:

@@ -38,7 +38,7 @@ from repro.hw.machine import machine0, machine2
 from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet, example_taskset
 from repro.sim.batch_kernels import kernel_simulate
-from repro.sim.engine import Admission, simulate
+from repro.sim.engine import Admission, SchedulerView, simulate
 from tests.core.scratch_policies import (ORACLE_PAIRS, ScratchCcEDF,
                                          StateChecker, StateDivergence)
 
@@ -126,8 +126,10 @@ class TestWholeSimulationDifferential:
             assert _fingerprint(fast) == _fingerprint(engine)
 
 
-class _StubView:
-    """The minimal SchedulerView surface the ccEDF hooks touch."""
+class _StubView(SchedulerView):
+    """The minimal SchedulerView surface the ccEDF hooks touch (the base
+    class derives ``executed_in_invocation`` and the per-slot arrays from
+    ``job_of`` and ``current_jobs``)."""
 
     def __init__(self, taskset, machine):
         self.taskset = taskset
