@@ -25,6 +25,7 @@ from repro.analysis.batch import ENGINES
 from repro.analysis.sweep import (
     SweepConfig,
     aggregate_outcomes,
+    materialize_cell,
     run_cell,
     sweep_cell_specs,
     sweep_context,
@@ -32,8 +33,10 @@ from repro.analysis.sweep import (
 )
 from repro.catalog import load_catalog
 from repro.core import PAPER_POLICIES, make_policy
+from repro.core.no_dvs import NoDVS
 from repro.errors import MachineError, ReproError
 from repro.hw.machine import machine0, machine1
+from repro.model.demand import TraceDemand
 from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet
 from repro.obs.hooks import HotCounters, Instrumentation
@@ -41,6 +44,7 @@ from repro.obs.metrics import MetricsCollector
 from repro.sim import block_kernels
 from repro.sim.batch_kernels import (
     CellKernel,
+    cell_params,
     kernel_simulate,
     kernel_supported,
     lowest_at_least_indices,
@@ -181,6 +185,185 @@ class TestKernelMatchesEngine:
         with pytest.raises(ReproError, match="per-event"):
             CellKernel(TaskSet([Task(1.0, 4.0, "A")]), MACHINE, policy,
                        instrument=PerRelease())
+
+
+def assert_kernel_matches_engine(taskset, make, **kwargs):
+    """Run ``make()`` on both simulators: same outcome (or same error),
+    the energy dict in the same insertion order, and ``jobs`` equal field
+    by field.  Returns the kernel's result (``None`` on an error)."""
+    outcomes = []
+    for simulate_fn in (simulate, kernel_simulate):
+        try:
+            result = simulate_fn(taskset, MACHINE, make(), **kwargs)
+        except ReproError as exc:
+            outcomes.append(((type(exc).__name__, str(exc)), None))
+        else:
+            outcomes.append(((canon(result),
+                              list(result.energy.execution.items()),
+                              result.executed_cycles), result))
+    assert outcomes[0][0] == outcomes[1][0]
+    return outcomes[1][1]
+
+
+class TestKernelOrders:
+    """The kernel's release heap, ready heap and per-slot arrays follow the
+    engine's orders exactly at the points where orders decide."""
+
+    @pytest.mark.parametrize("policy", ["EDF", "ccEDF", "laEDF"])
+    def test_equal_deadline_edf_ties_go_to_the_lower_index(self, policy):
+        # Names out of order: ties follow task-set position, not names.
+        taskset = TaskSet([Task(1.0, 4.0, name="b"),
+                           Task(1.0, 4.0, name="a"),
+                           Task(0.5, 2.0, name="c"),
+                           Task(1.0, 4.0, name="T10")])
+        result = assert_kernel_matches_engine(
+            taskset, lambda: make_policy(policy), demand=0.8,
+            duration=16.0, record_trace=True)
+        first_runs = []
+        for segment in result.trace.run_segments():
+            if segment.task not in first_runs:
+                first_runs.append(segment.task)
+        assert first_runs == ["c", "b", "a", "T10"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_policy("staticRM"), lambda: make_policy("ccRM"),
+        lambda: NoDVS(scheduler="rm")])
+    def test_equal_period_rm_ties_go_to_the_lower_index(self, make):
+        taskset = TaskSet([Task(0.5, 5.0, name="z"),
+                           Task(1.0, 10.0, name="y"),
+                           Task(0.75, 5.0, name="x"),
+                           Task(1.0, 10.0, name="w")])
+        result = assert_kernel_matches_engine(
+            taskset, make, demand=0.9, duration=30.0, record_trace=True)
+        order = [s.task for s in result.trace.run_segments()][:4]
+        assert order == ["z", "x", "y", "w"]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_same_instant_release_batches(self, policy):
+        # Harmonic periods: every task releases together at t = 0, 8,
+        # 16, ... and pairs of them at every multiple of 2 and 4.
+        taskset = TaskSet([Task(0.4, 2.0), Task(0.8, 4.0), Task(1.0, 8.0),
+                           Task(1.2, 8.0), Task(0.5, 4.0)])
+        result = assert_kernel_matches_engine(
+            taskset, lambda: make_policy(policy), demand="uniform",
+            duration=64.0, record_trace=True)
+        assert len(result.jobs) == 32 + 16 + 8 + 8 + 16
+
+    @pytest.mark.parametrize("offset", [-5e-10, 0.0, 5e-10])
+    @pytest.mark.parametrize("policy", ["EDF", "ccEDF", "laEDF"])
+    def test_completion_within_eps_of_a_release(self, policy, offset):
+        # B runs [0, 1]; A then completes at 2 + offset, within _EPS of
+        # B's second release at t = 2.
+        taskset = TaskSet([Task(1.0 + offset, 8.0, name="A"),
+                           Task(1.0, 2.0, name="B")])
+        result = assert_kernel_matches_engine(
+            taskset, lambda: make_policy(policy), demand="worst",
+            duration=16.0, record_trace=True)
+        if policy == "EDF":  # full speed: A ends at 2 + offset
+            first = result.jobs[0]
+            assert first.task.name == "A"
+            assert abs(first.completion_time - 2.0) <= 1e-9
+
+    @pytest.mark.parametrize("on_miss", ["drop", "raise"])
+    def test_drop_mode_miss_removes_the_ready_job(self, on_miss):
+        # Full-speed RM (run_cell's fallback) on a set that is
+        # EDF-schedulable only: B misses at t = 5 with 0.5 cycles left,
+        # and its late job must leave the ready heap.
+        taskset = TaskSet([Task(2.0, 4.0, name="A"),
+                           Task(2.5, 5.0, name="B")])
+        result = assert_kernel_matches_engine(
+            taskset, lambda: NoDVS(scheduler="rm"), on_miss=on_miss,
+            duration=40.0, record_trace=True)
+        if on_miss == "drop":
+            assert result.misses
+            assert [m.executed for m in result.misses][0] == 2.0
+
+    def test_drop_mode_misses_in_a_crowded_ready_heap(self):
+        missed = 0
+        for seed in range(12):
+            taskset = TaskSetGenerator(n_tasks=9, utilization=0.97,
+                                       seed=seed).generate()
+            result = assert_kernel_matches_engine(
+                taskset, lambda: NoDVS(scheduler="rm"), on_miss="drop",
+                demand="worst",
+                duration=3.0 * max(t.period for t in taskset))
+            missed += len(result.misses)
+        assert missed > 10
+
+    def test_jobs_equal_field_by_field(self):
+        taskset = TaskSetGenerator(n_tasks=8, utilization=0.85,
+                                   seed=21).generate()
+        kwargs = dict(demand="uniform", duration=400.0, on_miss="drop")
+        engine = simulate(taskset, MACHINE, make_policy("laEDF"), **kwargs)
+        kernel = kernel_simulate(taskset, MACHINE, make_policy("laEDF"),
+                                 **kwargs)
+        # Summed from the flat records before any Job exists...
+        cycles = kernel.executed_cycles
+        assert cycles == engine.executed_cycles
+        assert len(kernel.jobs) == len(engine.jobs) > 100
+        for mine, theirs in zip(kernel.jobs, engine.jobs):
+            assert mine.task is theirs.task
+            assert (mine.release_time, mine.demand, mine.index,
+                    mine.executed, mine.completion_time) == \
+                (theirs.release_time, theirs.demand, theirs.index,
+                 theirs.executed, theirs.completion_time)
+        # ...and from the built jobs afterwards, to the same bits.
+        assert kernel.executed_cycles == cycles
+        assert kernel == engine
+
+
+class TestSharedDemandRows:
+    """``cell_params`` builds each cell's WCET-clipped demand rows once;
+    every policy run of the cell reads them instead of the model."""
+
+    CONFIG = SweepConfig(n_tasks=5, n_sets=1, utilizations=(0.6,),
+                         duration=300.0, seed=13)
+
+    def _cell(self):
+        context = sweep_context(self.CONFIG)
+        spec = sweep_cell_specs(self.CONFIG)[0]
+        taskset, demand = materialize_cell(context, spec)
+        return context, spec, taskset, demand
+
+    def test_rows_are_clipped_like_the_engine(self):
+        context, spec, taskset, demand = self._cell()
+        # Over-WCET entries: the rows must hold min(d, wcet).
+        inflated = TraceDemand(
+            {name: [2.0 * value for value in values]
+             for name, values in demand.trace.items()},
+            repeat=False)
+        rows = cell_params(taskset, inflated)[2]
+        assert all(value <= task.wcet
+                   for task, row in zip(taskset, rows) for value in row)
+        for make in (lambda: make_policy("laEDF"),
+                     lambda: make_policy("ccRM")):
+            engine = simulate(taskset, MACHINE, make(), demand=inflated,
+                              duration=300.0)
+            kernel = kernel_simulate(taskset, MACHINE, make(),
+                                     demand=inflated, duration=300.0,
+                                     params=cell_params(taskset, inflated))
+            assert canon(kernel) == canon(engine)
+        assert run_cell(context, spec, materialized=(taskset, inflated)) \
+            == run_cell(context, spec, simulate_fn=simulate,
+                        materialized=(taskset, inflated))
+
+    def test_truncated_trace_still_underflows(self):
+        context, spec, taskset, demand = self._cell()
+        errors = []
+        for simulate_fn in (None, simulate):
+            truncated = TraceDemand(
+                {name: values[:max(1, len(values) // 2)]
+                 for name, values in demand.trace.items()},
+                repeat=False)
+            with pytest.raises(ReproError,
+                               match="materialized demand trace "
+                                     "underflowed") as info:
+                run_cell(context, spec, simulate_fn=simulate_fn,
+                         materialized=(taskset, truncated))
+            errors.append(str(info.value))
+        # Releases past a row's end still reach the model, so the
+        # fallback draws (and the message) match the engine's.
+        assert errors[0] == errors[1]
 
 
 class TestKernelCollectorMatchesEngine:

@@ -3,15 +3,22 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.sweep import materialize_demand
 from repro.core import make_policy
+from repro.core.avg_throughput import AveragingDVS
 from repro.core.base import DVSPolicy
 from repro.core.fixed import FixedSpeed
 from repro.core.no_dvs import NoDVS
 from repro.errors import SimulationError
 from repro.hw.machine import machine0
 from repro.hw.operating_point import OperatingPoint
+from repro.hw.regulator import SwitchingModel
+from repro.model.demand import UniformFractionDemand
+from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet, example_taskset
+from repro.obs.metrics import MetricsCollector
 from repro.sim.engine import Simulator, simulate
+from repro.sim.ticksim import TickSimulator
 
 from tests.conftest import tasksets
 
@@ -46,6 +53,63 @@ class TestCoincidentEvents:
         job = result.jobs[0]
         assert job.is_complete
         assert job.completion_time == pytest.approx(10.0)
+
+
+class _LoggedAvgDVS(AveragingDVS):
+    """avgDVS that records the instant of every ``on_wakeup`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.wakeups = []
+
+    def on_wakeup(self, view):
+        self.wakeups.append(view.time)
+        return super().on_wakeup(view)
+
+
+class TestWakeupAtHorizon:
+    """A policy wakeup due at ``duration`` is suppressed like a release
+    there: avgDVS's 10-unit window closes exactly at t=500 on this set,
+    and a point chosen then would never run."""
+
+    DURATION = 500.0
+
+    def _inputs(self):
+        taskset = TaskSetGenerator(8, 0.75, seed=11).generate()
+        demand = materialize_demand(UniformFractionDemand(seed=11),
+                                    taskset, self.DURATION)
+        return taskset, demand
+
+    def test_engine_fires_no_wakeup_at_the_horizon(self):
+        taskset, demand = self._inputs()
+        policy = _LoggedAvgDVS()
+        collector = MetricsCollector()
+        result = simulate(taskset, machine0(), policy, demand=demand,
+                          duration=self.DURATION, instrument=collector)
+        assert policy.wakeups[-1] == 490.0
+        assert collector.metrics.wakeups == len(policy.wakeups)
+        # The suppressed window close used to add a 23rd switch at t=500.
+        assert result.switches == 22
+
+    def test_switch_halt_never_runs_past_the_horizon(self):
+        taskset, demand = self._inputs()
+        sim = Simulator(taskset, machine0(), make_policy("avgDVS"),
+                        demand=demand, duration=self.DURATION,
+                        switching=SwitchingModel(0.01, 0.1),
+                        record_trace=True)
+        result = sim.run()
+        assert sim.time == self.DURATION
+        assert max(s.end for s in result.trace) <= self.DURATION
+
+    def test_tick_simulator_agrees(self):
+        taskset, demand = self._inputs()
+        exact, ticked = _LoggedAvgDVS(), _LoggedAvgDVS()
+        simulate(taskset, machine0(), exact, demand=demand,
+                 duration=self.DURATION)
+        TickSimulator(taskset, machine0(), ticked, demand=demand,
+                      duration=self.DURATION, tick=2.0 ** -6).run()
+        assert ticked.wakeups == exact.wakeups
+        assert ticked.wakeups[-1] == 490.0
 
 
 class TestExtremeScales:
