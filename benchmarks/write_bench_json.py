@@ -37,6 +37,10 @@ Workloads
 * ``memory`` — peak-RSS comparison of the same two recorders on the
   n=200 long-horizon workload, one fresh subprocess per backend (see
   ``benchmarks/mem_workload.py`` / ``make bench-mem``).
+* ``kernel_per_policy`` — informational, ungated: milliseconds per run
+  of each of the six paper policies on one catalog fig9 10-task quick
+  cell, on the path sweep cells take (``batch_simulate`` with the
+  cell's shared :func:`~repro.sim.batch_kernels.cell_params` row).
 
 Usage::
 
@@ -98,13 +102,16 @@ from numpy_guard import numpy_violation  # noqa: E402
 
 from repro.analysis.executor import effective_cpu_count  # noqa: E402
 from repro.analysis.sweep import (SweepConfig, aggregate_outcomes,  # noqa: E402
-                                  run_cell, sweep_cell_specs, sweep_context,
+                                  materialize_cell, run_cell,
+                                  sweep_cell_specs, sweep_context,
                                   utilization_sweep)
-from repro.core import make_policy  # noqa: E402
+from repro.catalog import panel_sweep_config  # noqa: E402
+from repro.core import PAPER_POLICIES, make_policy  # noqa: E402
 from repro.hw.machine import machine0  # noqa: E402
 from repro.model.generator import TaskSetGenerator  # noqa: E402
 from repro.obs import MetricsCollector  # noqa: E402
-from repro.sim.batch_kernels import kernel_simulate  # noqa: E402
+from repro.sim.batch_kernels import (batch_simulate, cell_params,  # noqa: E402
+                                     kernel_simulate)
 from repro.sim.engine import Simulator, simulate  # noqa: E402
 from tests.core.scratch_policies import ORACLE_PAIRS  # noqa: E402
 from tests.sim.segment_list import (SegmentList,  # noqa: E402
@@ -950,6 +957,50 @@ def check_sweep_gates(entry, previous_rate, previous_fingerprint):
     return failures
 
 
+#: The ``kernel_per_policy`` cell: catalog fig9, 10-task panel, quick
+#: scale, first task set at this utilization (every paper policy is
+#: schedulable there, so none takes the RM fallback).
+KERNEL_CELL_UTILIZATION = 0.7
+
+#: Timed runs per policy and repetition in ``kernel_per_policy``.
+KERNEL_CELL_RUNS = 20
+
+
+def bench_kernel_per_policy():
+    """Milliseconds per run of each paper policy on one fig9 quick cell.
+
+    Informational (no gate): where a sweep cell's kernel time goes by
+    policy.  Each policy's figure is the best of ``REPEATS`` batches of
+    ``KERNEL_CELL_RUNS`` runs.
+    """
+    config = panel_sweep_config("fig9", "10-tasks", quick=True)
+    context = sweep_context(config)
+    spec = next(spec for spec in sweep_cell_specs(config)
+                if spec.utilization == KERNEL_CELL_UTILIZATION)
+    taskset, demand = materialize_cell(context, spec)
+    params = cell_params(taskset, demand)
+    energy_model = context.energy_model()
+    ms_per_run = {}
+    releases = 0
+    for name in PAPER_POLICIES:
+        best = None
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            for _ in range(KERNEL_CELL_RUNS):
+                result = batch_simulate(
+                    taskset, context.machine, make_policy(name),
+                    params=params, demand=demand,
+                    duration=context.duration, energy_model=energy_model)
+            elapsed = (time.perf_counter() - start) / KERNEL_CELL_RUNS
+            best = elapsed if best is None else min(best, elapsed)
+        ms_per_run[name] = round(1e3 * best, 3)
+        releases = len(result.jobs)
+    return {"scenario": "fig9", "panel": "10-tasks",
+            "utilization": spec.utilization, "set_index": spec.set_index,
+            "n_tasks": spec.n_tasks, "duration": context.duration,
+            "releases_per_run": releases, "ms_per_run": ms_per_run}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path,
@@ -1041,6 +1092,15 @@ def main(argv=None) -> int:
           f"{batch_entry['block']['cells_per_sec']:.1f} cells/s "
           f"({batch_entry['block_speedup']:.2f}x), scalar subprocess "
           f"numpy-free: {batch_entry['scalar_numpy_lazy']}", flush=True)
+    print("[bench] kernel_per_policy ...", flush=True)
+    kernel_entry = bench_kernel_per_policy()
+    report["workloads"]["kernel_per_policy"] = kernel_entry
+    print("[bench]   fig9 10-task cell u="
+          f"{kernel_entry['utilization']:g}, "
+          f"{kernel_entry['releases_per_run']} releases: "
+          + ", ".join(f"{name} {ms:.2f} ms"
+                      for name, ms in kernel_entry["ms_per_run"].items()),
+          flush=True)
     report["peak_rss_kb"] = _peak_rss_kb()
 
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -71,10 +71,13 @@ _PH_DONE = 2
 #: staticEDF, staticRM and ccEDF (3/8/10 tasks, 200/1000 ms, 8/24 sets,
 #: one 0.7 column or 0.3 and 0.9; lanes as planned and copied 4x) on a
 #: 2-CPU x86_64 host, CPython 3 with numpy 2.4.  Single predictions there
-#: are within about 30%; only the ratios decide the cut.
+#: are within about 30%; only the ratios decide the cut.  ``c`` was
+#: re-measured on the same shapes after the kernel stopped building a
+#: ``Job`` per release (heap-ordered queues, shared demand rows): the fit
+#: fell to 0.46x of the old kernel's on one host, so it is scaled by that.
 LANE_ITERATION_S = 190e-6
 LANE_RELEASE_S = 0.27e-6
-KERNEL_RELEASE_S = 4.4e-6
+KERNEL_RELEASE_S = 2.0e-6
 
 #: A cut for :func:`lane_cut`'s callers that keeps every lane on the
 #: lane pass (the catalog audit's engine-parity replay uses it so lanes
