@@ -79,13 +79,15 @@ check:
 test-policy-oracle:
 	PYTHONPATH=src python -m pytest -q tests/core/test_incremental_state.py
 
-# The numpy-absent leg: the array engines' pure-Python fallback and every
-# trace consumer must stay bit-identical with numpy switched off.
+# The numpy-absent leg (CI runs this target): the array engines'
+# pure-Python fallback and every trace consumer must stay bit-identical
+# with numpy switched off, and the schedulability tests must pass.
 test-no-numpy:
 	RTDVS_NO_NUMPY=1 PYTHONPATH=src python -m pytest -q \
 	  tests/analysis/test_batch_engine.py \
 	  tests/analysis/test_block_engine.py \
-	  tests/sim/test_trace_numpy_free.py
+	  tests/sim/test_trace_numpy_free.py \
+	  tests/model/test_schedulability.py
 
 # Full-catalog trace audit at the small-N CI profile: every scenario's
 # cells are replayed with traces, counters/energy re-derived, aggregates

@@ -3,13 +3,9 @@
 The scalar simulation path must never pull numpy into the process: the
 memory benchmark's record-path children measure a delta that a stray
 ~30 MB numpy import would drown, and cold-sweep startup pays the import
-latency for nothing.  The only execution paths sanctioned to import numpy
-are
-
-* the **block engine** (``repro.sim.batch_kernels.numpy_backend``, lazily
-  and only for blocks past its size threshold), and
-* the vectorized RTA in ``repro.model.schedulability``, which only
-  static-RM admission reaches (so RM-free workloads stay numpy-free).
+latency for nothing.  The only execution path sanctioned to import numpy
+is the **block engine** (``repro.sim.batch_kernels.numpy_backend``,
+lazily and only for blocks past its size threshold).
 
 This helper used to live as two diverging copies in ``mem_workload.py``
 and ``write_bench_json.py``; both now call here, as does the

@@ -57,8 +57,8 @@ Regression gates (non-zero exit on violation):
 * ``fig9_sweep`` warm-cache rerun must simulate nothing;
 * ``policy_callbacks`` incremental speedup at 200 tasks must reach 2x for
   every incremental policy (3x for laEDF, whose deferral loop is batched),
-  and ccRM's one-time setup must stay under 20 ms (memoized vectorized
-  RTA vs the old O(n^2) scheduling-point test);
+  and ccRM's one-time setup must stay under 20 ms (memoized
+  response-time analysis vs the old O(n^2) scheduling-point test);
 * ``trace_timeline`` array-backend wall clock must reach 2x over the
   segment-list backend, with the columnar blob no larger than pickle;
 * ``memory`` array-backend peak RSS must be >= 30 % below the
@@ -76,8 +76,8 @@ Regression gates (non-zero exit on violation):
   per-cell kernel rung), with bit-identical curves (each variant
   recording its measured ``numpy_used`` flag; the scalar engine's own
   ratio is recorded beside them, ungated), and a fresh scalar
-  subprocess must finish an RTA-free sweep without numpy in
-  ``sys.modules`` (the :mod:`numpy_guard` laziness invariant).
+  subprocess must finish a sweep of every paper policy without numpy
+  in ``sys.modules`` (the :mod:`numpy_guard` laziness invariant).
 """
 
 from __future__ import annotations
@@ -185,8 +185,8 @@ POLICY_CALLBACK_TARGET_SPEEDUP = 2.0
 POLICY_CALLBACK_TARGET_SPEEDUPS = {"laEDF": 3.0}
 
 #: Ceiling on ccRM's one-time setup at 200 tasks (microseconds).  The
-#: memoized vectorized RTA replaced the O(n^2)-scheduling-points exact
-#: test that used to cost ~480,000 us here.
+#: memoized response-time analysis replaced the O(n^2)-scheduling-points
+#: exact test that used to cost ~480,000 us here.
 CCRM_SETUP_US_CEILING = 20_000.0
 
 #: Task counts for the policy-callback microbenchmark.
@@ -728,13 +728,14 @@ def bench_fig9_sweep(parallel_workers=4):
 
 
 #: Child snippet for the scalar-laziness probe: a fresh interpreter runs
-#: a small sweep with RTA-free policies (staticRM/ccRM admission is the
-#: one sanctioned numpy importer outside the batch kernels) and prints
-#: whether numpy ended up in ``sys.modules`` — it must not.
+#: a small sweep with every paper policy (staticRM/ccRM run the RM
+#: response-time analysis at setup) and prints whether numpy ended up in
+#: ``sys.modules`` — it must not.
 _SCALAR_LAZINESS_SNIPPET = """
 import sys
 from repro.analysis.sweep import SweepConfig, utilization_sweep
-utilization_sweep(SweepConfig(policies=("EDF", "staticEDF", "ccEDF"),
+utilization_sweep(SweepConfig(policies=("EDF", "staticEDF", "ccEDF",
+                                        "laEDF", "staticRM", "ccRM"),
                               n_tasks=4, n_sets=1, utilizations=(0.5,),
                               duration=50.0, seed=2001))
 print("numpy" in sys.modules)

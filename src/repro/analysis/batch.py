@@ -43,10 +43,7 @@ Two invariants anchor the design:
   only on the block path.  numpy only ever loads through
   :func:`repro.sim.batch_kernels.numpy_backend`, which only block code
   calls, so a scalar sweep keeps ``numpy`` out of ``sys.modules``
-  entirely (asserted by :mod:`benchmarks.numpy_guard`; the one sanctioned
-  importer outside the block path is the vectorized RTA in
-  :mod:`repro.model.schedulability`, which only static-RM admission
-  reaches).
+  entirely (asserted by :mod:`benchmarks.numpy_guard`).
 """
 
 from __future__ import annotations

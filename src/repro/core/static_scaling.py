@@ -88,7 +88,7 @@ class StaticRM(_StaticBase):
     Parameters
     ----------
     exact:
-        When True (default) use an exact test — the memoized vectorized
+        When True (default) use an exact test — the memoized
         response-time analysis, equivalent to the scheduling-point test
         the paper's Fig. 1 presents but orders of magnitude cheaper for
         large task sets; when False use the conservative Liu-Layland

@@ -18,12 +18,12 @@ Three tests are provided:
   some scheduling point ``t <= P_i``.
 * :func:`rm_rta_schedulable` — the same exact criterion expressed as
   response-time analysis [Joseph & Pandya 1986, Audsley et al. 1993],
-  iterated as a whole-vector fixed point and memoized per
-  ``(task set, alpha)``.  The scheduling-point test enumerates every
-  multiple of every higher-priority period up to ``P_i`` — O(n² · k)
-  points for hyperperiod-rich sets — which is why a 200-task static-RM
-  setup used to cost ~half a second; the RTA fixed point converges in a
-  handful of O(n²) array sweeps instead.
+  memoized per ``(task set, alpha)``.  The scheduling-point test
+  enumerates every multiple of every higher-priority period up to
+  ``P_i`` — O(n² · k) points for hyperperiod-rich sets — which is why a
+  200-task static-RM setup used to cost ~half a second; each task's
+  response-time iteration, started from the previous task's response
+  time, converges in a handful of O(n) steps instead.
 
 The paper's Figure 1 presents the scheduling-point style test; its example
 (Table 2, Fig. 2: "Static RM fails at 0.75") is reproduced by all RM tests.
@@ -32,7 +32,7 @@ The paper's Figure 1 presents the scheduling-point style test; its example
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import TaskModelError
 from repro.model.task import Task
@@ -152,27 +152,53 @@ def _rta_memo_clear() -> None:
     _RTA_MEMO.clear()
 
 
+def _rm_response_times(ordered: Sequence[Task], alpha: float,
+                       max_iterations: int) -> Optional[List[float]]:
+    """RM response times of period-ordered ``ordered`` at ``alpha``, or
+    ``None`` at the first task whose response time exceeds its period.
+
+    Per task, the fixed point ``R = C_i/alpha + Σ_{j<i} ceil(R/P_j - eps)
+    * C_j/alpha`` is iterated from ``R_{i-1} + C_i/alpha``, a lower bound
+    on ``R_i`` [Sjödin & Hansson 1998], so long sets take a handful of
+    steps per task.  The interference is added up term by term with
+    ``+=`` (``sum()`` of floats is compensated from Python 3.12 on).
+    """
+    responses: List[float] = []
+    higher: List[Tuple[float, float]] = []
+    ceil = math.ceil
+    response = 0.0
+    for task in ordered:
+        scaled_c = task.wcet / alpha
+        response += scaled_c
+        for _ in range(max_iterations):
+            interference = 0.0
+            for period, c in higher:
+                interference += ceil(response / period - _EPS) * c
+            demand = scaled_c + interference
+            if demand > task.period + _EPS:
+                return None
+            if abs(demand - response) <= _EPS * max(1.0, demand):
+                response = demand
+                break
+            response = demand
+        else:  # pragma: no cover - defensive; iteration always converges
+            raise TaskModelError("response-time iteration did not converge")
+        responses.append(response)
+        higher.append((task.period, scaled_c))
+    return responses
+
+
 def rm_rta_schedulable(tasks: Iterable[Task], alpha: float = 1.0,
                        max_iterations: int = 10_000) -> bool:
     """Exact RM schedulability at relative frequency ``alpha`` via
-    vectorized response-time analysis.
+    response-time analysis.
 
     Equivalent to :func:`rm_exact_schedulable` (both are necessary and
-    sufficient for the synchronous, deadline-equals-period model) but
-    computed as a single whole-vector fixed point: with tasks sorted by
-    period (ties broken by input order, matching the scalar tests), the
-    iteration is
-
-    ``R <- C/alpha + (L ∘ ceil(R/Pᵀ - eps)) · (C/alpha)``
-
-    where ``L`` is the strict lower-triangular mask selecting each task's
-    higher-priority interferers.  Rows are independent, so the vector
-    iteration reproduces the per-task scalar iteration of
-    :func:`response_time_analysis` exactly, with the same convergence
-    (``|demand - R| <= eps * max(1, demand)``) and failure
-    (``demand > period + eps``) tolerances.  The iteration is monotone
-    non-decreasing from ``R = C/alpha``, so any transient overshoot of a
-    period already proves unschedulability.
+    sufficient for the synchronous, deadline-equals-period model) and,
+    by construction, to ``response_time_analysis(tasks, alpha) is not
+    None``: both run the same per-task iteration over the tasks sorted
+    by period (ties broken by input order, matching the scalar tests),
+    stopping at the first task that misses.
 
     Results are memoized per ``(period-ordered task parameters, alpha)``;
     the paper's example set {(3,8), (3,10), (1,14)} fails at
@@ -186,35 +212,7 @@ def rm_rta_schedulable(tasks: Iterable[Task], alpha: float = 1.0,
     hit = _RTA_MEMO.get(key)
     if hit is not None:
         return hit
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy ships with the repo
-        verdict = response_time_analysis(ordered, alpha,
-                                         max_iterations) is not None
-    else:
-        periods = np.array([t.period for t in ordered], dtype=np.float64)
-        scaled_c = np.array([t.wcet for t in ordered],
-                            dtype=np.float64) / alpha
-        n = len(ordered)
-        lower = np.tril(np.ones((n, n), dtype=np.float64), k=-1)
-        response = scaled_c.copy()
-        verdict = None
-        for _ in range(max_iterations):
-            interference = lower * np.ceil(
-                response[:, None] / periods[None, :] - _EPS)
-            demand = scaled_c + interference @ scaled_c
-            if bool(np.any(demand > periods + _EPS)):
-                verdict = False
-                break
-            if bool(np.all(np.abs(demand - response)
-                           <= _EPS * np.maximum(1.0, demand))):
-                verdict = True
-                response = demand
-                break
-            response = demand
-        if verdict is None:  # pragma: no cover - defensive, as scalar
-            raise TaskModelError(
-                "response-time iteration did not converge")
+    verdict = _rm_response_times(ordered, alpha, max_iterations) is not None
     if len(_RTA_MEMO) >= _RTA_MEMO_MAX:
         _RTA_MEMO.clear()
     _RTA_MEMO[key] = verdict
@@ -232,32 +230,19 @@ def response_time_analysis(tasks: Iterable[Task], alpha: float = 1.0,
     Returns the response times in the order of the *input* iterable, or
     ``None`` if any task's response time exceeds its period (unschedulable).
     This complements :func:`rm_exact_schedulable` and is used by tests as an
-    independent oracle.
+    oracle independent of the scheduling-point test.
     """
     _check_alpha(alpha)
     original = list(tasks)
-    ordered = sorted(range(len(original)), key=lambda k: original[k].period)
-    responses: List[Optional[float]] = [None] * len(original)
-    higher: List[Task] = []
-    for rank, k in enumerate(ordered):
-        task = original[k]
-        scaled_c = task.wcet / alpha
-        response = scaled_c
-        for _ in range(max_iterations):
-            demand = scaled_c + sum(
-                math.ceil(response / h.period - _EPS) * (h.wcet / alpha)
-                for h in higher)
-            if demand > task.period + _EPS:
-                return None
-            if abs(demand - response) <= _EPS * max(1.0, demand):
-                response = demand
-                break
-            response = demand
-        else:  # pragma: no cover - defensive; iteration always converges
-            raise TaskModelError("response-time iteration did not converge")
+    order = sorted(range(len(original)), key=lambda k: original[k].period)
+    by_period = _rm_response_times([original[k] for k in order], alpha,
+                                   max_iterations)
+    if by_period is None:
+        return None
+    responses = [0.0] * len(original)
+    for k, response in zip(order, by_period):
         responses[k] = response
-        higher.append(task)
-    return [r for r in responses]  # type: ignore[misc]
+    return responses
 
 
 def min_edf_frequency(tasks: Iterable[Task]) -> float:

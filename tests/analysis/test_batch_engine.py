@@ -441,8 +441,8 @@ class TestRunCellMatchesEventEngine:
 
 #: A fresh interpreter imports the sweep and service layers (which must
 #: not load the kernel module: start-up time), then runs a scalar sweep
-#: of the RM-free paper policies (static-RM admission is the one
-#: sanctioned numpy importer) with short periods, so every policy run
+#: of all six paper policies (the RM ones run the response-time
+#: analysis at setup) with short periods, so every policy run
 #: releases far more than 64 jobs (the old numpy threshold of the
 #: kernel's final deadline check).  It reports whether the kernel loaded
 #: on import, whether numpy got imported, and the smallest job count of
@@ -454,7 +454,8 @@ from repro.analysis.sweep import (SweepConfig, sweep_cell_specs,
                                   sweep_context, materialize_cell,
                                   utilization_sweep)
 eager = "repro.sim.batch_kernels" in sys.modules
-config = SweepConfig(policies=("EDF", "staticEDF", "ccEDF", "laEDF"),
+config = SweepConfig(policies=("EDF", "staticEDF", "ccEDF", "laEDF",
+                               "staticRM", "ccRM"),
                      n_tasks=5, n_sets=2, utilizations=(0.5, 0.9),
                      period_bands=((5.0, 20.0),), duration=400.0,
                      residency_policies=("ccEDF", "laEDF"), seed=7)

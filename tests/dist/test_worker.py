@@ -1,12 +1,17 @@
-"""``rtdvs worker``: engine validation and the re-dial schedule.
+"""``rtdvs worker``: engine validation, the re-dial schedule, and RM
+cells that leave numpy unimported.
 
 The worker re-dials on the service client's schedule
 (:func:`repro.service.client.backoff_delay`); ``sleep`` is injected so
 every back-off decision is observed without waiting.
 """
 
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +37,33 @@ class TestEngines:
         with pytest.raises(WorkerError,
                            match="unknown worker engine 'batch'"):
             run_worker("127.0.0.1", refusing_port(), engine="batch")
+
+
+#: A fresh interpreter loads the worker module and runs a lease's worth
+#: of staticRM/ccRM cells through the worker's own entry point; both
+#: policies run the RM response-time analysis at setup.
+_WORKER_RM_SNIPPET = """
+import sys
+import repro.dist.worker
+from repro.analysis.batch import encode_cells
+from repro.analysis.sweep import SweepConfig, sweep_cell_specs, sweep_context
+config = SweepConfig(policies=("staticRM", "ccRM"), n_tasks=8, n_sets=2,
+                     utilizations=(0.5, 0.8), duration=200.0, seed=11)
+encoded, _ = encode_cells(sweep_context(config), sweep_cell_specs(config))
+print(len(encoded), "numpy" in sys.modules)
+"""
+
+
+class TestNumpyFree:
+    def test_rm_cells_leave_numpy_unimported(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {key: value for key, value in os.environ.items()
+               if key != "RTDVS_NO_NUMPY"}
+        env["PYTHONPATH"] = str(src)
+        proc = subprocess.run([sys.executable, "-c", _WORKER_RM_SNIPPET],
+                              capture_output=True, text=True, env=env,
+                              check=True)
+        assert proc.stdout.split() == ["4", "False"]
 
 
 class TestRedialSchedule:

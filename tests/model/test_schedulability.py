@@ -4,9 +4,14 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TaskModelError
+from repro.hw.machine import machine0, machine1
+from repro.model import schedulability
+from repro.model.generator import TaskSetGenerator
 from repro.model.schedulability import (
+    _rta_memo_clear,
     edf_schedulable,
     min_edf_frequency,
     min_rm_frequency,
@@ -14,6 +19,7 @@ from repro.model.schedulability import (
     rm_exact_schedulable,
     rm_liu_layland_bound,
     rm_liu_layland_schedulable,
+    rm_rta_schedulable,
     rm_scheduling_points,
 )
 from repro.model.task import Task, TaskSet, example_taskset
@@ -125,6 +131,109 @@ class TestResponseTimeAnalysis:
             exact = rm_exact_schedulable(ts, alpha)
             rta = response_time_analysis(ts, alpha)
             assert exact == (rta is not None), (ts, alpha)
+
+
+#: Every operating frequency of the paper's machine 0 and machine 1.
+GRID_ALPHAS = sorted({p.frequency for m in (machine0(), machine1())
+                      for p in m.points})
+
+
+def _responses_from_wcet(ts, alpha):
+    """Period-ordered response times, each task iterated from its own
+    ``C_i/alpha`` rather than from the previous task's response time."""
+    eps = schedulability._EPS
+    ordered = sorted(ts, key=lambda t: t.period)
+    responses = []
+    for i, task in enumerate(ordered):
+        response = task.wcet / alpha
+        while True:
+            interference = 0.0
+            for h in ordered[:i]:
+                interference += math.ceil(response / h.period - eps) \
+                    * (h.wcet / alpha)
+            demand = task.wcet / alpha + interference
+            if demand > task.period + eps:
+                return None
+            if abs(demand - response) <= eps * max(1.0, demand):
+                break
+            response = demand
+        responses.append(demand)
+    return responses
+
+
+class TestRTASchedulable:
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        _rta_memo_clear()
+        yield
+        _rta_memo_clear()
+
+    @settings(max_examples=60, deadline=None)
+    @given(ts=tasksets,
+           off_grid=st.lists(st.floats(min_value=0.05, max_value=1.0),
+                             min_size=1, max_size=3))
+    def test_agrees_with_exact_test_and_rta(self, ts, off_grid):
+        for alpha in GRID_ALPHAS + off_grid:
+            _rta_memo_clear()
+            verdict = rm_rta_schedulable(ts, alpha)
+            assert verdict == rm_exact_schedulable(ts, alpha), (ts, alpha)
+            assert verdict == (response_time_analysis(ts, alpha)
+                               is not None), (ts, alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ts=tasksets, alpha=st.sampled_from(GRID_ALPHAS))
+    def test_start_from_previous_response_reaches_same_fixed_point(
+            self, ts, alpha):
+        # R_{i-1} + C_i is a lower bound on R_i, so starting there must
+        # converge to the same least fixed point as starting from C_i.
+        expected = _responses_from_wcet(ts, alpha)
+        responses = response_time_analysis(ts, alpha)
+        if expected is None:
+            assert responses is None
+            return
+        ordered = sorted(range(len(ts)), key=lambda k: ts[k].period)
+        assert [responses[k] for k in ordered] == \
+            pytest.approx(expected, rel=1e-12)
+
+    def test_paper_example(self):
+        # "Static RM fails at 0.75" (Fig. 2); it passes at full speed.
+        assert not rm_rta_schedulable(example_taskset(), 0.75)
+        assert rm_rta_schedulable(example_taskset(), 1.0)
+
+    def test_harmonic_set_at_exactly_alpha(self):
+        # Harmonic periods are RM-schedulable up to U = alpha exactly.
+        ts = TaskSet([Task(0.5, 2), Task(1, 4), Task(2, 8)])  # U = 0.75
+        assert rm_rta_schedulable(ts, 0.75)
+        assert rm_exact_schedulable(ts, 0.75)
+        assert not rm_rta_schedulable(ts, 0.7499)
+        assert not rm_exact_schedulable(ts, 0.7499)
+
+    def test_memo_hit_and_clear(self):
+        ts = example_taskset()
+        assert not schedulability._RTA_MEMO
+        first = rm_rta_schedulable(ts, 1.0)
+        assert len(schedulability._RTA_MEMO) == 1
+        assert rm_rta_schedulable(ts, 1.0) == first
+        assert len(schedulability._RTA_MEMO) == 1
+        _rta_memo_clear()
+        assert not schedulability._RTA_MEMO
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(TaskModelError):
+            rm_rta_schedulable([], 1.0)
+
+    @pytest.mark.parametrize("utilization", [0.5, 0.7])
+    def test_200_tasks_agree_with_rta(self, utilization):
+        ts = TaskSetGenerator(n_tasks=200, utilization=utilization,
+                              seed=2001).generate()
+        verdicts = []
+        for alpha in GRID_ALPHAS + [utilization + 0.01]:
+            _rta_memo_clear()
+            verdict = rm_rta_schedulable(ts, alpha)
+            assert verdict == (response_time_analysis(ts, alpha)
+                               is not None), alpha
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
 
 
 class TestMinFrequencies:
