@@ -17,9 +17,11 @@ repository root:
   cells, with every request still accounting for every cell.
 * ``parity`` — a catalog panel (fig9 / 5-tasks, quick) served cold over
   HTTP against a direct in-process :func:`utilization_sweep` of the
-  same config.  The streamed raw and normalized tables must match the
-  in-process rows bit for bit (JSON round-trips doubles exactly, so
-  ``==`` is a bit-identity check).
+  same config, timed as :data:`PARITY_REPEATS` alternating pairs (a
+  fresh service and cache each time, the process's RTA and generator
+  memos emptied before every leg).  The streamed raw and normalized
+  tables must match the in-process rows bit for bit (JSON round-trips
+  doubles exactly, so ``==`` is a bit-identity check).
 * ``distributed`` — a cold sweep fanned out to :data:`DIST_WORKERS`
   loopback ``rtdvs worker`` subprocesses (one of them running with
   ``RTDVS_NO_NUMPY=1``, so the mixed fleet doubles as a no-numpy
@@ -49,8 +51,8 @@ when its workload was run):
   requests must equal one request's worth;
 * ``parity`` tables must be bit-identical to the in-process sweep
   (checked inline — divergence aborts the run before any JSON is
-  written), and cold served wall time must stay within
-  :data:`OVERHEAD_CEILING_PCT` percent of the in-process sweep;
+  written), and the median cold served wall time must stay within
+  :data:`OVERHEAD_CEILING_PCT` percent of the median in-process sweep;
 * ``distributed`` must deliver every cell exactly once in both the
   clean and the worker-kill runs (bit-identity checked inline), and the
   median clean fan-out must clear :data:`DIST_SPEEDUP_FLOOR` x over the
@@ -125,6 +127,10 @@ PARITY_PANEL = "5-tasks"
 
 #: Ceiling on cold served-vs-in-process wall-time overhead (percent).
 OVERHEAD_CEILING_PCT = 15.0
+#: Alternating (in-process, served) timing pairs; the parity gate
+#: compares their medians, since one pair swings across the ceiling on a
+#: shared host.
+PARITY_REPEATS = 3
 
 #: Distributed workload: loopback worker fleet size, and the cold-sweep
 #: speedup the fleet must deliver over in-process when the box actually
@@ -244,36 +250,51 @@ def bench_dedup():
     }
 
 
-def bench_parity():
-    """Cold HTTP serving vs direct in-process sweep, bit for bit."""
-    config = panel_sweep_config(PARITY_SCENARIO, PARITY_PANEL, quick=True)
-    start = time.perf_counter()
-    direct = utilization_sweep(config)
-    direct_s = time.perf_counter() - start
+def _served_run():
+    """One cold served sweep of the parity panel: a fresh service and
+    cell cache, the per-process memos emptied first (the service runs in
+    this process).  Returns ``(result, seconds)``."""
+    _clear_memos()
     with tempfile.TemporaryDirectory() as tmp:
         with ServiceThread(_fresh_service(tmp)) as handle:
             client = SweepServiceClient(port=handle.port)
             start = time.perf_counter()
             served = client.submit_collect({"scenario": PARITY_SCENARIO,
                                             "panel": PARITY_PANEL})
-            served_s = time.perf_counter() - start
-    result = served["results"][0]
-    cells = len(config.utilizations) * config.n_sets
-    for name, streamed, local in (
-            ("raw", result["raw"], direct.raw.rows()),
-            ("normalized", result["normalized"], direct.normalized.rows())):
-        if streamed != local:
-            raise SystemExit(
-                f"parity: streamed {name} tables diverged from the "
-                "in-process sweep")
-    if result["xs"] != list(direct.raw.xs):
-        raise SystemExit("parity: utilization axis diverged")
+            return served["results"][0], time.perf_counter() - start
+
+
+def bench_parity():
+    """Cold HTTP serving vs direct in-process sweep, bit for bit:
+    :data:`PARITY_REPEATS` alternating pairs, medians gated."""
+    config = panel_sweep_config(PARITY_SCENARIO, PARITY_PANEL, quick=True)
+    direct_samples, served_samples = [], []
+    for _ in range(PARITY_REPEATS):
+        direct, seconds = _in_process_run(config)
+        direct_samples.append(seconds)
+        result, seconds = _served_run()
+        served_samples.append(seconds)
+        for name, streamed, local in (
+                ("raw", result["raw"], direct.raw.rows()),
+                ("normalized", result["normalized"],
+                 direct.normalized.rows())):
+            if streamed != local:
+                raise SystemExit(
+                    f"parity: streamed {name} tables diverged from the "
+                    "in-process sweep")
+        if result["xs"] != list(direct.raw.xs):
+            raise SystemExit("parity: utilization axis diverged")
+    direct_s = statistics.median(direct_samples)
+    served_s = statistics.median(served_samples)
     return {
         "scenario": PARITY_SCENARIO,
         "panel": PARITY_PANEL,
-        "cells": cells,
+        "cells": len(config.utilizations) * config.n_sets,
+        "repeats": PARITY_REPEATS,
         "direct_wall_seconds": round(direct_s, 6),
         "served_wall_seconds": round(served_s, 6),
+        "direct_samples": [round(x, 6) for x in direct_samples],
+        "served_samples": [round(x, 6) for x in served_samples],
         "serving_overhead_pct": round(
             100.0 * (served_s / direct_s - 1.0), 1),
         "bit_identical": True,
@@ -326,12 +347,17 @@ def _check_dist_run(leg, result, raw, normalized):
             f"/{DIST_CELLS} cells")
 
 
+def _clear_memos():
+    """Empty the per-process RTA and task-set generator memos."""
+    schedulability._rta_memo_clear()
+    sweep._GENERATOR_MEMO.clear()
+
+
 def _in_process_run(config):
     """One cold in-process sweep: the per-process RTA and task-set
     generator memos are emptied first, as a fresh fleet's workers start
     without them.  Returns ``(result, seconds)``."""
-    schedulability._RTA_MEMO.clear()
-    sweep._GENERATOR_MEMO.clear()
+    _clear_memos()
     start = time.perf_counter()
     result = utilization_sweep(config)
     return result, time.perf_counter() - start
@@ -546,7 +572,8 @@ def main(argv=None) -> int:
               "served vs in-process ...", flush=True)
         parity_entry = bench_parity()
         report["workloads"]["parity"] = parity_entry
-        print(f"[bench]   {parity_entry['cells']} cells: in-process "
+        print(f"[bench]   {parity_entry['cells']} cells, median of "
+              f"{parity_entry['repeats']} pairs: in-process "
               f"{parity_entry['direct_wall_seconds']:.2f}s vs served "
               f"{parity_entry['served_wall_seconds']:.2f}s "
               f"({parity_entry['serving_overhead_pct']:+.1f}% overhead), "

@@ -44,52 +44,44 @@ the last allocation (the engine exposes per-invocation executed cycles).
 
 Maintained state
 ----------------
-Two aggregates are maintained instead of recomputed, both as task-set
-slots (indexes) so every walk reads the view's per-slot arrays
-(:meth:`~repro.sim.engine.SchedulerView.slot_executed`,
+Every quota lives in flat per-slot lists (indexed by task-set position,
+like the view's per-slot arrays
+:meth:`~repro.sim.engine.SchedulerView.slot_executed`,
 :meth:`~repro.sim.engine.SchedulerView.slot_completed` and
-:meth:`~repro.sim.engine.SchedulerView.slot_invocation`) directly instead
-of resolving ``Task`` objects one call at a time:
+:meth:`~repro.sim.engine.SchedulerView.slot_invocation`, which every
+walk reads directly instead of resolving ``Task`` objects one call at a
+time): the allotment ``d_i``, and the executed cycles and invocation
+index snapshotted when it was granted.  Two aggregates are maintained
+instead of recomputed:
 
 * **RM priority order** — ``allocate_cycles`` walks tasks by period.  The
   sorted order only changes when the task set changes, so it is cached
-  as ``(slot, quota)`` pairs (plus each slot's WCET) and invalidated by
-  the task-set hooks
-  (guarded by a task-set identity check, since
-  :class:`~repro.model.task.TaskSet` is immutable).
-* **Active quota set** — ``select_frequency`` needs ``Σd_i``, but between
-  allocations only tasks that were granted a non-zero allotment can
-  contribute: every other task's lazily-decremented quota is *exactly*
-  ``0.0`` (``max(0.0, …)`` of a non-positive value).  Each allocation
-  records the granted ``(slot, quota)`` pairs in task-set order; the
-  selection sums just those.  Skipping exact zeros from a left-to-right
-  sum of non-negative floats leaves every partial sum bitwise unchanged
-  (``x + 0.0 == x`` for ``x >= 0.0``), so the reduced sum is
-  bit-identical to the full sweep — pinned by the differential tests
-  against a from-scratch oracle.
+  as a tuple of slots and invalidated by the task-set hooks (guarded by
+  a task-set identity check, since :class:`~repro.model.task.TaskSet` is
+  immutable), which carry every quota over to its task's new slot.
+* **Active quota set** — ``select_frequency`` needs ``Σd_i``, but only
+  tasks granted a non-zero allotment by the last allocation can
+  contribute: every other allotment is held at exactly ``0.0`` (each
+  allocation first zeroes the previous grants, and a completion zeroes
+  its task's allotment, the paper's ``set d_i = 0``), and a zero
+  allotment's lazily-decremented quota is exactly ``0.0``
+  (``max(0.0, …)`` of a non-positive value).  Each allocation records
+  the granted slots in task-set order and stops at the first task that
+  exhausts the budget; the selection sums just those.  Skipping exact
+  zeros from a left-to-right sum of non-negative floats leaves every
+  partial sum bitwise unchanged (``x + 0.0 == x`` for ``x >= 0.0``), so
+  the reduced sum is bit-identical to the full sweep — pinned by the
+  differential tests against a from-scratch oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.base import DVSPolicy
 from repro.core.static_scaling import StaticRM
 from repro.hw.operating_point import OperatingPoint
 from repro.model.task import Task
-
-
-@dataclass
-class _Quota:
-    """One task's cycle allotment ``d_i`` plus the execution snapshot that
-    lets us decrement it lazily."""
-
-    allotted: float = 0.0
-    executed_at_alloc: float = 0.0
-    invocation: int = -1
-    completed: bool = False
 
 
 class CycleConservingRM(DVSPolicy):
@@ -108,118 +100,138 @@ class CycleConservingRM(DVSPolicy):
     def __init__(self, exact_rm_test: bool = True):
         self._static = StaticRM(exact=exact_rm_test)
         self._static_frequency = 1.0
-        self._quota: Dict[str, _Quota] = {}
-        self._rm_pairs: Tuple[Tuple[int, _Quota], ...] = ()
-        self._wcets: List[float] = []  # by slot, cached with the pairs
-        self._rm_pairs_for: object = None  # taskset the cache was built for
-        self._active: List[Tuple[int, _Quota]] = []
+        # Per-slot quota state of the task set ``_for``: the allotment
+        # d_i and the (executed cycles, invocation) snapshot it was
+        # granted against.
+        self._for: object = None
+        self._slot_of: Dict[str, int] = {}
+        self._allotted: List[float] = []
+        self._at_alloc: List[float] = []
+        self._inv_at_alloc: List[int] = []
+        self._wcets: List[float] = []
+        self._rm_order: Tuple[int, ...] = ()
+        self._active: List[int] = []  # granted slots, task-set order
 
     def setup(self, view) -> Optional[OperatingPoint]:
         static_point = self._static.select_point(view.taskset, view.machine)
         self._static_frequency = static_point.frequency
-        self._quota = {task.name: _Quota() for task in view.taskset}
-        self._rm_pairs_for = None
+        self._for = None
+        self._slot_of = {}
         self._active = []
+        self._slots(view)
         # No jobs exist yet; the t=0 releases will allocate immediately.
         return view.machine.slowest
 
     def on_release(self, view, task: Task) -> Optional[OperatingPoint]:
-        self._allocate(view)
-        return self._select(view)
+        return self._allocate(view)
 
     def on_completion(self, view, task: Task) -> Optional[OperatingPoint]:
-        quota = self._quota.get(task.name)
-        if quota is None:
-            quota = self._quota[task.name] = _Quota()
-        quota.completed = True
+        slot = self._slot_of.get(task.name)
+        if slot is not None:
+            self._allotted[slot] = 0.0  # d_i = 0
         return self._select(view)
 
     def on_task_added(self, view, task: Task) -> Optional[OperatingPoint]:
         # Re-derive the static frequency for the enlarged set, then re-pace.
         static_point = self._static.select_point(view.taskset, view.machine)
         self._static_frequency = static_point.frequency
-        self._quota.setdefault(task.name, _Quota())
-        self._allocate(view)
-        return self._select(view)
+        return self._allocate(view)
 
     def on_task_removed(self, view, task: Task) -> Optional[OperatingPoint]:
         static_point = self._static.select_point(view.taskset, view.machine)
         self._static_frequency = static_point.frequency
-        self._quota.pop(task.name, None)
-        self._allocate(view)
-        return self._select(view)
+        return self._allocate(view)
 
     # ------------------------------------------------------------------
-    def _rm_sorted_pairs(self, view) -> Tuple[Tuple[int, _Quota], ...]:
-        """``(slot, quota)`` pairs by period (RM priority; a stable sort,
-        so equal periods keep task-set order).  The task set is
-        immutable, so the pairs are cached until the set itself is
-        replaced."""
+    def _slots(self, view) -> Tuple[int, ...]:
+        """The RM order as slots (by period; a stable sort, so equal
+        periods keep task-set order).  The task set is immutable, so the
+        order and the per-slot lists are rebuilt only when the set itself
+        is replaced; each task carries its quota to its new slot, and a
+        new task starts with none."""
         taskset = view.taskset
-        if self._rm_pairs_for is not taskset:
+        if self._for is not taskset:
             tasks = list(taskset)
-            order = sorted(range(len(tasks)),
-                           key=lambda slot: tasks[slot].period)
-            self._rm_pairs = tuple(
-                (slot, self._quota.setdefault(tasks[slot].name, _Quota()))
-                for slot in order)
+            old = self._slot_of
+            moved = [old.get(task.name) for task in tasks]
+            self._allotted = [0.0 if was is None else self._allotted[was]
+                              for was in moved]
+            self._at_alloc = [0.0 if was is None else self._at_alloc[was]
+                              for was in moved]
+            self._inv_at_alloc = [-1 if was is None
+                                  else self._inv_at_alloc[was]
+                                  for was in moved]
+            self._active = [slot for slot, was in enumerate(moved)
+                            if was is not None and was in self._active]
+            self._slot_of = {task.name: slot for slot, task in
+                             enumerate(tasks)}
             self._wcets = [task.wcet for task in tasks]
-            self._rm_pairs_for = taskset
-        return self._rm_pairs
+            self._rm_order = tuple(sorted(range(len(tasks)),
+                                          key=lambda slot:
+                                          tasks[slot].period))
+            self._for = taskset
+        return self._rm_order
 
-    def _allocate(self, view) -> None:
-        """``allocate_cycles``: split the statically-scaled capacity until
-        the next deadline among tasks in RM priority order."""
+    def _allocate(self, view) -> OperatingPoint:
+        """``allocate_cycles`` then ``select_frequency``: split the
+        statically-scaled capacity until the next deadline among tasks in
+        RM priority order, and pace the new quotas."""
+        order = self._slots(view)
         deadline = view.earliest_deadline()
         if deadline is None:
-            return
+            return view.machine.slowest
         budget = max(0.0, (deadline - view.time) * self._static_frequency)
-        pairs = self._rm_sorted_pairs(view)
-        wcets = self._wcets
-        executed = view.slot_executed()
-        completed = view.slot_completed()
-        invocation = view.slot_invocation()
-        # Tasks that would be granted exactly 0.0 cycles keep their
-        # *stale* snapshot — provably harmless, because a zero allotment
-        # yields a zero current quota under any snapshot (executed
-        # cycles never shrink within an invocation and invocation indexes
-        # never repeat).  Only genuinely-granted tasks pay the snapshot
-        # refresh.
-        granted: List[Tuple[int, _Quota]] = []
-        for slot, quota in pairs:
-            if budget <= 0.0:
-                # Capacity exhausted: every remaining allotment is exactly
-                # 0.0 (``min(c_left, 0.0)``).
-                quota.allotted = 0.0
-                continue
-            if completed[slot]:
-                # No outstanding invocation: ``worst_case_remaining`` is
-                # exactly 0.0, so the allotment is exactly 0.0.  In steady
-                # state this covers nearly every non-running task.
-                quota.allotted = 0.0
-                continue
-            # c_left and the snapshot come from the same invocation
-            # (bitwise what Job.worst_case_remaining and Job.executed
-            # return).
-            done = executed[slot]
-            left = wcets[slot] - done
-            c_left = left if left > 0.0 else 0.0
-            quota.invocation = invocation[slot]
-            quota.executed_at_alloc = done
-            quota.completed = False
-            # min(c_left, budget), spelled as a comparison.
-            grant = budget if budget < c_left else c_left
-            quota.allotted = grant
-            budget -= grant
-            if grant > 0.0:
-                granted.append((slot, quota))
-        # Tasks granted nothing contribute an exact 0.0 to every later
-        # quota sum (see module docstring); record the rest, in task-set
-        # order so the reduced sum matches the full sweep.  The granted
-        # list is tiny (bounded by the budget), so re-ordering it beats a
-        # full task-set pass.
-        granted.sort(key=itemgetter(0))
+        allotted = self._allotted
+        for slot in self._active:
+            allotted[slot] = 0.0
+        granted: List[int] = []
+        if budget > 0.0:
+            wcets = self._wcets
+            at_alloc = self._at_alloc
+            inv_at_alloc = self._inv_at_alloc
+            executed = view.slot_executed()
+            completed = view.slot_completed()
+            invocation = view.slot_invocation()
+            for slot in order:
+                if completed[slot]:
+                    # No outstanding invocation: ``worst_case_remaining``
+                    # is exactly 0.0, so the allotment is exactly 0.0.  In
+                    # steady state this covers nearly every non-running
+                    # task.
+                    continue
+                # c_left and the snapshot come from the same invocation
+                # (bitwise what Job.worst_case_remaining and Job.executed
+                # return).
+                done = executed[slot]
+                c_left = wcets[slot] - done
+                if c_left <= 0.0:
+                    continue  # grants exactly 0.0
+                at_alloc[slot] = done
+                inv_at_alloc[slot] = invocation[slot]
+                granted.append(slot)
+                if budget <= c_left:
+                    # min(c_left, budget) exhausts the budget: every later
+                    # allotment is exactly 0.0 (``min(c_left, 0.0)``).
+                    allotted[slot] = budget
+                    break
+                allotted[slot] = c_left
+                budget -= c_left
+            # Only granted tasks can contribute to a later quota sum (see
+            # the module docstring); keep them in task-set order so the
+            # reduced sum matches the full sweep.  The list is tiny
+            # (bounded by the budget), so sorting it beats a full pass.
+            granted.sort()
         self._active = granted
+        s_m = deadline - view.time
+        if s_m <= 1e-12:
+            return view.machine.fastest
+        # ``_select`` right after the allocation: nothing has executed
+        # since the snapshots, so each granted quota is its allotment
+        # (``allotted - 0.0``), summed in task-set order.
+        total = 0.0
+        for slot in granted:
+            total += allotted[slot]
+        return view.machine.lowest_at_least(min(1.0, total / s_m))
 
     def _select(self, view) -> OperatingPoint:
         """``select_frequency``: pace the outstanding quotas over the time
@@ -233,16 +245,16 @@ class CycleConservingRM(DVSPolicy):
         executed = view.slot_executed()
         completed = view.slot_completed()
         invocation = view.slot_invocation()
+        allotted = self._allotted
+        at_alloc = self._at_alloc
+        inv_at_alloc = self._inv_at_alloc
         total = 0.0
-        for slot, quota in self._active:
+        for slot in self._active:
             # ``d_i`` right now: the allotment minus cycles executed since
             # the allocation; zero once the invocation completes.
-            if quota.completed:
+            if completed[slot] or invocation[slot] != inv_at_alloc[slot]:
                 continue  # contributes an exact 0.0
-            if completed[slot] or invocation[slot] != quota.invocation:
-                continue
-            executed_since = executed[slot] - quota.executed_at_alloc
-            left = quota.allotted - executed_since
+            left = allotted[slot] - (executed[slot] - at_alloc[slot])
             total += left if left > 0.0 else 0.0  # max(0.0, left)
         return view.machine.lowest_at_least(min(1.0, total / s_m))
 

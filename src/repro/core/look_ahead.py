@@ -39,11 +39,11 @@ Maintained order
 ``defer()`` is inherently O(n), but re-deriving the reverse-EDF order
 from scratch costs an additional O(n log n) sort per event.  A task's
 current deadline changes *only at its own release*, so the order is
-maintained instead: a sorted key list (``(-deadline, -slot)`` ascending,
-where ``slot`` is the task-set index — exactly a descending
-``(deadline, index)`` sort) repositions one entry per release via
-``bisect``.  Parallel lists hold each position's slot, deadline, WCET and
-worst-case utilization, and the task-set utilization sum is cached (the
+maintained instead: one sorted list of entry tuples ``(-deadline,
+-slot, slot, deadline, utilization, WCET)``, where ``slot`` is the
+task-set index, so ascending order is exactly a descending ``(deadline,
+index)`` sort.  A release moves one entry (one ``bisect`` search, one
+pop and one insert), and the task-set utilization sum is cached (the
 task set only changes through the add/remove hooks, which rebuild
 everything).  The walk derives every ``c_left`` from the view's per-slot
 arrays (:meth:`~repro.sim.engine.SchedulerView.slot_executed` and
@@ -54,13 +54,30 @@ each ``c_left`` — is the identical bit pattern a from-scratch walk
 derives, so the selected operating points match bit-for-bit; the
 differential tests pin this against a from-scratch oracle on full
 simulations.
+
+Walk reuse at completions
+-------------------------
+Each full walk records its outstanding jobs in walk order: the slot,
+its executed cycles, and the ``must_run`` accumulated before it.  A
+completion changes no deadline, and in the simulators at most one job
+runs between two hooks — under EDF the earliest-deadline one, which is
+the *last* outstanding job of the walk.  When that last recorded job
+has completed and every other recorded job is still outstanding with
+the executed cycles the walk saw, a full walk now would visit the same
+entries with the same inputs up to that job and find nothing
+outstanding after it, so its ``must_run`` is exactly the recorded
+prefix.  The completion pops that record and selects from it; the next
+completion can reuse the walk again.  Any other state (a release or a
+task-set change since the walk, another job executed or completed, as
+under an RM scheduler or a hook-level driver) falls back to the full
+walk.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.base import DVSPolicy
 from repro.errors import SchedulabilityError
@@ -100,21 +117,25 @@ class LookAheadEDF(DVSPolicy):
     def __init__(self, strict: bool = False):
         self.strict = strict
         self.over_unity_events = 0
-        # Maintained reverse-EDF order: ascending (-deadline, -slot) keys
-        # with parallel slot/deadline/WCET/utilization lists, spliced in
-        # lock-step so the walk reads plain list entries.  Tasks without
-        # a current job have no position (``_key_of[slot] is None``) and
+        # Maintained reverse-EDF order: ascending entries (-deadline,
+        # -slot, slot, deadline, utilization, WCET).  Tasks without a
+        # current job have no entry (``_entry_of[slot] is None``) and
         # contribute nothing to the walk.
-        self._keys: List[Tuple[float, int]] = []
-        self._slots: List[int] = []
-        self._deadlines: List[float] = []
-        self._utils: List[float] = []
-        self._wcets: List[float] = []
-        self._key_of: List[Optional[Tuple[float, int]]] = []
+        self._order: List[tuple] = []
+        self._entry_of: List[Optional[tuple]] = []
         self._index_of: Dict[str, int] = {}
         self._util_of: List[float] = []
         self._wcet_of: List[float] = []
         self._total_util = 0.0
+        # The last full walk's outstanding jobs in walk order, as
+        # (slot, executed, must_run before it), and the earliest deadline
+        # it walked to; ``None`` once a release or task-set change has
+        # made the walk stale.
+        self._pending: Optional[List[Tuple[int, float, float]]] = None
+        self._walk_earliest = 0.0
+        # The tasks the last batch hook repositioned, in the order their
+        # on_release hooks follow.
+        self._batch: Iterator[Task] = iter(())
 
     def setup(self, view) -> Optional[OperatingPoint]:
         if view.taskset.utilization > 1.0 + 1e-9:
@@ -133,18 +154,38 @@ class LookAheadEDF(DVSPolicy):
         # maintained order; reposition the whole batch now or the batch's
         # intermediate deferrals read stale deadlines (observable as
         # spurious same-instant operating-point switches vs from-scratch).
+        self._pending = None
         for task in tasks:
             self._reposition(view, task)
+        self._batch = iter(tasks)
 
     def on_release(self, view, task: Task) -> Optional[OperatingPoint]:
-        # No-op when the batch hook already repositioned this task; kept
-        # for direct hook-level driving outside the engine.
-        self._reposition(view, task)
+        # The simulators fire one on_release per task of the batch, in
+        # batch order, right after the batch hook repositioned them all;
+        # any other release (hook-level driving) repositions here.
+        if next(self._batch, None) is not task:
+            self._reposition(view, task)
         return self._defer(view)
 
     def on_completion(self, view, task: Task) -> Optional[OperatingPoint]:
         # A completion leaves the task's current deadline (and hence the
-        # deferral order) untouched; only c_left drops to zero.
+        # deferral order) untouched; only c_left drops to zero.  Reuse the
+        # last full walk when the state proves it current (see "Walk
+        # reuse at completions" in the module docstring).
+        pending = self._pending
+        if pending:
+            now = view.time
+            earliest = view.earliest_deadline()
+            if earliest == self._walk_earliest and earliest > now + 1e-12:
+                last, _, must_run = pending.pop()
+                completed = view.slot_completed()
+                if completed[last]:
+                    executed = view.slot_executed()
+                    for slot, done, _ in pending:
+                        if completed[slot] or executed[slot] != done:
+                            break
+                    else:
+                        return self._select(view, must_run, earliest, now)
         return self._defer(view)
 
     def on_task_added(self, view, task: Task) -> Optional[OperatingPoint]:
@@ -164,27 +205,24 @@ class LookAheadEDF(DVSPolicy):
         taskset = view.taskset
         self._index_of = {task.name: slot for slot, task in
                           enumerate(taskset)}
-        self._util_of = [task.utilization for task in taskset]
-        self._wcet_of = [task.wcet for task in taskset]
+        self._util_of = util_of = [task.utilization for task in taskset]
+        self._wcet_of = wcet_of = [task.wcet for task in taskset]
         # Bitwise-identical to TaskSet.utilization (same terms, same order).
-        self._total_util = sum(self._util_of)
-        # Negating a stored key recovers the exact deadline bit pattern
-        # and slot (float negation is sign-flip only).
-        self._keys = sorted(
-            (-deadline, -slot)
+        self._total_util = sum(util_of)
+        self._order = sorted(
+            (-deadline, -slot, slot, deadline, util_of[slot], wcet_of[slot])
             for slot, deadline in enumerate(view.slot_deadline())
             if deadline != math.inf)  # inf: no job yet
-        self._slots = [-key[1] for key in self._keys]
-        self._deadlines = [-key[0] for key in self._keys]
-        self._utils = [self._util_of[slot] for slot in self._slots]
-        self._wcets = [self._wcet_of[slot] for slot in self._slots]
-        self._key_of = [None] * len(self._util_of)
-        for key, slot in zip(self._keys, self._slots):
-            self._key_of[slot] = key
+        self._entry_of = [None] * len(util_of)
+        for entry in self._order:
+            self._entry_of[entry[2]] = entry
+        self._pending = None
+        self._batch = iter(())
 
     def _reposition(self, view, task: Task) -> None:
         """Move ``task`` to the position of its newly-released deadline.
-        O(log n) search + one list splice."""
+        O(log n) search + one pop and one insert."""
+        self._pending = None
         slot = self._index_of.get(task.name)
         if slot is None:  # task unknown (hook order surprise): resync
             self._rebuild(view)
@@ -192,44 +230,39 @@ class LookAheadEDF(DVSPolicy):
         deadline = view.slot_deadline()[slot]
         if deadline == math.inf:  # defensive: release without a job
             return
-        key = (-deadline, -slot)
-        old = self._key_of[slot]
+        order = self._order
+        old = self._entry_of[slot]
         if old is not None:
-            if old == key:
+            if old[3] == deadline:
                 return
-            pos = bisect_left(self._keys, old)
-            self._keys.pop(pos)
-            self._slots.pop(pos)
-            self._deadlines.pop(pos)
-            self._utils.pop(pos)
-            self._wcets.pop(pos)
-        pos = bisect_left(self._keys, key)
-        self._keys.insert(pos, key)
-        self._slots.insert(pos, slot)
-        self._deadlines.insert(pos, deadline)
-        self._utils.insert(pos, self._util_of[slot])
-        self._wcets.insert(pos, self._wcet_of[slot])
-        self._key_of[slot] = key
+            order.pop(bisect_left(order, old))
+        entry = (-deadline, -slot, slot, deadline, self._util_of[slot],
+                 self._wcet_of[slot])
+        order.insert(bisect_left(order, entry), entry)
+        self._entry_of[slot] = entry
 
     # ------------------------------------------------------------------
     def _defer(self, view) -> OperatingPoint:
-        """The deferral calculation; returns the selected operating point."""
+        """The deferral calculation (a full walk); returns the selected
+        operating point and records the walk for reuse."""
         now = view.time
         earliest = view.earliest_deadline()
         if earliest is None or earliest <= now + 1e-12:
             return view.machine.slowest
         executed = view.slot_executed()
         completed = view.slot_completed()
+        pending: List[Tuple[int, float, float]] = []
         utilization = self._total_util
         must_run = 0.0  # `s`: cycles that must execute before `earliest`
-        for slot, deadline, util, wcet in zip(self._slots, self._deadlines,
-                                              self._utils, self._wcets):
+        for _, _, slot, deadline, util, wcet in self._order:
             utilization -= util
             if completed[slot]:
                 # Done, or no job yet: c_left = 0, so nothing is deferred
                 # and the steps below add exact zeros — skip them.
                 continue
-            left = wcet - executed[slot]  # Job.worst_case_remaining
+            done = executed[slot]
+            pending.append((slot, done, must_run))
+            left = wcet - done  # Job.worst_case_remaining
             c_left = left if left > 0.0 else 0.0
             span = deadline - earliest
             if span <= 1e-12:
@@ -244,6 +277,13 @@ class LookAheadEDF(DVSPolicy):
                 deferred = capacity if capacity < c_left else c_left
                 utilization += deferred / span
             must_run += c_left - deferred
+        self._pending = pending
+        self._walk_earliest = earliest
+        return self._select(view, must_run, earliest, now)
+
+    def _select(self, view, must_run: float, earliest: float,
+                now: float) -> OperatingPoint:
+        """``select_frequency(s / (D_n - now))``."""
         speed = must_run / (earliest - now)
         if speed > 1.0 + 1e-9:
             # Even f_max cannot finish the non-deferrable work by the

@@ -20,11 +20,6 @@ from repro.hw.operating_point import OperatingPoint
 #: discrete table ("round up to the closest available setting").
 _EPS = 1e-9
 
-#: Upper bound on memoized ``lowest_at_least`` entries per machine.  DVS
-#: policies revisit the same handful of speed requests within a simulation;
-#: the cap only matters for adversarial float churn, where we simply reset.
-_SELECT_MEMO_CAP = 4096
-
 
 class Machine:
     """An ordered list of operating points for a DVS-capable processor.
@@ -77,7 +72,6 @@ class Machine:
         self._frequencies: Tuple[float, ...] = tuple(
             p.frequency for p in converted)
         self._point_index = {p: i for i, p in enumerate(self._points)}
-        self._select_memo: dict = {}
         self.name = name
 
     # -- container protocol --------------------------------------------------
@@ -146,26 +140,16 @@ class Machine:
         the paper uses ("use lowest frequency f_i such that ... <= f_i/f_m").
         Requests <= 0 return the slowest point; requests > 1 raise.
 
-        Resolution is a bisect over the precomputed frequency thresholds
-        behind a bounded memo: DVS policies call this on every scheduling
-        event, and the handful of utilization levels a task set actually
-        visits recur far more often than they change.
+        Resolution is one bisect over the precomputed frequency
+        thresholds, with no memo: the paper policies' speed requests
+        recur too rarely for a memo's hits to repay its misses.
         """
-        try:
-            return self._select_memo[speed]
-        except KeyError:
-            pass
         if speed > 1.0 + 1e-7:
             raise MachineError(
                 f"required relative speed {speed} exceeds the maximum (1.0)")
         index = bisect.bisect_left(self._frequencies, speed - _EPS)
-        if index >= len(self._points):
-            index = len(self._points) - 1
-        point = self._points[index]
-        if len(self._select_memo) >= _SELECT_MEMO_CAP:
-            self._select_memo.clear()
-        self._select_memo[speed] = point
-        return point
+        points = self._points
+        return points[index] if index < len(points) else points[-1]
 
     def index_of(self, point: OperatingPoint) -> int:
         """The table index of ``point`` (raises ``MachineError`` if absent)."""

@@ -280,6 +280,9 @@ class MetricsCollector(Instrumentation):
         else:
             self._last_point = None
         self._last_change = sim.time if sim is not None else 0.0
+        # The simulator's switch-overhead model, resolved once per run
+        # (the cell kernel has none).
+        self._switching = getattr(sim, "switching", None)
         self._wall_start = _time.perf_counter()
 
     def on_run_start(self, sim) -> None:
@@ -296,7 +299,7 @@ class MetricsCollector(Instrumentation):
         self._last_point = new_point
         self._voltages[new_point.frequency] = new_point.voltage
         self._freq_changes += 1
-        switching = getattr(sim, "switching", None)
+        switching = self._switching
         if switching is not None:
             halt = switching.switch_time(old_point, new_point)
             if halt > 0.0:

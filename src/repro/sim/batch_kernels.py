@@ -539,6 +539,13 @@ class CellKernel(SchedulerView):
         point = self._point
         frequency = point.frequency
         epc = point.energy_per_cycle
+        # Table index of the current point object (-1 for an object
+        # outside the machine table, which only ``setup`` can return).
+        # Switches are decided by these indexes, not by OperatingPoint
+        # equality and hashing (see :meth:`_switch`).
+        self._op_of = {id(table_point): index for index, table_point
+                       in enumerate(self.machine.points)}
+        op = self._op_of.get(id(point), -1)
 
         # Execution energy accumulates into flat slots, one per operating
         # point in first-use order (the insertion order the engine's
@@ -653,24 +660,24 @@ class CellKernel(SchedulerView):
                     self.time = time
                     for task in released_tasks:
                         new_point = on_release(self, task)
-                        if new_point is not None and new_point is not point \
-                                and new_point != point:
-                            self._set_point(point, new_point)
-                            point = new_point
-                            frequency = point.frequency
-                            epc = point.energy_per_cycle
-                            slot = -1
+                        if new_point is not None and new_point is not point:
+                            new_op = self._switch(point, op, new_point)
+                            if new_op is not None:
+                                point, op = new_point, new_op
+                                frequency = point.frequency
+                                epc = point.energy_per_cycle
+                                slot = -1
                 if on_completion is not None and zero_tasks:
                     self.time = time
                     for task in zero_tasks:
                         new_point = on_completion(self, task)
-                        if new_point is not None and new_point is not point \
-                                and new_point != point:
-                            self._set_point(point, new_point)
-                            point = new_point
-                            frequency = point.frequency
-                            epc = point.energy_per_cycle
-                            slot = -1
+                        if new_point is not None and new_point is not point:
+                            new_op = self._switch(point, op, new_point)
+                            if new_op is not None:
+                                point, op = new_point, new_op
+                                frequency = point.frequency
+                                epc = point.energy_per_cycle
+                                slot = -1
                 # No quiescence re-scan: every processed index advanced
                 # its next release by a full period past ``limit`` (the
                 # catch-up loop guarantees it), and hooks never touch the
@@ -696,13 +703,13 @@ class CellKernel(SchedulerView):
                     if on_idle is not None:
                         self.time = time
                         new_point = on_idle(self)
-                        if new_point is not None and new_point is not point \
-                                and new_point != point:
-                            self._set_point(point, new_point)
-                            point = new_point
-                            frequency = point.frequency
-                            epc = point.energy_per_cycle
-                            slot = -1
+                        if new_point is not None and new_point is not point:
+                            new_op = self._switch(point, op, new_point)
+                            if new_op is not None:
+                                point, op = new_point, new_op
+                                frequency = point.frequency
+                                epc = point.energy_per_cycle
+                                slot = -1
                     cycles = (horizon - time) * frequency
                     energy = idle_coeff * cycles * epc
                     idle_energy += energy
@@ -727,7 +734,7 @@ class CellKernel(SchedulerView):
                 if completion_time <= horizon + _EPS:
                     energy = scale * remaining * epc
                     if slot < 0:
-                        slot = self._slot_for(point)
+                        slot = self._slot_for(point, op)
                     acc_energy[slot] += energy
                     busy_time += completion_time - time
                     executed[best] = demand  # absorb float residue
@@ -741,13 +748,13 @@ class CellKernel(SchedulerView):
                     if on_completion is not None:
                         self.time = time
                         new_point = on_completion(self, tasks[best])
-                        if new_point is not None and new_point is not point \
-                                and new_point != point:
-                            self._set_point(point, new_point)
-                            point = new_point
-                            frequency = point.frequency
-                            epc = point.energy_per_cycle
-                            slot = -1
+                        if new_point is not None and new_point is not point:
+                            new_op = self._switch(point, op, new_point)
+                            if new_op is not None:
+                                point, op = new_point, new_op
+                                frequency = point.frequency
+                                epc = point.energy_per_cycle
+                                slot = -1
                     # The window survives a completion unless the next
                     # release (or the duration edge) is upon us.
                     if horizon_raw <= time + _EPS or time >= edge:
@@ -756,7 +763,7 @@ class CellKernel(SchedulerView):
                     cycles = (horizon - time) * frequency
                     energy = scale * cycles * epc
                     if slot < 0:
-                        slot = self._slot_for(point)
+                        slot = self._slot_for(point, op)
                     acc_energy[slot] += energy
                     busy_time += horizon - time
                     executed[best] += cycles
@@ -801,47 +808,61 @@ class CellKernel(SchedulerView):
     # ------------------------------------------------------------------
     # point changes / deadline accounting
     # ------------------------------------------------------------------
-    def _slot_for(self, point) -> int:
-        """Accumulation slot for ``point``, created on first use.
+    def _slot_for(self, point, op: int) -> int:
+        """Accumulation slot for ``point`` (table index ``op``, or -1 for
+        an object outside the table), created on first use.
 
         Called at most once per operating-point switch (the hot loop
-        caches the result), so the hash/index work happens off the
-        per-segment path.  Slots are created in first-accumulation order,
-        which is exactly the key insertion order of the engine's energy
-        breakdown dict; value-equal points share a slot just as they
-        share a dict key.  Points outside the machine table (a ``setup``
-        return is not membership-checked, matching the engine) fall back
-        to a value-keyed side map.
+        caches the result).  Slots are created in first-accumulation
+        order, which is exactly the key insertion order of the engine's
+        energy breakdown dict; value-equal points share a slot just as
+        they share a dict key.  A point object outside the machine table
+        (a ``setup`` return is not membership-checked, matching the
+        engine) is matched by value: to its table row if it equals one,
+        else to a value-keyed side map.
         """
-        try:
-            op_index = self.machine.index_of(point)
-        except MachineError:
-            slot = self._acc_off.get(point, -1)
-            if slot < 0:
-                slot = len(self._acc_energy)
-                self._acc_off[point] = slot
-                self._acc_points.append(point)
-                self._acc_energy.append(0.0)
-            return slot
-        slot = self._acc_by_op[op_index]
+        if op < 0:
+            try:
+                op = self.machine.index_of(point)
+            except MachineError:
+                slot = self._acc_off.get(point, -1)
+                if slot < 0:
+                    slot = len(self._acc_energy)
+                    self._acc_off[point] = slot
+                    self._acc_points.append(point)
+                    self._acc_energy.append(0.0)
+                return slot
+        slot = self._acc_by_op[op]
         if slot < 0:
             slot = len(self._acc_energy)
-            self._acc_by_op[op_index] = slot
+            self._acc_by_op[op] = slot
             self._acc_points.append(point)
             self._acc_energy.append(0.0)
         return slot
 
-    def _set_point(self, old_point, new_point) -> None:
-        """Switch from ``old_point`` (the loop's current point) to
-        ``new_point``, which the caller found unequal to it."""
-        if new_point not in self.machine:
-            raise SimulationError(
-                f"policy requested {new_point}, which is not an operating "
-                f"point of {self.machine.name}")
+    def _switch(self, old_point, old_op: int, new_point) -> Optional[int]:
+        """Switch from ``old_point`` (table index ``old_op``) to
+        ``new_point``, a different object; returns ``new_point``'s table
+        index, or ``None`` when the two are equal (no switch).
+
+        Two table objects are different points (the table has no
+        duplicate frequencies), so between them this is an index lookup.
+        An object outside the table on either side is compared by value,
+        as the engine does, and a new point must equal a table row.
+        """
+        op = self._op_of.get(id(new_point), -1)
+        if op < 0 or old_op < 0:
+            if new_point == old_point:
+                return None
+            if op < 0 and new_point not in self.machine:
+                raise SimulationError(
+                    f"policy requested {new_point}, which is not an "
+                    f"operating point of {self.machine.name}")
         self._switches += 1
         self._point = new_point
         if self._obs_freq is not None:
             self._obs_freq(self, old_point, new_point)
+        return op
 
     def _record_miss(self, name: str, release_time: float,
                      deadline: float, demand: float,

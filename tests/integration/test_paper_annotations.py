@@ -27,17 +27,24 @@ class RecordingCcEDF(CycleConservingEDF):
 
 
 class RecordingLaEDF(LookAheadEDF):
-    """laEDF that logs the continuous speed requested by defer()."""
+    """laEDF that logs the point defer() selects at every release and
+    completion (a completion may reuse the last walk instead of walking
+    again, so the log is kept at the hooks)."""
 
     def __init__(self):
         super().__init__()
         self.speeds = []
 
-    def _defer(self, view):
-        point = super()._defer(view)
+    def _record(self, view, point):
         earliest = view.earliest_deadline()
         self.speeds.append((view.time, point.frequency, earliest))
         return point
+
+    def on_release(self, view, task):
+        return self._record(view, super().on_release(view, task))
+
+    def on_completion(self, view, task):
+        return self._record(view, super().on_completion(view, task))
 
 
 def test_fig3_utilization_annotations():
