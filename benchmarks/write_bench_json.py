@@ -40,7 +40,8 @@ Workloads
 * ``kernel_per_policy`` — informational, ungated: milliseconds per run
   of each of the six paper policies on one catalog fig9 10-task quick
   cell, on the path sweep cells take (``batch_simulate`` with the
-  cell's shared :func:`~repro.sim.batch_kernels.cell_params` row).
+  cell's shared :func:`~repro.sim.batch_kernels.cell_params` row); the
+  median and quartiles of 11 batches per policy, run round-robin.
 
 Usage::
 
@@ -974,16 +975,23 @@ def check_sweep_gates(entry, previous_rate, previous_fingerprint):
 #: schedulable there, so none takes the RM fallback).
 KERNEL_CELL_UTILIZATION = 0.7
 
-#: Timed runs per policy and repetition in ``kernel_per_policy``.
+#: Timed runs per policy and batch in ``kernel_per_policy``.
 KERNEL_CELL_RUNS = 20
+
+#: Batches per policy in ``kernel_per_policy``, run round-robin.
+KERNEL_CELL_BATCHES = 11
 
 
 def bench_kernel_per_policy():
     """Milliseconds per run of each paper policy on one fig9 quick cell.
 
     Informational (no gate): where a sweep cell's kernel time goes by
-    policy.  Each policy's figure is the best of ``REPEATS`` batches of
-    ``KERNEL_CELL_RUNS`` runs.
+    policy.  The policies take turns, one batch of ``KERNEL_CELL_RUNS``
+    runs each per round for ``KERNEL_CELL_BATCHES`` rounds, so a drift in
+    the host's speed reaches every policy alike.  Each policy's figure is
+    the median over its batches, with the quartiles beside it.  The runs
+    share the cell's ``cell_params`` row as a sweep cell's runs do, so
+    the first run builds the release stream the others walk.
     """
     config = panel_sweep_config("fig9", "10-tasks", quick=True)
     context = sweep_context(config)
@@ -992,11 +1000,10 @@ def bench_kernel_per_policy():
     taskset, demand = materialize_cell(context, spec)
     params = cell_params(taskset, demand)
     energy_model = context.energy_model()
-    ms_per_run = {}
+    batches = {name: [] for name in PAPER_POLICIES}
     releases = 0
-    for name in PAPER_POLICIES:
-        best = None
-        for _ in range(REPEATS):
+    for _ in range(KERNEL_CELL_BATCHES):
+        for name in PAPER_POLICIES:
             start = time.perf_counter()
             for _ in range(KERNEL_CELL_RUNS):
                 result = batch_simulate(
@@ -1004,13 +1011,20 @@ def bench_kernel_per_policy():
                     params=params, demand=demand,
                     duration=context.duration, energy_model=energy_model)
             elapsed = (time.perf_counter() - start) / KERNEL_CELL_RUNS
-            best = elapsed if best is None else min(best, elapsed)
-        ms_per_run[name] = round(1e3 * best, 3)
-        releases = len(result.jobs)
+            batches[name].append(1e3 * elapsed)
+            releases = len(result.jobs)
+    ms_per_run = {}
+    quartiles = {}
+    for name, values in batches.items():
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        ms_per_run[name] = round(statistics.median(values), 3)
+        quartiles[name] = [round(q1, 3), round(q3, 3)]
     return {"scenario": "fig9", "panel": "10-tasks",
             "utilization": spec.utilization, "set_index": spec.set_index,
             "n_tasks": spec.n_tasks, "duration": context.duration,
-            "releases_per_run": releases, "ms_per_run": ms_per_run}
+            "releases_per_run": releases, "batches": KERNEL_CELL_BATCHES,
+            "runs_per_batch": KERNEL_CELL_RUNS, "ms_per_run": ms_per_run,
+            "ms_per_run_quartiles": quartiles}
 
 
 def main(argv=None) -> int:
@@ -1110,8 +1124,11 @@ def main(argv=None) -> int:
     print("[bench]   fig9 10-task cell u="
           f"{kernel_entry['utilization']:g}, "
           f"{kernel_entry['releases_per_run']} releases: "
-          + ", ".join(f"{name} {ms:.2f} ms"
-                      for name, ms in kernel_entry["ms_per_run"].items()),
+          + ", ".join(
+              f"{name} {ms:.2f} ms (IQR {q1:.2f}-{q3:.2f})"
+              for (name, ms), (q1, q3) in zip(
+                  kernel_entry["ms_per_run"].items(),
+                  kernel_entry["ms_per_run_quartiles"].values())),
           flush=True)
     report["peak_rss_kb"] = _peak_rss_kb()
 

@@ -89,7 +89,7 @@ from repro.core import (
     make_policy,
 )
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     # errors

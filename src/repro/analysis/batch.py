@@ -66,6 +66,7 @@ from repro.model.demand import TraceDemand
 from repro.model.task import TaskSet
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.sim.batch_kernels import CellParams
     from repro.sim.block_kernels import LaneResult, LaneSpec
 
 #: Engine names accepted by every entry point: ``SweepConfig.engine``,
@@ -156,12 +157,11 @@ class ColumnBlock:
     """One sweep column, materialized as structure-of-arrays state.
 
     Every array is laid out with the **cell index as the leading axis**:
-    ``periods[c][i]`` is task ``i`` of cell ``c``.  The block carries the
-    release/deadline state seed (flattened task parameters and
-    WCET-clipped demand rows consumed by
-    :class:`~repro.sim.batch_kernels.CellKernel`) and the per-cell initial
-    frequency-selection state (the operating-point index a
-    utilization-proportional policy starts from, computed with the
+    ``params[c].periods[i]`` is task ``i`` of cell ``c``.  The block
+    carries each cell's :class:`~repro.sim.batch_kernels.CellParams`
+    (flattened task parameters and WCET-clipped demand rows) and the
+    per-cell initial frequency-selection state (the operating-point index
+    a utilization-proportional policy starts from, computed with the
     vectorized ``lowest_at_least`` kernel — diagnostic block stats, never
     result-bearing).
     """
@@ -170,9 +170,7 @@ class ColumnBlock:
     specs: List[CellSpec]
     tasksets: List[TaskSet]
     demands: List[TraceDemand]
-    periods: List[List[float]]
-    wcets: List[List[float]]
-    demand_rows: List[Optional[list]]
+    params: List["CellParams"]
     initial_point_index: List[int] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -185,26 +183,20 @@ def build_column_block(context: SweepContext,
     from repro.sim.batch_kernels import cell_params, lowest_at_least_indices
     tasksets: List[TaskSet] = []
     demands: List[TraceDemand] = []
-    periods: List[List[float]] = []
-    wcets: List[List[float]] = []
-    rows: List[Optional[list]] = []
+    params: List[CellParams] = []
     utilizations: List[float] = []
     for spec in specs:
         taskset, demand = materialize_cell(context, spec)
         tasksets.append(taskset)
         demands.append(demand)
-        cell_periods, cell_wcets, cell_rows = cell_params(taskset, demand)
-        periods.append(cell_periods)
-        wcets.append(cell_wcets)
-        rows.append(cell_rows)
+        params.append(cell_params(taskset, demand))
         total = 0.0
         for task in taskset:
             total += task.wcet / task.period
         utilizations.append(total if total <= 1.0 else 1.0)
     initial = lowest_at_least_indices(context.machine, utilizations)
     return ColumnBlock(context=context, specs=list(specs),
-                       tasksets=tasksets, demands=demands,
-                       periods=periods, wcets=wcets, demand_rows=rows,
+                       tasksets=tasksets, demands=demands, params=params,
                        initial_point_index=initial)
 
 
@@ -351,8 +343,8 @@ def _plan_cell(block: ColumnBlock, index: int,
             plans[key] = "unsupported-policy"
             return
         lane = LaneSpec(
-            periods=block.periods[index],
-            wcets=block.wcets[index],
+            periods=block.params[index].periods,
+            wcets=block.params[index].wcets,
             demand_values=values_by_task,
             demand_repeat=demand.repeat,
             duration=context.duration,
@@ -399,8 +391,9 @@ def _block_simulate_fn(block: ColumnBlock, index: int,
     own per-cell simulator — so the outcome is the scalar one, exceptions
     included.
     """
-    params = (block.periods[index], block.wcets[index],
-              block.demand_rows[index])
+    # A stream cache of this cell's own: the release stream its kernel
+    # fallbacks share is freed with the cell, not kept with the block.
+    params = block.params[index]._replace(streams={})
 
     from repro.sim.batch_kernels import batch_simulate
 

@@ -569,7 +569,8 @@ def run_cell(context: SweepContext, spec: CellSpec,
         # worker processes) does not load the kernel module.
         from repro.sim.batch_kernels import batch_simulate, cell_params
         # One flattened parameter row per cell, demand rows included,
-        # shared by every policy run below.
+        # shared by every policy run below (the RM fallback too), which
+        # also share the release stream the first run builds.
         simulate_fn = partial(batch_simulate,
                               params=cell_params(taskset, demand))
     energy_model = context.energy_model()

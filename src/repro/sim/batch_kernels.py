@@ -26,19 +26,21 @@ event heaps and their tuples, the ready-entry side table, the wakeup
 cache churn, the per-event instrumentation pointer tests, the per-event
 method-call chains, the per-release ``Job`` objects, and the repeated
 ``energy_per_cycle`` property evaluations (cached here per operating
-point).  Because the supported modes (``on_miss`` "raise"/"drop") keep at
-most one live job per task, every queue holds task indexes ("slots"): a
-release heap of ``(next release, slot)`` and a ready heap of
+point).  Release times, deadlines and trace demands do not depend on the
+policy, so a cell's releases are laid out once as a release stream
+(:func:`release_stream`): every release before the horizon in (time,
+slot) order, kept with the cell's :func:`cell_params` row and walked
+with a cursor by every kernel run of the cell.  Because the supported
+modes (``on_miss`` "raise"/"drop") keep at most one live job per task,
+the ready queue holds task indexes ("slots"): a heap of
 ``(deadline-or-period, slot)`` — the same total order as the engine's
 heap keys, ties going to the lower task index.  Per-release state lives
 in flat per-slot arrays, which laEDF and ccRM read directly through the
 view's ``slot_*`` methods, plus one flat record per release from which
 :class:`~repro.sim.results.SimResult` builds its ``jobs`` only when
-read.  A sweep cell's WCET-clipped demand rows are built once
-(:func:`cell_params`) and shared by all its policy runs.  The main loop
-is deliberately one flat function: between two release instants ("a
-window") it executes segments back to back without re-deriving the
-release state the engine re-scans per event.
+read.  The main loop is deliberately one flat function: between two
+release instants ("a window") it executes segments back to back without
+re-deriving the release state the engine re-scans per event.
 
 The module also hosts two cross-cell helpers: ``lowest_at_least`` over a
 batch of speed requests (used by :mod:`repro.analysis.batch`'s column
@@ -56,8 +58,9 @@ from __future__ import annotations
 import bisect
 import math
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 import os
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from repro.core.base import DVSPolicy
 from repro.errors import (DeadlineMissError, MachineError, SimulationError,
@@ -89,6 +92,10 @@ KERNEL_MISS_MODES = ("raise", "drop")
 _NUMPY_MIN = 64
 
 _INF = math.inf
+
+#: Sort key of a release phase whose stream entries span two instants:
+#: (slot, invocation), the engine's processing order.
+_SLOT_ORDER = itemgetter(1, 2)
 
 # ---------------------------------------------------------------------------
 # the lazy numpy seam
@@ -253,16 +260,36 @@ def _overrides(policy, hook_name: str) -> bool:
                                                            hook_name)
 
 
-def cell_params(taskset: TaskSet, demand) -> tuple:
-    """One cell's ``params=`` row for :class:`CellKernel`: ``(periods,
-    wcets, demand_rows)``, built once and shared by every policy run of
-    the cell.
+class CellParams(NamedTuple):
+    """One cell's ``params=`` row for :class:`CellKernel`, built once by
+    :func:`cell_params` and shared by every kernel run of the cell.
 
-    ``demand_rows[i]`` holds task ``i``'s per-invocation demands already
-    clipped to its WCET (the kernel's ``min(d, wcet)``), or ``None`` when
-    ``demand`` is not a :class:`~repro.model.demand.TraceDemand` or does
-    not cover the task.  A release past the end of a row asks the model,
-    so fallback draws are still counted in ``fallback_draws``.
+    ``rows[i]`` holds task ``i``'s per-invocation demands already clipped
+    to its WCET (the kernel's ``min(d, wcet)``), or ``None`` when the
+    demand is not a :class:`~repro.model.demand.TraceDemand` or does not
+    cover the task.  ``streams`` keeps the cell's release stream per
+    horizon (:meth:`stream`), built by the first run that needs it.
+    """
+
+    periods: List[float]
+    wcets: List[float]
+    rows: Optional[List[Optional[List[float]]]]
+    streams: Dict[float, tuple]
+
+    def stream(self, duration: float) -> tuple:
+        """The cell's :func:`release_stream` over ``[0, duration)``."""
+        stream = self.streams.get(duration)
+        if stream is None:
+            stream = release_stream(self.periods, self.rows, duration)
+            self.streams[duration] = stream
+        return stream
+
+
+def cell_params(taskset: TaskSet, demand) -> CellParams:
+    """Flatten one cell's task set and demand into a :class:`CellParams`.
+
+    A release past the end of a demand row asks the model, so fallback
+    draws are still counted in ``fallback_draws``.
     """
     tasks = list(taskset)
     periods = [task.period for task in tasks]
@@ -277,7 +304,47 @@ def cell_params(taskset: TaskSet, demand) -> tuple:
                 cap = task.wcet
                 row = [cap if value > cap else value for value in values]
             rows.append(row)
-    return periods, wcets, rows
+    return CellParams(periods, wcets, rows, {})
+
+
+def release_stream(periods: Sequence[float],
+                   rows: Optional[Sequence[Optional[Sequence[float]]]],
+                   duration: float) -> tuple:
+    """Every release a run over ``[0, duration)`` fires, in (time, slot)
+    order: ``(entries, times)``.
+
+    ``entries[k]`` is ``(release, slot, invocation, demand, deadline)``.
+    Releases accumulate as the engine's do (``0, p, p+p, ...``, see
+    :func:`release_counts`), and a release's deadline is its slot's next
+    release.  ``demand`` is the row's pre-clipped value, or ``None`` past
+    a row's end or without a row: the kernel then asks the demand model
+    at that release, in every run.  ``times[k]`` is ``entries[k][0]``,
+    and ``times`` ends with one sentinel: the first suppressed release
+    (the earliest slot release at or past ``duration - _EPS``).  That is
+    also the earliest deadline once every entry has been released.
+    """
+    edge = duration - _EPS
+    entries = []
+    suppressed = _INF
+    for slot, period in enumerate(periods):
+        row = rows[slot] if rows is not None else None
+        covered = len(row) if row is not None else 0
+        release = 0.0
+        invocation = 0
+        while release < edge:
+            deadline = release + period
+            entries.append((release, slot, invocation,
+                            row[invocation] if invocation < covered
+                            else None, deadline))
+            release = deadline
+            invocation += 1
+        if release < suppressed:
+            suppressed = release
+    # (release, slot) is unique, so the sort never compares demands.
+    entries.sort()
+    times = [entry[0] for entry in entries]
+    times.append(suppressed)
+    return entries, times
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +357,11 @@ class CellKernel(SchedulerView):
     Implements the :class:`~repro.sim.engine.SchedulerView` protocol the
     policies read, over:
 
-    * a release heap of ``(next release, slot)`` holding every slot
-      (at-the-horizon releases follow the engine's suppression
-      convention);
+    * a cursor over the cell's :func:`release_stream`: a release phase
+      takes the entries due by ``time + _EPS``, re-sorted to the
+      engine's (slot, invocation) order when they span two instants;
+      the time at the cursor is both the earliest deadline and the
+      window's horizon;
     * a ready heap of ``(deadline or period, slot)`` holding every slot
       whose current job is ready (the supported miss modes never leave
       two live jobs of one task), so ties go to the lower task index,
@@ -318,9 +387,10 @@ class CellKernel(SchedulerView):
     with the finished result, by which time ``busy_time`` and
     ``idle_time`` hold the run's totals.
 
-    Task parameters may be supplied pre-flattened (``params=(periods,
-    wcets, demand_rows)``, see :func:`cell_params`) so every policy run
-    of a cell, and a sweep column's cells, share one materialization.
+    Task parameters may be supplied pre-flattened (``params=``, a
+    :func:`cell_params` row) so every kernel run of a cell shares one
+    materialization and one release stream per horizon; without
+    ``params`` the run builds its own.
     """
 
     def __init__(self, taskset: TaskSet, machine: Machine, policy,
@@ -360,15 +430,15 @@ class CellKernel(SchedulerView):
 
         tasks = list(taskset)
         self._tasks = tasks
-        self._n = n = len(tasks)
+        n = len(tasks)
         self._tindex: Dict[str, int] = {t.name: i for i, t in
                                         enumerate(tasks)}
-        if params is not None:
-            self._period, self._wcet, self._rows = params
-        else:
-            self._period = [t.period for t in tasks]
-            self._wcet = [t.wcet for t in tasks]
-            self._rows = None
+        if params is None:
+            params = CellParams([t.period for t in tasks],
+                                [t.wcet for t in tasks], None, {})
+        self._params = params
+        self._period = params.periods
+        self._wcet = params.wcets
 
         # -- per-slot state of the current invocation (the view arrays) --
         self._executed = [0.0] * n
@@ -501,7 +571,6 @@ class CellKernel(SchedulerView):
         preemptions = 0
 
         # -- hoist everything the hot loop touches --
-        n = self._n
         tasks = self._tasks
         names = [task.name for task in tasks]
         period = self._period
@@ -527,7 +596,9 @@ class CellKernel(SchedulerView):
         model = self.demand_model
         demand_at = getattr(model, "demand_at", None)
         demand_of = model.demand
-        rows = self._rows if self._rows is not None else [None] * n
+        stream, times = self._params.stream(duration)
+        count = len(stream)
+        cursor = 0
 
         # Energy coefficients, with energy_per_cycle (a property that
         # multiplies voltage² on every access) cached per point.  The
@@ -562,10 +633,9 @@ class CellKernel(SchedulerView):
         busy_time = 0.0
         idle_time = 0.0
 
-        # Release queue: every slot's next release.  Ready queue: the
-        # priority key of every ready slot's current job; ties on the key
-        # go to the lower slot, the engine's task-set-order tie-break.
-        release_heap = [(0.0, i) for i in range(n)]
+        # Ready queue: the priority key of every ready slot's current job;
+        # ties on the key go to the lower slot, the engine's
+        # task-set-order tie-break.
         ready_heap: List[tuple] = []
 
         time = 0.0
@@ -574,85 +644,70 @@ class CellKernel(SchedulerView):
             # ---- release phase (engine: fixed point over due releases;
             # one extra scan confirms quiescence) ----
             limit = time + _EPS
-            head = release_heap[0][0]
-            if head <= limit and head < edge:
-                # Heap order: once the head is not due, nothing is (a
-                # suppressed at-the-horizon release sorts after every
-                # due one).
-                due = []
-                while release_heap:
-                    head = release_heap[0][0]
-                    if head > limit or head >= edge:
-                        break
-                    due.append(heappop(release_heap)[1])
-                if len(due) > 1:
-                    due.sort()  # the engine's task-set order
+            if cursor < count and times[cursor] <= limit:
+                start = cursor
+                cursor += 1
+                while cursor < count and times[cursor] <= limit:
+                    cursor += 1
+                phase = stream[start:cursor]
+                if times[cursor - 1] != times[start]:
+                    # Releases less than _EPS apart: the engine takes the
+                    # phase in task-set order, a slot's catch-up
+                    # releases back to back.
+                    phase.sort(key=_SLOT_ORDER)
                 released_tasks: List[Task] = []
                 zero_tasks: List[Task] = []
-                for i in due:
-                    while True:
-                        old = current[i]
-                        if old is not None:
-                            if not completed[i]:
-                                self.time = time
-                                self._record_miss(  # raises in raise mode
-                                    names[i], old[2], deadline_of[i],
-                                    old[3], executed[i])
-                                # Drop mode: the late job leaves the
-                                # ready queue (an unfinished job is
-                                # always in it).
-                                ready_heap.remove(
-                                    (period[i] if rm_keys
-                                     else deadline_of[i], i))
-                                heapify(ready_heap)
-                            old[4] = executed[i]
-                        release_time = deadline_of[i] if old is not None \
-                            else 0.0
-                        task = tasks[i]
-                        inv = invocation[i] + 1
-                        row = rows[i]
-                        if row is not None and inv < len(row):
-                            demand = row[inv]  # pre-clipped
+                for release_time, i, inv, demand, deadline in phase:
+                    old = current[i]
+                    if old is not None:
+                        if not completed[i]:
+                            self.time = time
+                            self._record_miss(  # raises in raise mode
+                                names[i], old[2], deadline_of[i],
+                                old[3], executed[i])
+                            # Drop mode: the late job leaves the ready
+                            # queue (an unfinished job is always in it).
+                            ready_heap.remove(
+                                (period[i] if rm_keys else deadline_of[i],
+                                 i))
+                            heapify(ready_heap)
+                        old[4] = executed[i]
+                    task = tasks[i]
+                    if demand is None:
+                        if demand_at is not None:
+                            demand = demand_at(task, inv, release_time)
                         else:
-                            if demand_at is not None:
-                                demand = demand_at(task, inv, release_time)
-                            else:
-                                demand = demand_of(task, inv)
-                            cap = wcet[i]
-                            if demand > cap:  # enforce_wcet: min(d, wcet)
-                                demand = cap
-                            if demand < 0:
-                                raise TaskModelError(
-                                    "job demand must be non-negative, got "
-                                    f"{demand}")
-                        deadline = release_time + period[i]
-                        deadline_of[i] = deadline
-                        invocation[i] = inv
-                        executed[i] = 0.0
-                        released_tasks.append(task)
-                        if demand > _EPS:
-                            completed[i] = False
-                            current[i] = rec = [i, inv, release_time, demand,
-                                                0.0, None]
-                            heappush(ready_heap,
-                                     (period[i] if rm_keys else deadline, i))
-                        else:
-                            # Engine's zero-demand pass: completes at the
-                            # current time without ever becoming ready.
-                            completed[i] = True
-                            current[i] = rec = [i, inv, release_time, demand,
-                                                0.0, time]
-                            zero_tasks.append(task)
-                        records.append(rec)
-                        if not (deadline <= limit and deadline < edge):
-                            break
-                    heappush(release_heap, (deadline, i))
+                            demand = demand_of(task, inv)
+                        cap = wcet[i]
+                        if demand > cap:  # enforce_wcet: min(d, wcet)
+                            demand = cap
+                        if demand < 0:
+                            raise TaskModelError(
+                                "job demand must be non-negative, got "
+                                f"{demand}")
+                    deadline_of[i] = deadline
+                    invocation[i] = inv
+                    executed[i] = 0.0
+                    released_tasks.append(task)
+                    if demand > _EPS:
+                        completed[i] = False
+                        current[i] = rec = [i, inv, release_time, demand,
+                                            0.0, None]
+                        heappush(ready_heap,
+                                 (period[i] if rm_keys else deadline, i))
+                    else:
+                        # Engine's zero-demand pass: completes at the
+                        # current time without ever becoming ready.
+                        completed[i] = True
+                        current[i] = rec = [i, inv, release_time, demand,
+                                            0.0, time]
+                        zero_tasks.append(task)
+                    records.append(rec)
                 if hooked:
-                    # Deadlines change only here, so the earliest one is
-                    # resolved once per release phase (and never when no
-                    # policy hook can read it).
-                    earliest = min(deadline_of)
-                    self._earliest = earliest if earliest != _INF else None
+                    # Every slot has released by now and its deadline is
+                    # its next release, so the earliest deadline is the
+                    # next stream time (the sentinel past the last entry).
+                    self._earliest = times[cursor]
                 if invalidate is not None:
                     self.time = time
                     invalidate(self, released_tasks)
@@ -678,9 +733,8 @@ class CellKernel(SchedulerView):
                                 frequency = point.frequency
                                 epc = point.energy_per_cycle
                                 slot = -1
-                # No quiescence re-scan: every processed index advanced
-                # its next release by a full period past ``limit`` (the
-                # catch-up loop guarantees it), and hooks never touch the
+                # No quiescence re-scan: the phase took every stream
+                # entry due by ``limit``, and hooks never touch the
                 # release state, so the engine's fixed-point iteration
                 # is provably a single pass here.
 
@@ -689,7 +743,7 @@ class CellKernel(SchedulerView):
                 break
 
             # ---- one window: [time, next release instant) ----
-            horizon_raw = release_heap[0][0]
+            horizon_raw = times[cursor]
             horizon = horizon_raw if horizon_raw < duration else duration
             if horizon <= limit:
                 # Suppressed at-the-edge release coinciding with the
@@ -923,7 +977,7 @@ def batch_simulate(taskset: TaskSet, machine: Machine, policy,
 
     Drop-in compatible with :func:`repro.sim.engine.simulate` and
     bit-identical to it, exceptions included; ``params`` optionally
-    supplies a cell's pre-flattened :func:`cell_params` row.
+    supplies a cell's :func:`cell_params` row, shared with its other runs.
     ``on_miss="continue"``, wakeup-timer policies, dynamic admissions,
     switch overheads and per-event instruments run on the engine.
     """

@@ -21,11 +21,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.batch import ENGINES
+from repro.analysis.batch import ENGINES, iter_cells_block
 from repro.analysis.sweep import (
     SweepConfig,
     aggregate_outcomes,
     materialize_cell,
+    materialize_demand,
     run_cell,
     sweep_cell_specs,
     sweep_context,
@@ -36,12 +37,12 @@ from repro.core import PAPER_POLICIES, make_policy
 from repro.core.no_dvs import NoDVS
 from repro.errors import MachineError, ReproError
 from repro.hw.machine import machine0, machine1
-from repro.model.demand import TraceDemand
+from repro.model.demand import TraceDemand, demand_from_spec
 from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet
 from repro.obs.hooks import HotCounters, Instrumentation
 from repro.obs.metrics import MetricsCollector
-from repro.sim import block_kernels
+from repro.sim import batch_kernels, block_kernels
 from repro.sim.batch_kernels import (
     CellKernel,
     cell_params,
@@ -49,6 +50,7 @@ from repro.sim.batch_kernels import (
     kernel_supported,
     lowest_at_least_indices,
     release_counts,
+    release_stream,
     set_numpy_enabled,
 )
 from repro.sim.engine import simulate
@@ -206,7 +208,7 @@ def assert_kernel_matches_engine(taskset, make, **kwargs):
 
 
 class TestKernelOrders:
-    """The kernel's release heap, ready heap and per-slot arrays follow the
+    """The kernel's release stream, ready heap and per-slot arrays follow the
     engine's orders exactly at the points where orders decide."""
 
     @pytest.mark.parametrize("policy", ["EDF", "ccEDF", "laEDF"])
@@ -364,6 +366,131 @@ class TestSharedDemandRows:
         # Releases past a row's end still reach the model, so the
         # fallback draws (and the message) match the engine's.
         assert errors[0] == errors[1]
+
+
+class TestReleaseStream:
+    """Every kernel run of a cell walks one release stream, built by the
+    cell's first run; the stream replays the engine's release order, near
+    coincident float releases included."""
+
+    # Accumulated releases of 0.1, 0.3, 1/3 and 1.0 meet within _EPS
+    # without being equal (0.1 * 3 sums to 0.30000000000000004, 0.1 * 10
+    # to 0.9999999999999999), so their phases span two instants.
+    FLOAT_EDGE = TaskSet([Task(0.03, 0.1, name="A"),
+                          Task(0.06, 0.3, name="B"),
+                          Task(0.02, 1.0 / 3.0, name="C"),
+                          Task(0.05, 1.0, name="D")])
+    DURATION = 3.0
+
+    def _float_edge_demand(self):
+        # At full speed A runs [0, 0.03], B [0.03, 0.09] and C's first
+        # job ends 5e-10 before A's second release at 0.1.
+        return TraceDemand({"A": [0.03, 0.01, 0.02] * 10,
+                            "B": [0.06, 0.04] * 5,
+                            "C": [0.01 - 5e-10] + [0.015] * 8,
+                            "D": [0.05, 0.03, 0.04]},
+                           repeat=False)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        build = batch_kernels.release_stream
+
+        def counting(periods, rows, duration):
+            builds.append(duration)
+            return build(periods, rows, duration)
+
+        monkeypatch.setattr(batch_kernels, "release_stream", counting)
+        return builds
+
+    def test_float_edge_phases_span_two_instants(self):
+        entries, times = release_stream(
+            [t.period for t in self.FLOAT_EDGE], None, self.DURATION)
+        split = [(first, second) for first, second
+                 in zip(entries, entries[1:])
+                 if 0.0 < second[0] - first[0] <= 1e-9]
+        # Slot order inside such a phase differs from time order: only
+        # the kernel's re-sort puts the phase back in task-set order.
+        assert any(second[1] < first[1] for first, second in split)
+        assert times[:-1] == [entry[0] for entry in entries]
+        assert times[-1] >= self.DURATION - 1e-9
+
+    @pytest.mark.parametrize("on_miss", ["raise", "drop"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_float_edge_periods_match_the_engine(self, policy, on_miss):
+        demand = self._float_edge_demand()
+        kwargs = dict(demand=demand, duration=self.DURATION,
+                      on_miss=on_miss, record_trace=True)
+        engine = simulate(self.FLOAT_EDGE, MACHINE, make_policy(policy),
+                          **kwargs)
+        own = kernel_simulate(self.FLOAT_EDGE, MACHINE, make_policy(policy),
+                              **kwargs)
+        shared = kernel_simulate(self.FLOAT_EDGE, MACHINE,
+                                 make_policy(policy),
+                                 params=cell_params(self.FLOAT_EDGE, demand),
+                                 **kwargs)
+        assert canon(own) == canon(engine)
+        assert canon(shared) == canon(engine)
+        assert demand.fallback_draws == 0
+        if policy == "EDF":
+            first_c = next(job for job in engine.jobs
+                           if job.task.name == "C")
+            assert 0.1 - 1e-9 < first_c.completion_time < 0.1
+
+    def test_one_build_per_cell(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        config = SweepConfig(n_tasks=4, n_sets=2, utilizations=(0.5, 0.9),
+                             duration=200.0, seed=3)
+        context = sweep_context(config)
+        specs = sweep_cell_specs(config)
+        for spec in specs:
+            run_cell(context, spec)
+        assert builds == [200.0] * len(specs)
+        del builds[:]
+        list(iter_cells_block(context, specs, lane_cut=0))
+        assert builds == [200.0] * len(specs)
+
+    def test_another_duration_builds_its_own_stream(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        demand = self._float_edge_demand()
+        params = cell_params(self.FLOAT_EDGE, demand)
+        for duration in (self.DURATION, self.DURATION, 2.0):
+            kernel = kernel_simulate(self.FLOAT_EDGE, MACHINE,
+                                     make_policy("ccEDF"), demand=demand,
+                                     duration=duration, params=params)
+            engine = simulate(self.FLOAT_EDGE, MACHINE, make_policy("ccEDF"),
+                              demand=demand, duration=duration)
+            assert canon(kernel) == canon(engine)
+        assert builds == [self.DURATION, 2.0]
+
+    def test_rm_fallback_shares_the_stream(self, monkeypatch):
+        # EDF-schedulable only: staticRM and ccRM fall back to full-speed
+        # RM in drop mode, and B misses.
+        taskset = TaskSet([Task(2.0, 4.0, name="A"),
+                           Task(2.5, 5.0, name="B")])
+        config = SweepConfig(n_tasks=2, n_sets=1, utilizations=(0.9,),
+                             duration=40.0)
+        context = sweep_context(config)
+        spec = sweep_cell_specs(config)[0]
+        demand = materialize_demand(demand_from_spec("worst"), taskset,
+                                    config.duration)
+        builds = self._count_builds(monkeypatch)
+        outcome = run_cell(context, spec, materialized=(taskset, demand))
+        assert outcome["_rm_fallbacks"] == 2
+        assert builds == [40.0]
+        assert outcome == run_cell(context, spec, simulate_fn=simulate,
+                                   materialized=(taskset, demand))
+        # A stream built ahead of the drop-mode run: the run walks it.
+        params = cell_params(taskset, demand)
+        params.stream(config.duration)
+        kernel = kernel_simulate(taskset, MACHINE, NoDVS(scheduler="rm"),
+                                 demand=demand, duration=config.duration,
+                                 on_miss="drop", params=params)
+        engine = simulate(taskset, MACHINE, NoDVS(scheduler="rm"),
+                          demand=demand, duration=config.duration,
+                          on_miss="drop")
+        assert builds == [40.0, 40.0]
+        assert kernel.misses and canon(kernel) == canon(engine)
 
 
 class TestKernelCollectorMatchesEngine:
