@@ -1,4 +1,4 @@
-.PHONY: install test cov bench bench-mem bench-service bench-dist service-smoke bench-figures check test-policy-oracle test-no-numpy catalog-audit results experiments experiments-full sweep-cache-clean clean
+.PHONY: install test cov bench bench-mem bench-service bench-dist service-smoke bench-figures check test-policy-oracle catalog-audit results experiments experiments-full sweep-cache-clean clean
 
 install:
 	pip install -e .
@@ -38,8 +38,7 @@ bench-service:
 	PYTHONPATH=src python benchmarks/service_workload.py
 
 # Distributed trajectory only: 4 loopback `rtdvs worker` subprocesses
-# (one with RTDVS_NO_NUMPY=1) vs in-process on a cold sweep, plus a
-# worker-kill run — bit-identity and exactly-once delivery gates, with
+# vs in-process on a cold sweep, plus a worker-kill run — bit-identity and exactly-once delivery gates, with
 # the speedup floor clamped to the box's effective lanes.  Merges its
 # entry into an existing BENCH_service.json.
 bench-dist:
@@ -56,7 +55,7 @@ bench-figures:
 
 # What CI runs: tier-1 tests, the repository benchmark's own tests (a
 # src rename that leaves a probe target missing fails here), the
-# policy-oracle differential suite, the numpy-absent leg, the
+# policy-oracle differential suite, the
 # full-catalog trace audit, the committed quick-results summary, a
 # smoke pass of the engine benchmarks (so the perf harness itself
 # cannot rot), the peak-RSS gate of the memory workload (array trace
@@ -65,7 +64,6 @@ check:
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src python -m pytest perfbench -q
 	$(MAKE) test-policy-oracle
-	$(MAKE) test-no-numpy
 	$(MAKE) catalog-audit
 	$(MAKE) results
 	git diff --exit-code results_quick_summary.txt
@@ -78,16 +76,6 @@ check:
 # produce SimResults bit-identical to the from-scratch test oracle.
 test-policy-oracle:
 	PYTHONPATH=src python -m pytest -q tests/core/test_incremental_state.py
-
-# The numpy-absent leg (CI runs this target): the array engines'
-# pure-Python fallback and every trace consumer must stay bit-identical
-# with numpy switched off, and the schedulability tests must pass.
-test-no-numpy:
-	RTDVS_NO_NUMPY=1 PYTHONPATH=src python -m pytest -q \
-	  tests/analysis/test_batch_engine.py \
-	  tests/analysis/test_block_engine.py \
-	  tests/sim/test_trace_numpy_free.py \
-	  tests/model/test_schedulability.py
 
 # Full-catalog trace audit at the small-N CI profile: every scenario's
 # cells are replayed with traces, counters/energy re-derived, aggregates

@@ -23,12 +23,10 @@ repository root:
   tables must match the in-process rows bit for bit (JSON round-trips
   doubles exactly, so ``==`` is a bit-identity check).
 * ``distributed`` — a cold sweep fanned out to :data:`DIST_WORKERS`
-  loopback ``rtdvs worker`` subprocesses (one of them running with
-  ``RTDVS_NO_NUMPY=1``, so the mixed fleet doubles as a no-numpy
-  differential) vs the same sweep in-process, timed as
-  :data:`DIST_REPEATS` alternating pairs (a fresh fleet each time, the
-  in-process memos emptied before each in-process run), plus a further
-  fleet where one worker is SIGKILLed mid-sweep.  Every distributed
+  loopback ``rtdvs worker`` subprocesses vs the same sweep in-process,
+  timed as :data:`DIST_REPEATS` alternating pairs (a fresh fleet each
+  time, the in-process memos emptied before each in-process run), plus a
+  further fleet where one worker is SIGKILLed mid-sweep.  Every distributed
   result must be bit-identical to the in-process rows with every cell
   delivered exactly once.
 
@@ -136,8 +134,8 @@ PARITY_REPEATS = 3
 #: speedup the fleet must deliver over in-process when the box actually
 #: has that many CPUs.  Cells are deliberately meaty (5 tasks, 1000 s
 #: horizon, ~25 ms each on a 2-CPU x86_64 host) so the wire cost and
-#: each fresh worker's fixed start-up work (the numpy import its first
-#: RM response-time analysis pays) stay small against the sweep.  The
+#: each fresh worker's fixed start-up work (interpreter and package
+#: imports) stay small against the sweep.  The
 #: horizon doubled when the per-cell kernel got ~2x faster; at 500 s
 #: those fixed costs held the fleet below its floor.
 DIST_WORKERS = 4
@@ -307,19 +305,12 @@ def _dist_config():
 
 
 def _spawn_workers(executor, count):
-    """Launch ``count`` rtdvs worker subprocesses against ``executor``.
-
-    Worker 0 runs with ``RTDVS_NO_NUMPY=1`` so every fleet is a mixed
-    numpy/pure-python differential: bit-identity of the merged result
-    proves the two kernel paths agree over the wire.
-    """
+    """Launch ``count`` rtdvs worker subprocesses against ``executor``."""
     procs = []
-    for index in range(count):
+    for _ in range(count):
         env = dict(os.environ)
         env["PYTHONPATH"] = (str(REPO_ROOT / "src") + os.pathsep
                              + env.get("PYTHONPATH", ""))
-        if index == 0:
-            env["RTDVS_NO_NUMPY"] = "1"
         procs.append(subprocess.Popen(
             [sys.executable, "-m", "repro", "worker",
              "--connect", f"{executor.host}:{executor.port}", "--quiet"],
@@ -418,7 +409,7 @@ def bench_distributed():
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
-        # Kill a numpy worker (not worker 0) once the sweep is underway.
+        # Kill one worker once the sweep is underway.
         time.sleep(max(0.2, 0.25 * dist_s))
         procs[1].kill()
         thread.join(timeout=300)
@@ -440,7 +431,6 @@ def bench_distributed():
     return {
         "cells": DIST_CELLS,
         "workers": DIST_WORKERS,
-        "no_numpy_workers": 1,
         "effective_lanes": lanes,
         "repeats": DIST_REPEATS,
         "in_process_wall_seconds": round(direct_s, 6),
@@ -581,8 +571,8 @@ def main(argv=None) -> int:
 
     if "distributed" in selected:
         print(f"[bench] distributed: {DIST_CELLS} cells, "
-              f"{DIST_WORKERS} loopback workers (one RTDVS_NO_NUMPY=1) "
-              "vs in-process, then a worker-kill run ...", flush=True)
+              f"{DIST_WORKERS} loopback workers vs in-process, then a "
+              "worker-kill run ...", flush=True)
         dist_entry = bench_distributed()
         report["workloads"]["distributed"] = dist_entry
         kill = dist_entry["kill"]

@@ -17,11 +17,14 @@ Workloads
   ``tasks50`` run under ccEDF; ``tasks200`` runs plain EDF so the number
   isolates the engine rather than the O(n) policy recalculation.
 * ``fig9_sweep`` — a micro-scale Fig. 9-style utilization sweep (the
-  dominant workload shape in practice), timed end-to-end with the indexed
-  engine only, in three variants: serial (``workers=1``), parallel
-  (``--parallel-workers``, default 4, through the barrier-free fan-out
-  layer), and warm-cache (a rerun against a freshly populated cell cache,
-  which must complete with **zero** simulations).
+  dominant workload shape in practice), timed end-to-end in three
+  variants: serial (``workers=1``), parallel, and warm-cache (a rerun
+  against a freshly populated cell cache, which must complete with
+  **zero** simulations).  The parallel variant sweeps a wider panel
+  (:data:`PARALLEL_N_SETS` sets per point, 3.4-5.2 s serial on a 2-CPU
+  x86_64 host) once serially and once with ``--parallel-workers``
+  (default 4, through the barrier-free fan-out layer), so pool start-up
+  does not swamp the ratio.
 * ``policy_callbacks`` — per-event callback cost of ccEDF / ccRM / laEDF
   at 10, 50 and 200 tasks, measured by wrapping the policy in a timing
   proxy, for the production classes (maintained aggregates) and their
@@ -72,14 +75,11 @@ Regression gates (non-zero exit on violation):
 * ``fig9_sweep`` serial throughput must not regress below 70 % of the
   previous recording *when the previous recording came from the same
   machine fingerprint* (cross-machine wall-clock comparisons are noise);
-* ``fig9_sweep_batch`` cold throughput of the block engine must reach
-  10x the same 1000-cell column workload run cell by cell on the
-  discrete-event engine, and 3x with numpy off (every run then takes the
-  per-cell kernel rung), with bit-identical curves (each variant
-  recording its measured ``numpy_used`` flag; the scalar engine's own
-  ratio is recorded beside them, ungated), and a fresh scalar
-  subprocess must finish a sweep of every paper policy without numpy
-  in ``sys.modules`` (the :mod:`numpy_guard` laziness invariant).
+* ``fig9_sweep_batch`` cold throughput of a sweep (every cell on the
+  per-cell kernel) must reach 3x the same 1000-cell workload run cell by
+  cell on the discrete-event engine, with bit-identical curves, and a
+  fresh subprocess must finish a sweep of every paper policy without
+  numpy in ``sys.modules`` (the :mod:`numpy_guard` invariant).
 """
 
 from __future__ import annotations
@@ -159,24 +159,24 @@ INSTRUMENT_ATTEMPTS = 4
 PARALLEL_TARGET_SPEEDUP = 3.0
 PARALLEL_TARGET_CPUS = 4
 
+#: Task sets per utilization point of the parallel ``fig9_sweep`` leg:
+#: 320 cells, 3.4-5.2 s serial on a 2-CPU x86_64 host.  The serial
+#: leg's 12 cells (~0.11 s) are too few to time a pool against.
+PARALLEL_N_SETS = 80
+
 #: Serial sweep throughput must stay above this fraction of the previous
 #: same-machine recording.
 SERIAL_REGRESSION_FLOOR = 0.7
 
-#: Cold-sweep throughput floor of the block engine's per-cell kernel rung
-#: (the ``block_no_numpy`` variant: no lanes, every run on the per-cell
-#: kernel) over the 1000-cell column workload run cell by cell on the
+#: Cold-sweep throughput floor of a sweep (every cell on the per-cell
+#: kernel) over the 1000-cell workload run cell by cell on the
 #: discrete-event engine.
 BATCH_TARGET_SPEEDUP = 3.0
 
-#: Cold-sweep throughput floor of the cross-cell block engine over the
-#: same event-engine run of the same workload.
-BLOCK_TARGET_SPEEDUP = 10.0
-
-#: Policies for the batch workload: four paper policies whose runs sit
-#: fully inside the lane envelope (laEDF's deferral loop and
-#: ccRM's RTA-heavy setup dilute the ratio without exercising anything
-#: the other four do not).
+#: Policies for the batch workload: four paper policies without laEDF's
+#: deferral loop or ccRM's RTA-heavy setup (kept from when the workload
+#: also timed a cross-cell lane tier that could not run those two, so
+#: the recorded ratio stays comparable).
 BATCH_WORKLOAD_POLICIES = ("EDF", "staticEDF", "staticRM", "ccEDF")
 
 #: Incremental-vs-from-scratch per-callback speedup floor at 200 tasks.
@@ -673,9 +673,9 @@ def check_memory_gates(entry, previous_rss, previous_fingerprint):
     return failures
 
 
-def _timed_sweep(**overrides):
+def _timed_sweep(n_sets=3, **overrides):
     """One micro fig9-shaped sweep; returns (elapsed, result, cells)."""
-    config = SweepConfig(n_sets=3, utilizations=(0.3, 0.5, 0.7, 0.9),
+    config = SweepConfig(n_sets=n_sets, utilizations=(0.3, 0.5, 0.7, 0.9),
                          duration=600.0, seed=SEED, **overrides)
     start = time.perf_counter()
     result = utilization_sweep(config)
@@ -688,8 +688,10 @@ def bench_fig9_sweep(parallel_workers=4):
 
     Three variants: serial, parallel through the barrier-free fan-out
     layer, and a warm-cache rerun (which must simulate nothing).  The
-    serial and parallel runs must produce bit-identical curves — checked
-    here so the speedup can never come from a semantic divergence.
+    parallel leg times its own wider sweep (:data:`PARALLEL_N_SETS`)
+    serially and in parallel; the two runs must produce bit-identical
+    curves — checked here so the speedup can never come from a semantic
+    divergence.
 
     The requested worker count is clamped to the effective CPU budget
     (``sched_getaffinity``, the same clamp ``resolve_workers("auto")``
@@ -701,8 +703,11 @@ def bench_fig9_sweep(parallel_workers=4):
     serial_s, serial, cells = _timed_sweep(workers=1)
     effective = effective_cpu_count()
     workers = max(1, min(parallel_workers, effective))
-    parallel_s, parallel, _ = _timed_sweep(workers=workers)
-    if serial.raw.rows() != parallel.raw.rows():
+    wide_s, wide, wide_cells = _timed_sweep(n_sets=PARALLEL_N_SETS,
+                                            workers=1)
+    parallel_s, parallel, _ = _timed_sweep(n_sets=PARALLEL_N_SETS,
+                                           workers=workers)
+    if wide.raw.rows() != parallel.raw.rows():
         raise SystemExit("fig9_sweep: parallel curves diverged from serial")
     with tempfile.TemporaryDirectory() as tmp:
         cold_s, cold, _ = _timed_sweep(workers=1, cache_dir=tmp)
@@ -724,9 +729,12 @@ def bench_fig9_sweep(parallel_workers=4):
             "requested_workers": parallel_workers,
             "clamped": workers != parallel_workers,
             "effective_cpus": effective,
+            "n_sets": PARALLEL_N_SETS,
+            "cells": wide_cells,
+            "serial_wall_seconds": round(wide_s, 6),
             "wall_seconds": round(parallel_s, 6),
-            "cells_per_sec": round(cells / parallel_s, 2),
-            "speedup_vs_serial": round(serial_s / parallel_s, 2),
+            "cells_per_sec": round(wide_cells / parallel_s, 2),
+            "speedup_vs_serial": round(wide_s / parallel_s, 2),
         },
         "warm_cache": {
             "cold_wall_seconds": round(cold_s, 6),
@@ -739,8 +747,8 @@ def bench_fig9_sweep(parallel_workers=4):
     }
 
 
-#: Child snippet for the scalar-laziness probe: a fresh interpreter runs
-#: a small sweep with every paper policy (staticRM/ccRM run the RM
+#: Child snippet for the numpy-free probe: a fresh interpreter runs a
+#: small sweep with every paper policy (staticRM/ccRM run the RM
 #: response-time analysis at setup) and prints whether numpy ended up in
 #: ``sys.modules`` — it must not.
 _SCALAR_LAZINESS_SNIPPET = """
@@ -764,32 +772,11 @@ def _scalar_numpy_lazy() -> bool:
     return proc.stdout.strip() == "False"
 
 
-def _timed_array_sweep(base, engine, numpy_on):
-    """One cacheless array-engine sweep with numpy pinned on or off.
-
-    Returns ``(elapsed, result, numpy_used)`` where ``numpy_used``
-    records whether the kernels actually had numpy available — measured,
-    not assumed, so BENCH_engine.json states which acceleration each
-    number was produced with.
-    """
-    from repro.sim.batch_kernels import numpy_backend, set_numpy_enabled
-
-    set_numpy_enabled(numpy_on)
-    try:
-        start = time.perf_counter()
-        result = utilization_sweep(SweepConfig(**base, engine=engine))
-        elapsed = time.perf_counter() - start
-        numpy_used = bool(numpy_on and numpy_backend() is not None)
-    finally:
-        set_numpy_enabled(True)
-    return elapsed, result, numpy_used
-
-
 def _event_engine_sweep(config):
     """``config`` swept cell by cell on the discrete-event engine, folded
     by the sweep's own aggregation: the program the scalar engine ran
     before its cells moved to the per-cell kernel, and the denominator
-    of the array-engine floors."""
+    of the kernel floor."""
     context = sweep_context(config)
     outcomes = [run_cell(context, spec, simulate_fn=simulate)
                 for spec in sweep_cell_specs(config)]
@@ -797,17 +784,13 @@ def _event_engine_sweep(config):
 
 
 def bench_fig9_sweep_batch():
-    """Column-scale cold sweep: event engine vs scalar vs block engine.
+    """Column-scale cold sweep: event engine vs a sweep on the kernel.
 
     1000 cells (the paper's 10 utilization steps x 100 task sets) under
-    the four lane-envelope policies, every run serial and cacheless, so
-    the ratios are pure simulation throughput against the discrete-event
-    engine run cell by cell: the scalar engine (the per-cell kernel), and
-    the block engine with numpy (its cross-cell lane passes) and without
-    it (the per-cell kernel every lane falls back to), each variant
-    recording the measured ``numpy_used`` flag.  All runs must produce
-    bit-identical curves — the engines are execution modes, never
-    semantic forks.  The entry also records the scalar-laziness probe
+    four paper policies, every run serial and cacheless, so the ratio is
+    pure simulation throughput of the per-cell kernel against the
+    discrete-event engine run cell by cell.  Both runs must produce
+    bit-identical curves.  The entry also records the numpy-free probe
     (see :data:`_SCALAR_LAZINESS_SNIPPET`).
     """
     base = dict(policies=BATCH_WORKLOAD_POLICIES, n_tasks=8, n_sets=100,
@@ -823,8 +806,8 @@ def bench_fig9_sweep_batch():
         raise SystemExit("fig9_sweep_batch: scalar engine curves diverged "
                          "from the event engine")
     cells = len(config.utilizations) * config.n_sets
-
-    entry = {
+    speedup = round(engine_s / scalar_s, 2)
+    return {
         "policies": list(BATCH_WORKLOAD_POLICIES),
         "n_tasks": base["n_tasks"],
         "n_sets": base["n_sets"],
@@ -834,41 +817,16 @@ def bench_fig9_sweep_batch():
         "event_engine": {
             "wall_seconds": round(engine_s, 6),
             "cells_per_sec": round(cells / engine_s, 2),
-            "numpy_used": False,
         },
         "scalar": {
             "wall_seconds": round(scalar_s, 6),
             "cells_per_sec": round(cells / scalar_s, 2),
-            "numpy_used": False,
-            "speedup_vs_event_engine": round(engine_s / scalar_s, 2),
+            "speedup_vs_event_engine": speedup,
         },
+        "speedup": speedup,
+        "rm_fallbacks": scalar.rm_fallbacks,
+        "scalar_numpy_lazy": _scalar_numpy_lazy(),
     }
-    for numpy_on in (True, False):
-        elapsed, result, numpy_used = _timed_array_sweep(
-            base, "block", numpy_on)
-        if reference.raw.rows() != result.raw.rows():
-            raise SystemExit(
-                f"fig9_sweep_batch: block engine "
-                f"(numpy={'on' if numpy_on else 'off'}) curves "
-                "diverged from the event engine")
-        entry["block" if numpy_on else "block_no_numpy"] = {
-            "wall_seconds": round(elapsed, 6),
-            "cells_per_sec": round(cells / elapsed, 2),
-            "numpy_used": numpy_used,
-            "speedup_vs_event_engine": round(engine_s / elapsed, 2),
-            "speedup_vs_scalar": round(scalar_s / elapsed, 2),
-            "block_cells": result.block_cells,
-            "fallbacks": dict(result.block_fallbacks),
-            "stage_seconds": {
-                key: round(value, 6)
-                for key, value in result.stage_seconds.items()},
-        }
-    entry["speedup"] = entry["block_no_numpy"]["speedup_vs_event_engine"]
-    entry["block_speedup"] = entry["block"]["speedup_vs_event_engine"]
-    entry["scalar_speedup"] = entry["scalar"]["speedup_vs_event_engine"]
-    entry["rm_fallbacks"] = scalar.rm_fallbacks
-    entry["scalar_numpy_lazy"] = _scalar_numpy_lazy()
-    return entry
 
 
 def check_batch_gates(entry):
@@ -876,24 +834,10 @@ def check_batch_gates(entry):
     failures = []
     if entry["speedup"] < BATCH_TARGET_SPEEDUP:
         failures.append(
-            f"fig9_sweep_batch: block engine without numpy (per-cell "
-            f"kernel) {entry['speedup']}x the event engine, below the "
+            f"fig9_sweep_batch: scalar sweep (per-cell kernel) "
+            f"{entry['speedup']}x the event engine, below the "
             f"{BATCH_TARGET_SPEEDUP:g}x cold-sweep floor at "
             f"{entry['cells']} cells")
-    if entry["block_speedup"] < BLOCK_TARGET_SPEEDUP:
-        failures.append(
-            f"fig9_sweep_batch: block engine {entry['block_speedup']}x "
-            f"the event engine, below the {BLOCK_TARGET_SPEEDUP:g}x "
-            f"cold-sweep floor at {entry['cells']} cells")
-    if not entry["block"]["numpy_used"]:
-        failures.append(
-            "fig9_sweep_batch: block engine ran without numpy — the "
-            "vectorized lane pass never engaged")
-    if entry["block_no_numpy"]["numpy_used"]:
-        failures.append(
-            "fig9_sweep_batch: block_no_numpy variant reported "
-            "numpy_used — set_numpy_enabled(False) did not pin the "
-            "fallback")
     violation = numpy_violation("fig9_sweep_batch (scalar subprocess)",
                                 imported=not entry["scalar_numpy_lazy"])
     if violation:
@@ -1099,7 +1043,8 @@ def main(argv=None) -> int:
               f"({sweep_entry['parallel']['effective_cpus']} effective "
               "CPUs)", flush=True)
     print(f"[bench]   serial {sweep_entry['cells_per_sec']:.1f} cells/s, "
-          f"parallel(x{sweep_entry['parallel']['workers']}) "
+          f"parallel(x{sweep_entry['parallel']['workers']}, "
+          f"{sweep_entry['parallel']['cells']} cells) "
           f"{sweep_entry['parallel']['cells_per_sec']:.1f} cells/s "
           f"({sweep_entry['parallel']['speedup_vs_serial']:.2f}x), "
           f"warm cache {sweep_entry['warm_cache']['cells_per_sec']:.1f} "
@@ -1111,12 +1056,7 @@ def main(argv=None) -> int:
     print(f"[bench]   {batch_entry['cells']} cells: event engine "
           f"{batch_entry['event_engine']['cells_per_sec']:.1f} cells/s vs "
           f"scalar {batch_entry['scalar']['cells_per_sec']:.1f} cells/s "
-          f"({batch_entry['scalar_speedup']:.2f}x) vs "
-          f"block without numpy "
-          f"{batch_entry['block_no_numpy']['cells_per_sec']:.1f} cells/s "
-          f"({batch_entry['speedup']:.2f}x) vs block "
-          f"{batch_entry['block']['cells_per_sec']:.1f} cells/s "
-          f"({batch_entry['block_speedup']:.2f}x), scalar subprocess "
+          f"({batch_entry['speedup']:.2f}x), scalar subprocess "
           f"numpy-free: {batch_entry['scalar_numpy_lazy']}", flush=True)
     print("[bench] kernel_per_policy ...", flush=True)
     kernel_entry = bench_kernel_per_policy()

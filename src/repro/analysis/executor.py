@@ -33,8 +33,8 @@ import time
 from concurrent.futures import (FIRST_COMPLETED, Future,
                                 ProcessPoolExecutor, ThreadPoolExecutor,
                                 wait)
-from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterator, Optional, Sequence, Tuple,
+                    Union)
 
 #: Accepted spellings of "pick the worker count for me".
 AUTO_TOKENS = ("auto", "max", "0")
@@ -100,33 +100,24 @@ def _install_contexts(contexts: Dict[str, object]) -> None:
     _CONTEXTS.update(contexts)
 
 
-def _execute_cells(digest: str, context: Optional[object],
-                   specs: Sequence, engine: str,
-                   ) -> Tuple[list, Optional[Dict[str, object]]]:
-    """Run one unit of cells in a worker process.
+def _execute_cell(digest: str, context: Optional[object],
+                  spec) -> bytes:
+    """Run one cell in a worker process.
 
     ``context`` is ``None`` when the digest was installed via the pool
     initializer; otherwise the first task carrying a new digest installs
-    it for every later task in this process.  Outcomes cross back to the
-    driver as the compact columnar wire format of
-    :mod:`repro.analysis.transport` — one small bytes object per cell —
-    next to the engine's stats (see
-    :func:`~repro.analysis.batch.encode_cells`).
+    it for every later task in this process.  The outcome crosses back
+    to the driver as the compact columnar wire format of
+    :mod:`repro.analysis.transport` — one small bytes object.
     """
     ctx = _CONTEXTS.get(digest)
     if ctx is None:
         if context is None:  # pragma: no cover - defensive
             raise RuntimeError(f"sweep context {digest} not installed")
         _CONTEXTS[digest] = ctx = context
-    from repro.analysis.batch import encode_cells
-    return encode_cells(ctx, specs, engine)
-
-
-def _run_one(context, spec, engine: str) -> object:
-    """Run one cell in this process (the inline ``submit_cell`` lane)."""
-    from repro.analysis.batch import iter_cells
-    (_, outcome), = iter_cells(context, [spec], engine)
-    return outcome
+    from repro.analysis.sweep import run_cell
+    from repro.analysis.transport import encode_cell
+    return encode_cell(run_cell(ctx, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -247,62 +238,46 @@ class CellExecutor:
     def run_cells(self, context, specs: Sequence,
                   progress: Optional[SweepProgress] = None,
                   on_result: Optional[Callable[[int, object], None]] = None,
-                  engine: str = "scalar",
-                  stats=None,
                   ) -> Iterator[Tuple[int, object]]:
         """Yield ``(index, outcome)`` for every spec, unordered.
 
-        All specs are submitted immediately (no per-utilization barrier);
-        results stream back as workers finish.  With one worker the cells
-        run inline, in submission order.  ``on_result`` fires for every
-        outcome before it is yielded (used for cache writes).  ``engine``
-        selects the cell backend (:func:`~repro.analysis.batch.iter_cells`
-        inline; :func:`~repro.analysis.batch.fan_out_units` decides what
-        one worker task carries: a cell on scalar, a whole column on
-        block).  The block engine fills ``stats`` (a
-        :class:`~repro.analysis.batch.BlockStats`) with its eligibility
-        and timing accounting when one is passed.
+        All specs are submitted immediately, one worker task per cell (no
+        per-utilization barrier); results stream back as workers finish.
+        With one worker the cells run inline, in submission order.
+        ``on_result`` fires for every outcome before it is yielded (used
+        for cache writes).
         """
         if self._shutdown:
             raise RuntimeError("executor already shut down")
         digest = self.register(context)
         if self.workers <= 1 or len(specs) <= 1:
             from repro.analysis.batch import iter_cells
-            for index, outcome in iter_cells(context, specs, engine, stats):
+            for index, outcome in iter_cells(context, specs):
                 if on_result is not None:
                     on_result(index, outcome)
                 if progress is not None:
                     progress.advance()
                 yield index, outcome
             return
-        from repro.analysis.batch import fan_out_units
         from repro.analysis.transport import decode_cell
         pool = self._ensure_pool()
         ship = None if digest in self._initializer_contexts else context
-        pending = {}
-        base = 0
-        for unit in fan_out_units(specs, engine):
-            pending[pool.submit(_execute_cells, digest, ship, unit,
-                                engine)] = base
-            base += len(unit)
+        pending = {pool.submit(_execute_cell, digest, ship, spec): index
+                   for index, spec in enumerate(specs)}
         while pending:
             finished, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
-                base = pending.pop(future)
-                encoded, stats_dict = future.result()
-                if stats is not None and stats_dict is not None:
-                    stats.merge_dict(stats_dict)
-                for offset, payload in enumerate(encoded):
-                    self.ipc_bytes += len(payload)
-                    outcome = decode_cell(payload)
-                    index = base + offset
-                    if on_result is not None:
-                        on_result(index, outcome)
-                    if progress is not None:
-                        progress.advance()
-                    yield index, outcome
+                index = pending.pop(future)
+                payload = future.result()
+                self.ipc_bytes += len(payload)
+                outcome = decode_cell(payload)
+                if on_result is not None:
+                    on_result(index, outcome)
+                if progress is not None:
+                    progress.advance()
+                yield index, outcome
 
-    def submit_cell(self, context, spec, engine: str = "scalar") -> Future:
+    def submit_cell(self, context, spec) -> Future:
         """Schedule one cell; returns a :class:`~concurrent.futures.Future`
         resolving to its outcome dict.
 
@@ -322,11 +297,11 @@ class CellExecutor:
             if self._inline_thread is None:
                 self._inline_thread = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="cell-inline")
-            return self._inline_thread.submit(_run_one, context, spec,
-                                              engine)
+            from repro.analysis.sweep import run_cell
+            return self._inline_thread.submit(run_cell, context, spec)
         pool = self._ensure_pool()
         ship = None if digest in self._initializer_contexts else context
-        inner = pool.submit(_execute_cells, digest, ship, [spec], engine)
+        inner = pool.submit(_execute_cell, digest, ship, spec)
         outer: Future = Future()
 
         def _relay(done: Future) -> None:
@@ -337,7 +312,7 @@ class CellExecutor:
             if exc is not None:
                 outer.set_exception(exc)
                 return
-            (payload,), _ = done.result()
+            payload = done.result()
             self.ipc_bytes += len(payload)
             from repro.analysis.transport import decode_cell
             try:

@@ -31,6 +31,10 @@ a multi-second simulation; a per-process generator memo makes consecutive
 cells O(1)).  This keeps every curve bit-identical across ``workers=1``,
 ``workers=N``, cold cache, and warm cache.
 
+Every cell runs through :func:`run_cell` on the per-cell kernel
+(:func:`repro.sim.batch_kernels.batch_simulate`), whatever engine name
+the config gives; executors only decide where it runs.
+
 RM-based policies occasionally meet task sets that are EDF- but not
 RM-schedulable (the paper's footnote 3).  Those cells fall back to
 full-speed RM with misses tolerated, and the fallback count is reported in
@@ -62,7 +66,7 @@ from repro.obs.metrics import MetricsCollector
 from repro.sim.bound import minimum_energy_for_cycles
 # Re-exported as the reference simulator: ``run_cell(..., simulate_fn=
 # simulate)`` replays a cell on the discrete-event engine, which the
-# differential tests and the catalog audit hold both sweep engines to
+# differential tests and the catalog audit hold the per-cell kernel to
 # (perfbench's probes also look the name up here).
 from repro.sim.engine import simulate  # noqa: F401
 
@@ -139,13 +143,10 @@ class SweepConfig:
     #: generator; ``None`` keeps the paper's 1-10/10-100/100-1000 ms
     #: defaults.  Result-determining: non-default bands enter the cell key.
     period_bands: Optional[Tuple[Tuple[float, float], ...]] = None
-    #: Cell execution backend, one of
-    #: :data:`repro.analysis.batch.ENGINES`: ``"scalar"`` (one cell at a
-    #: time on the per-cell kernel — the default) or ``"block"``
-    #: (cross-cell vectorized lanes, then the same per-cell kernel) —
-    #: bit-identical.  The engine choice is *not* part of
-    #: the cell identity — the engines share one cache namespace because
-    #: their outcomes are indistinguishable.
+    #: Engine name, one of :data:`repro.analysis.batch.ENGINES`, checked
+    #: here and read nowhere else: every cell runs on the per-cell
+    #: kernel, and ``"block"`` is an alias of ``"scalar"``.  Not part of
+    #: the cell identity.
     engine: str = "scalar"
 
     def __post_init__(self) -> None:
@@ -181,20 +182,12 @@ class SweepResult:
     #: Cells re-leased after a lost/expired distributed lease (always 0
     #: on in-process executors; see :mod:`repro.dist`).
     retries: int = 0
-    #: Cells where at least one policy run was served straight from a
-    #: vectorized lane (``engine="block"`` only).
+    #: Always 0 and ``{}``: the lane tier they counted is gone.  Kept
+    #: only because the repository benchmark's traced runs
+    #: (``perfbench/workloads.py``) read them; they can go once that stops.
     block_cells: int = 0
-    #: Fallback reason -> count of simulation calls the block engine
-    #: routed down the per-cell ladder instead of serving from a lane
-    #: ("unsupported-policy", "demand-shape", "deadline-miss",
-    #: "schedulability", "no-numpy", ...).  "small-block" counts runs the
-    #: lane-versus-kernel cost model
-    #: (:func:`repro.sim.block_kernels.lane_cut`) sent to the per-cell
-    #: kernel because it predicted them cheaper there.
     block_fallbacks: Dict[str, int] = field(default_factory=dict)
-    #: Wall seconds per pipeline stage: always ``"aggregate"``; block
-    #: runs add ``"block-build"`` (column materialization + lane
-    #: planning) and ``"block-kernel"`` (the vectorized lane passes).
+    #: Wall seconds per pipeline stage (``"aggregate"``).
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     def series(self, label: str, normalized: bool = True) -> Series:
@@ -330,8 +323,6 @@ def utilization_sweep(config: SweepConfig,
     lines on stderr (or pass a :class:`SweepProgress` to customize).
     """
     labels = _result_labels(config)
-    from repro.analysis.batch import BlockStats
-    block_stats = BlockStats() if config.engine == "block" else None
     context = SweepContext(
         machine=config.machine,
         policies=tuple(labels[:-1]),
@@ -384,8 +375,7 @@ def utilization_sweep(config: SweepConfig,
 
         # Drain the barrier-free stream; `store` fills `outcomes`.
         for _ in runner.run_cells(context, pending_specs, progress=meter,
-                                  on_result=store, engine=config.engine,
-                                  stats=block_stats):
+                                  on_result=store):
             pass
         workers_used = runner.workers
     finally:
@@ -399,11 +389,6 @@ def utilization_sweep(config: SweepConfig,
     result.simulated_cells = len(pending)
     result.workers_used = workers_used
     result.retries = getattr(runner, "retries", 0) - retries_before
-    if block_stats is not None:
-        result.block_cells = block_stats.block_cells
-        result.block_fallbacks = dict(block_stats.fallbacks)
-        result.stage_seconds["block-build"] = block_stats.build_seconds
-        result.stage_seconds["block-kernel"] = block_stats.kernel_seconds
     return result
 
 
@@ -553,14 +538,13 @@ def run_cell(context: SweepContext, spec: CellSpec,
     Every run goes through ``simulate_fn``.  The default is
     :func:`repro.sim.batch_kernels.batch_simulate` (the flat-array
     ``CellKernel``, residency collectors included, with the event engine
-    outside its envelope); the block engine passes its lane server, and
-    ``simulate_fn=repro.sim.engine.simulate`` replays the cell on the
-    event engine, the reference every path must match bit for bit.  Any
-    replacement must be drop-in compatible with
-    :func:`repro.sim.engine.simulate`.  ``materialized`` supplies a pre-built
-    ``(taskset, demand)`` pair — the block path materializes whole
-    columns at once — and must match what :func:`materialize_cell` would
-    rebuild, since cache keys are derived from the spec alone.
+    outside its envelope), and ``simulate_fn=repro.sim.engine.simulate``
+    replays the cell on the event engine, the reference the kernel must
+    match bit for bit.  Any replacement must be drop-in compatible with
+    :func:`repro.sim.engine.simulate`.  ``materialized`` supplies a
+    pre-built ``(taskset, demand)`` pair in place of
+    :func:`materialize_cell`'s (tests use it to inject a demand trace);
+    cache keys are derived from the spec alone.
     """
     taskset, demand = materialized if materialized is not None \
         else materialize_cell(context, spec)

@@ -22,7 +22,7 @@ downstream:
   collectors the sweep used;
 * every invariant the scenario declares (``invariant:<name>``, see
   :data:`repro.catalog.schema.KNOWN_INVARIANTS`) is evaluated at its
-  declared tolerance, including scalar/block engine parity on sampled
+  declared tolerance, including kernel/event-engine parity on sampled
   cells;
 * scenarios without sweep panels (worked examples, extensions) are
   audited through their drivers' shape checks (``driver:shape-checks``).
@@ -276,7 +276,7 @@ def replay_cell(context: SweepContext, spec: CellSpec) -> CellReplay:
     """Re-simulate one cell with trace recording, mirroring
     :func:`~repro.analysis.sweep.run_cell`'s semantics (policy order,
     RM fallback, bound from the EDF reference's executed cycles) but
-    through the plain engine — never the per-cell or block kernels —
+    through the plain engine — never the per-cell kernel —
     so the result is an independent reference."""
     taskset, demand = materialize_cell(context, spec)
     energy_model = context.energy_model()
@@ -530,35 +530,17 @@ def _audit_invariant(invariant: Invariant, name: str, panel: str,
         return _check(name, panel, check_name, not bad, "; ".join(bad[:3]))
 
     if invariant.name == "engine-parity":
-        from repro.analysis.batch import fan_out_units, iter_cells_block
-        from repro.sim.block_kernels import ALL_LANES
-        sampled = set(_sample_indices(len(specs), profile.parity_cells))
-        # The event engine is the reference; both production paths (the
-        # scalar engine's per-cell kernel and the block engine) must
-        # match it.  Block runs every sampled cell's whole column, so it
-        # plans lanes the way a sweep does, and it keeps every lane on
-        # the lane pass (the cost model would send these narrow columns
-        # to the kernel) so the lanes get audited.
-        cells: List[int] = []
-        start = 0
-        for column in fan_out_units(specs, "block"):
-            stop = start + len(column)
-            if sampled.intersection(range(start, stop)):
-                cells.extend(range(start, stop))
-            start = stop
-        outcomes = iter_cells_block(context, [specs[i] for i in cells],
-                                    lane_cut=ALL_LANES)
+        # The event engine is the reference the production path (the
+        # per-cell kernel) must match.
         bad = []
-        for index, (_, block) in zip(cells, outcomes):
+        for index in _sample_indices(len(specs), profile.parity_cells):
             reference = run_cell(context, specs[index], simulate_fn=simulate)
-            scalar = run_cell(context, specs[index])
-            for engine, outcome in (("scalar", scalar), ("block", block)):
-                if outcome != reference:
-                    diffs = [key for key in reference
-                             if reference.get(key) != outcome.get(key)]
-                    bad.append(f"cell {index}: {engine} outcome differs "
-                               f"from the event engine on "
-                               f"{diffs or 'keys'}")
+            outcome = run_cell(context, specs[index])
+            if outcome != reference:
+                diffs = [key for key in reference
+                         if reference.get(key) != outcome.get(key)]
+                bad.append(f"cell {index}: kernel outcome differs from "
+                           f"the event engine on {diffs or 'keys'}")
         return _check(name, panel, check_name, not bad, "; ".join(bad[:3]))
 
     raise CatalogError(  # pragma: no cover - schema rejects unknown names

@@ -23,11 +23,10 @@ Design rules
   everything in a scenario is data, resolvable to today's
   :class:`~repro.analysis.sweep.SweepConfig` machinery without executing
   catalog-supplied code.
-* **Execution ≠ identity.**  Worker counts, cache directories, the
-  block engine, and the steady fast path change how a scenario runs, not
-  what it computes (they are required to be bit-identical); they are
-  runtime options of :meth:`PanelSpec.sweep_config`, never scenario
-  fields.
+* **Execution ≠ identity.**  Worker counts, cache directories and the
+  engine name change how a scenario runs, not what it computes (they are
+  required to be bit-identical); they are runtime options of
+  :meth:`PanelSpec.sweep_config`, never scenario fields.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ KNOWN_INVARIANTS: Dict[str, str] = {
     "residency-conservation":
         "per-policy frequency-residency fractions sum to 1 on every cell",
     "engine-parity":
-        "scalar engine and one block-engine pass over sampled cells "
-        "produce identical outcome dicts",
+        "the per-cell kernel reproduces the event engine's outcome dict "
+        "on sampled cells",
     "shape-checks":
         "the experiment driver's own shape checks all pass",
 }

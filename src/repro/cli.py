@@ -30,7 +30,7 @@ Subcommands
     ``--dist-port`` additionally opens a distributed work queue; cold
     cells are then simulated by ``rtdvs worker`` processes instead of
     in-process workers.
-``worker --connect HOST:PORT [--engine E] [--reconnect N]``
+``worker --connect HOST:PORT [--reconnect N]``
     Run one sweep worker: pull leased cell batches from a coordinator
     (``serve --dist-port`` or a :class:`repro.dist.RemoteCellExecutor`),
     simulate them, stream outcomes back.
@@ -93,14 +93,9 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--progress", action="store_true",
                         help="print per-sweep progress/ETA lines to stderr")
     parser.add_argument("--engine", choices=ENGINES, default="scalar",
-                        help="cell execution backend: 'scalar' simulates "
-                             "each cell on the per-cell kernel; 'block' "
-                             "advances the runs of many cells at once in "
-                             "cross-cell vectorized lane passes where a "
-                             "cost model predicts that beats the per-cell "
-                             "kernel, and runs the rest on that kernel "
-                             "(bit-identical to scalar; lanes pay off on "
-                             "wide columns, narrow ones run like scalar)")
+                        help="accepted for compatibility: every cell runs "
+                             "on the per-cell kernel, and 'block' is an "
+                             "alias of 'scalar'")
 
 
 def _cache_dir_from(args: argparse.Namespace):
@@ -303,11 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--connect", required=True, metavar="HOST:PORT",
                           help="coordinator work-queue endpoint (the "
                                "dist_port of 'rtdvs serve --dist-port')")
-    p_worker.add_argument("--engine", default="auto",
-                          choices=("auto",) + ENGINES,
-                          help="simulation engine; 'auto' follows the "
-                               "coordinator's per-lease hint "
-                               "(default: %(default)s)")
     p_worker.add_argument("--reconnect", type=int, default=0, metavar="N",
                           help="re-dial up to N times after a dropped "
                                "connection (an orderly shutdown never "
@@ -338,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--full", action="store_true",
                           help="paper-scale parameters (slow)")
     p_submit.add_argument("--engine", choices=ENGINES, default="scalar",
-                          help="cell execution backend on the server")
+                          help="accepted for compatibility: 'block' is "
+                               "an alias of 'scalar'")
     p_submit.add_argument("--tenant", default="default",
                           help="tenant identity for quota accounting")
     p_submit.add_argument("--stream-every", type=int, default=0,
@@ -756,8 +747,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     try:
         host, port = parse_connect(args.connect)
-        stats = run_worker(host, port, engine=args.engine,
-                           max_leases=args.max_leases,
+        stats = run_worker(host, port, max_leases=args.max_leases,
                            reconnect=args.reconnect,
                            reconnect_delay=args.reconnect_delay,
                            log=None if args.quiet else sys.stderr)

@@ -26,8 +26,7 @@ from repro.dist.wire import (WIRE_VERSION, WireError, context_from_wire,
                              context_to_wire, pack_frame, recv_frame,
                              send_frame, spec_from_wire, spec_to_wire,
                              unpack_frame)
-from repro.dist.worker import WORKER_ENGINES, WorkerError, parse_connect, \
-    run_worker
+from repro.dist.worker import WorkerError, parse_connect, run_worker
 
 __all__ = [
     "RemoteCellExecutor",
@@ -41,7 +40,6 @@ __all__ = [
     "run_worker",
     "parse_connect",
     "WorkerError",
-    "WORKER_ENGINES",
     "WireError",
     "WIRE_VERSION",
     "pack_frame",

@@ -123,8 +123,6 @@ class RemoteCellExecutor:
     def run_cells(self, context, specs: Sequence,
                   progress: Optional[SweepProgress] = None,
                   on_result: Optional[Callable[[int, object], None]] = None,
-                  engine: str = "scalar",
-                  stats=None,
                   ) -> Iterator[Tuple[int, object]]:
         """Yield ``(index, outcome)`` for every spec, unordered.
 
@@ -139,13 +137,6 @@ class RemoteCellExecutor:
             self._group_seq += 1
             group = self._group_seq
         results: _queue_mod.Queue = _queue_mod.Queue()
-        stats_lock = threading.Lock()
-
-        def on_stats(stats_dict: Dict[str, object]) -> None:
-            if stats is not None:
-                with stats_lock:
-                    stats.merge_dict(stats_dict)
-
         remote: list = []
         local: list = []
         for index, spec in enumerate(specs):
@@ -153,11 +144,10 @@ class RemoteCellExecutor:
                 (index, spec))
         if remote:
             self._queue.add_batch(
-                digest, engine, group,
+                digest, group,
                 [(spec, spec_to_wire(spec),
                   (lambda value, index=index: results.put((index, value))))
-                 for index, spec in remote],
-                on_stats=on_stats)
+                 for index, spec in remote])
         try:
             if local:
                 from repro.analysis.sweep import run_cell
@@ -194,7 +184,7 @@ class RemoteCellExecutor:
             # dead audience.
             self._queue.cancel_group(group)
 
-    def submit_cell(self, context, spec, engine: str = "scalar") -> Future:
+    def submit_cell(self, context, spec) -> Future:
         """Schedule one cell on the worker fleet; never blocks.
 
         Trace-carrying specs run on a coordinator-local thread (same
@@ -226,7 +216,7 @@ class RemoteCellExecutor:
         with self._lock:
             self._group_seq += 1
             group = self._group_seq
-        self._queue.add_batch(digest, engine, group,
+        self._queue.add_batch(digest, group,
                               [(spec, spec_to_wire(spec), deliver)])
         return future
 
@@ -341,7 +331,6 @@ class RemoteCellExecutor:
                 header: Dict[str, object] = {
                     "lease": lease.lease_id,
                     "digest": lease.digest,
-                    "engine": lease.engine,
                     "tickets": lease.tickets,
                     "specs": [lease.items[t].wire_spec
                               for t in lease.tickets],
@@ -359,12 +348,10 @@ class RemoteCellExecutor:
             elif kind == "heartbeat":
                 self._queue.heartbeat(head.get("lease", -1))
             elif kind == "result":
-                stats = head.get("stats")
                 for ticket, payload in zip(head.get("tickets", ()),
                                            payloads):
                     self._queue.complete(head.get("lease", -1), ticket,
-                                         payload, stats=stats)
-                    stats = None  # merge block stats once per frame
+                                         payload)
             elif kind == "error":
                 self._queue.fail_tickets(
                     head.get("lease", -1), head.get("tickets", ()),

@@ -18,9 +18,9 @@ the two distributed invariants the bench enforces:
 
 Tickets are queue-assigned monotonic integers; cells of one
 :meth:`~repro.dist.coordinator.RemoteCellExecutor.run_cells` call share a
-``group`` token so a lease never mixes cells of different calls (lease
-batches also never mix context digests or engines — the worker simulates
-a lease as one homogeneous column batch).
+``group`` token so a lease never mixes cells of different calls (and so
+never mixes context digests: the worker simulates a lease under one
+context).
 
 Locking: all state lives behind one condition variable; delivery
 callbacks are collected under the lock but *invoked outside it*, so a
@@ -52,13 +52,10 @@ class WorkItem:
 
     ticket: int
     digest: str
-    engine: str
     group: int
     spec: object
     wire_spec: Dict[str, object]
     deliver: Deliver
-    #: Block-stats sink shared by the item's group (may be ``None``).
-    on_stats: Optional[Callable[[Dict[str, object]], None]] = None
     retries: int = 0
 
 
@@ -69,7 +66,6 @@ class Lease:
     lease_id: int
     worker: str
     digest: str
-    engine: str
     deadline: float
     items: Dict[int, WorkItem] = field(default_factory=dict)
 
@@ -104,10 +100,9 @@ class LeaseQueue:
         self.failed = 0
 
     # -- producer side ------------------------------------------------------
-    def add_batch(self, digest: str, engine: str, group: int,
+    def add_batch(self, digest: str, group: int,
                   items: Sequence[Tuple[object, Dict[str, object],
-                                        Deliver]],
-                  on_stats: Optional[Callable] = None) -> List[int]:
+                                        Deliver]]) -> List[int]:
         """Enqueue ``(spec, wire_spec, deliver)`` triples; returns tickets."""
         with self._cond:
             if self._closed:
@@ -117,9 +112,8 @@ class LeaseQueue:
                 ticket = self._next_ticket
                 self._next_ticket += 1
                 self._pending.append(WorkItem(
-                    ticket=ticket, digest=digest, engine=engine,
-                    group=group, spec=spec, wire_spec=wire_spec,
-                    deliver=deliver, on_stats=on_stats))
+                    ticket=ticket, digest=digest, group=group, spec=spec,
+                    wire_spec=wire_spec, deliver=deliver))
                 tickets.append(ticket)
             self._cond.notify_all()
             return tickets
@@ -143,7 +137,7 @@ class LeaseQueue:
         Blocks up to ``timeout`` for work (``None`` = forever); returns
         ``None`` on timeout or once the queue is closed.  The batch is
         the longest prefix run of pending items sharing the head item's
-        ``(digest, engine, group)`` — skipping over non-matching items
+        ``(digest, group)`` — skipping over non-matching items
         would reorder delivery priorities for no benefit, since each
         group is homogeneous by construction.
 
@@ -171,13 +165,12 @@ class LeaseQueue:
             head = self._pending[0]
             lease = Lease(
                 lease_id=self._next_lease, worker=worker,
-                digest=head.digest, engine=head.engine,
+                digest=head.digest,
                 deadline=self._clock() + self.lease_timeout)
             self._next_lease += 1
             while self._pending and len(lease.items) < max(1, max_cells):
                 item = self._pending[0]
-                if (item.digest, item.engine, item.group) != \
-                        (head.digest, head.engine, head.group):
+                if (item.digest, item.group) != (head.digest, head.group):
                     break
                 self._pending.popleft()
                 lease.items[item.ticket] = item
@@ -193,8 +186,7 @@ class LeaseQueue:
             lease.deadline = self._clock() + self.lease_timeout
             return True
 
-    def complete(self, lease_id: int, ticket: int, payload: bytes,
-                 stats: Optional[Dict[str, object]] = None) -> bool:
+    def complete(self, lease_id: int, ticket: int, payload: bytes) -> bool:
         """Deliver one ticket's result; ``False`` for dropped duplicates.
 
         Only the lease currently owning the ticket may complete it — a
@@ -213,8 +205,6 @@ class LeaseQueue:
             self.completed += 1
             if lease is not None and not lease.items:
                 del self._leases[lease_id]
-        if stats and item.on_stats is not None:
-            item.on_stats(stats)
         item.deliver(payload)
         return True
 

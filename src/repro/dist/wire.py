@@ -19,8 +19,7 @@ IEEE-754 columns round-trip exactly).
 Message kinds
 -------------
 ``hello`` (worker -> coordinator)
-    First frame on a fresh connection: worker pid, pinned engine, wire
-    version.
+    First frame on a fresh connection: worker pid and wire version.
 ``welcome`` (coordinator -> worker)
     Assigned worker id, lease sizing, and the heartbeat interval the
     worker must honor.
@@ -28,12 +27,11 @@ Message kinds
     The worker is idle and wants a lease.
 ``lease`` (coordinator -> worker)
     A batch of cells: lease id, context digest (full context JSON on
-    first sight per connection), engine hint, and the cell specs.
+    first sight per connection), and the cell specs.
 ``heartbeat`` (worker -> coordinator)
     Extends the named lease's deadline while a long batch simulates.
 ``result`` (worker -> coordinator)
-    Completed tickets of a lease; one CTR1 payload per ticket, plus the
-    block engine's stats dict when applicable.
+    Completed tickets of a lease; one CTR1 payload per ticket.
 ``error`` (worker -> coordinator)
     A lease's cells raised a *deterministic* simulation error; the
     coordinator fails those tickets instead of retrying them.

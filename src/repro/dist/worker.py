@@ -3,13 +3,11 @@
 ``rtdvs worker --connect HOST:PORT`` runs :func:`run_worker`: connect to
 a coordinator, announce capabilities (``hello``), then loop
 request → lease → simulate → result until the coordinator says
-``shutdown``.  The worker simulates through the same engine dispatcher
-the in-process path uses (:func:`repro.analysis.batch.encode_cells`) —
-``--engine auto`` (the default) follows each lease's engine hint, an
-explicit engine pins it (the operator knows whether this box has numpy,
-how wide its vector units are) — so distributed outcomes are
-bit-identical by construction, and results return as the exact CTR1
-bytes of :mod:`repro.analysis.transport`.
+``shutdown``.  The worker simulates each cell with the same
+:func:`repro.analysis.sweep.run_cell` the in-process paths use (on the
+per-cell kernel, through :func:`repro.analysis.batch.encode_cells`), so
+distributed outcomes are bit-identical by construction, and results
+return as the exact CTR1 bytes of :mod:`repro.analysis.transport`.
 
 A refused or dropped connection is re-dialed on the service client's
 schedule (:func:`repro.service.client.backoff_delay`):
@@ -37,16 +35,12 @@ import threading
 import time
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.analysis.batch import ENGINES, encode_cells
+from repro.analysis.batch import encode_cells
 from repro.analysis.sweep import SweepContext
 from repro.dist.wire import (WIRE_VERSION, WireError, context_from_wire,
                              recv_frame, send_frame, specs_from_wire,
                              tune_socket)
 from repro.errors import ReproError
-
-#: Engines a worker accepts for ``--engine`` (``"auto"`` = follow the
-#: coordinator's per-lease hint).
-WORKER_ENGINES = ("auto",) + ENGINES
 
 
 class WorkerError(ReproError):
@@ -92,7 +86,7 @@ class _Heartbeat:
         self._thread.join(timeout=5.0)
 
 
-def run_worker(host: str, port: int, engine: str = "auto",
+def run_worker(host: str, port: int,
                max_leases: Optional[int] = None,
                reconnect: int = 0, reconnect_delay: float = 0.5,
                connect_timeout: float = 10.0,
@@ -113,10 +107,6 @@ def run_worker(host: str, port: int, engine: str = "auto",
     ``request`` to receiving its answer): their share of the worker's
     wall time is its busy and idle time.
     """
-    if engine not in WORKER_ENGINES:
-        raise WorkerError(
-            f"unknown worker engine {engine!r}; expected one of "
-            f"{', '.join(repr(name) for name in WORKER_ENGINES)}")
     stats: Dict[str, object] = {
         "leases": 0, "cells": 0, "bytes_out": 0,
         "reconnects": 0, "errors": 0, "simulate_s": 0.0, "wait_s": 0.0,
@@ -133,8 +123,7 @@ def run_worker(host: str, port: int, engine: str = "auto",
         else:
             try:
                 tune_socket(sock)
-                finished = _serve_connection(sock, engine, max_leases,
-                                             stats, log)
+                finished = _serve_connection(sock, max_leases, stats, log)
             except (OSError, WireError) as exc:
                 if log is not None:
                     print(f"[worker] connection lost: {exc}", file=log,
@@ -152,14 +141,13 @@ def run_worker(host: str, port: int, engine: str = "auto",
         stats["reconnects"] += 1
 
 
-def _serve_connection(sock: socket.socket, engine: str,
-                      max_leases: Optional[int], stats: Dict[str, object],
-                      log) -> bool:
+def _serve_connection(sock: socket.socket, max_leases: Optional[int],
+                      stats: Dict[str, object], log) -> bool:
     """One connection's lifetime; ``True`` on orderly shutdown."""
     write_lock = threading.Lock()
     stats["bytes_out"] += send_frame(
         sock, "hello",
-        {"pid": os.getpid(), "engine": engine, "wire": WIRE_VERSION},
+        {"pid": os.getpid(), "wire": WIRE_VERSION},
         lock=write_lock)
     sock.settimeout(30.0)  # welcome must arrive promptly
     welcome = recv_frame(sock)
@@ -170,7 +158,7 @@ def _serve_connection(sock: socket.socket, engine: str,
     heartbeat_interval = float(header.get("heartbeat", 5.0))
     if log is not None:
         print(f"[worker] connected as {worker_id} "
-              f"(engine={engine}, heartbeat={heartbeat_interval:g}s)",
+              f"(heartbeat={heartbeat_interval:g}s)",
               file=log, flush=True)
     # Lease waits can legitimately be long (an idle coordinator holds the
     # request open until work arrives); rely on EOF/RST for liveness.
@@ -201,14 +189,11 @@ def _serve_connection(sock: socket.socket, engine: str,
             raise WireError(f"lease names unknown context {digest[:12]}")
         specs = specs_from_wire(head["specs"])
         tickets = head["tickets"]
-        lease_engine = engine if engine != "auto" \
-            else head.get("engine", "scalar")
         heartbeat = _Heartbeat(sock, write_lock, head["lease"],
                                heartbeat_interval)
         started = time.perf_counter()
         try:
-            encoded, block_stats = encode_cells(context, specs,
-                                                lease_engine)
+            encoded = encode_cells(context, specs)
         except ReproError as exc:
             stats["errors"] += 1
             heartbeat.stop()
@@ -220,10 +205,7 @@ def _serve_connection(sock: socket.socket, engine: str,
         finally:
             heartbeat.stop()
             stats["simulate_s"] += time.perf_counter() - started
-        result_header = {"lease": head["lease"], "tickets": tickets}
-        if block_stats is not None:
-            result_header["stats"] = block_stats
-        stats["bytes_out"] += send_frame(sock, "result", result_header,
-                                         payloads=encoded,
-                                         lock=write_lock)
+        stats["bytes_out"] += send_frame(
+            sock, "result", {"lease": head["lease"], "tickets": tickets},
+            payloads=encoded, lock=write_lock)
         stats["cells"] += len(specs)

@@ -70,6 +70,8 @@ class SweepRequest:
     spec: Optional[PanelSpec] = None
     quick: bool = True
     tenant: str = "default"
+    #: One of :data:`~repro.analysis.batch.ENGINES`; ``"block"`` is an
+    #: alias of ``"scalar"``, so every request runs the same path.
     engine: str = "scalar"
     #: Emit a ``partial`` aggregate event every N completed cells
     #: (0 disables partials; warm cells never trigger them).

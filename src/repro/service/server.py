@@ -620,8 +620,7 @@ class SweepService:
                     return "cached", cached
             async with self.admission:
                 outcome = await asyncio.wrap_future(
-                    self.executor.submit_cell(job.context, spec,
-                                              engine=request.engine))
+                    self.executor.submit_cell(job.context, spec))
             if self.cache is not None and key is not None:
                 await asyncio.to_thread(self.cache.put, key, outcome)
             return "simulated", outcome

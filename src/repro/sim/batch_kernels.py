@@ -14,7 +14,7 @@ bands, ccRM's quota walk, laEDF's deferral loop) is made by the same code
 and is bit-for-bit identical by construction.
 
 :func:`batch_simulate` is the entry point every sweep cell runs through
-(:func:`repro.analysis.sweep.run_cell`'s default, on both engines): the
+(:func:`repro.analysis.sweep.run_cell`'s default): the
 kernel inside its envelope, the event engine outside it.  The envelope
 includes instruments that only need run-level observation — the
 residency :class:`~repro.obs.metrics.MetricsCollector` — because the
@@ -42,24 +42,16 @@ read.  The main loop is deliberately one flat function: between two
 release instants ("a window") it executes segments back to back without
 re-deriving the release state the engine re-scans per event.
 
-The module also hosts two cross-cell helpers: ``lowest_at_least`` over a
-batch of speed requests (used by :mod:`repro.analysis.batch`'s column
-blocks) and per-task release counting.  Each evaluates the
-identical per-element comparisons as its scalar counterpart; numpy (when
-installed) only changes how the elements are iterated, never the
-arithmetic, and is imported lazily behind :func:`numpy_backend`.  The
-per-cell kernel itself never calls into numpy, so a scalar sweep keeps
-its "numpy never imported" invariant (pinned by
-``benchmarks/numpy_guard`` and ``tests/analysis/test_batch_engine.py``).
+The kernel is pure Python: no path of the package imports numpy
+(pinned by ``benchmarks/numpy_guard`` and
+``tests/analysis/test_batch_engine.py``).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-import os
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from repro.core.base import DVSPolicy
@@ -85,125 +77,20 @@ _EPS = 1e-9
 #: need it fall back to the engine.
 KERNEL_MISS_MODES = ("raise", "drop")
 
-#: Element count below which the block kernels skip numpy: crossing into
-#: numpy costs more than a tiny Python loop for a handful of elements.
-#: The size check runs *before* :func:`numpy_backend`, so small batches
-#: never trigger the import.
-_NUMPY_MIN = 64
-
 _INF = math.inf
 
 #: Sort key of a release phase whose stream entries span two instants:
 #: (slot, invocation), the engine's processing order.
 _SLOT_ORDER = itemgetter(1, 2)
 
-# ---------------------------------------------------------------------------
-# the lazy numpy seam
-# ---------------------------------------------------------------------------
-
-#: ``RTDVS_NO_NUMPY=1`` pins the pure-Python kernels process-wide (the
-#: numpy-absent CI leg runs the batch/block suites under it); a later
-#: ``set_numpy_enabled(True)`` still overrides for targeted tests.
-_numpy_enabled = os.environ.get("RTDVS_NO_NUMPY", "") not in ("1", "true")
-_numpy_module = None
-_numpy_missing = False
-
-
-def set_numpy_enabled(enabled: bool) -> None:
-    """Force the pure-Python block kernels (``False``) or restore the
-    default lazy numpy acceleration (``True``).
-
-    Used by the differential tests to pin both sides of the
-    numpy-on/numpy-off bit-identity gate, and available to callers that
-    must not pull numpy into the process.
-    """
-    global _numpy_enabled
-    _numpy_enabled = bool(enabled)
-
 
 def numpy_backend():
-    """The numpy module, or ``None`` (disabled or not installed).
+    """Always ``None``: the package runs without numpy.
 
-    The import happens on first use from *block* code only — the
-    per-cell kernel every scalar sweep runs on never calls it, so
-    ``numpy`` stays out of ``sys.modules`` for scalar sweeps (the laziness
-    invariant asserted by ``benchmarks.numpy_guard``).
+    Kept only because the repository benchmark's machine fingerprint
+    (``perfbench/run.py``) imports it; it can go once that stops.
     """
-    global _numpy_module, _numpy_missing
-    if not _numpy_enabled or _numpy_missing:
-        return None
-    if _numpy_module is None:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - image always has numpy
-            _numpy_missing = True
-            return None
-        _numpy_module = numpy
-    return _numpy_module
-
-
-# ---------------------------------------------------------------------------
-# block kernels (cell/task index as the leading axis)
-# ---------------------------------------------------------------------------
-
-def release_counts(periods: Sequence[float], duration: float) -> List[int]:
-    """Releases the engine fires per task over ``[0, duration)``.
-
-    Replays the engine's convention exactly: releases happen at the
-    *accumulated* times ``0, p, p+p, ...`` (repeated addition, not
-    ``k*p``) while the accumulated time stays below ``duration - _EPS``
-    (the at-the-horizon release is suppressed).  Accumulation order
-    matters in floating point, so this kernel is intentionally not
-    expressed as a closed-form divide.
-    """
-    limit = duration - _EPS
-    counts: List[int] = []
-    for period in periods:
-        release = 0.0
-        n = 0
-        while release < limit:
-            n += 1
-            release += period
-        counts.append(n)
-    return counts
-
-
-def lowest_at_least_indices(machine: Machine,
-                            speeds: Sequence[float]) -> List[int]:
-    """Vectorized frequency selection: the operating-point index
-    :meth:`~repro.hw.machine.Machine.lowest_at_least` would pick for each
-    requested speed.
-
-    Mirrors the scalar method exactly — ``bisect_left(frequencies,
-    speed - 1e-9)`` clamped to the table, with the same over-unity error —
-    so ``machine.points[i]`` equals the scalar selection element-wise.
-    """
-    frequencies = machine.frequencies
-    top = len(frequencies) - 1
-    if len(speeds) >= _NUMPY_MIN:
-        np = numpy_backend()
-        if np is not None:
-            arr = np.asarray(speeds, dtype=np.float64)
-            over = arr > 1.0 + 1e-7
-            if bool(over.any()):
-                _raise_over_unity(float(arr[over][0]))
-            indices = np.searchsorted(
-                np.asarray(frequencies, dtype=np.float64),
-                arr - _EPS, side="left")
-            return np.minimum(indices, top).tolist()
-    out: List[int] = []
-    for speed in speeds:
-        if speed > 1.0 + 1e-7:
-            _raise_over_unity(speed)
-        index = bisect.bisect_left(frequencies, speed - _EPS)
-        out.append(index if index <= top else top)
-    return out
-
-
-def _raise_over_unity(speed: float) -> None:
-    """The same error ``Machine.lowest_at_least`` raises."""
-    raise MachineError(
-        f"required relative speed {speed} exceeds the maximum (1.0)")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +201,9 @@ def release_stream(periods: Sequence[float],
     order: ``(entries, times)``.
 
     ``entries[k]`` is ``(release, slot, invocation, demand, deadline)``.
-    Releases accumulate as the engine's do (``0, p, p+p, ...``, see
-    :func:`release_counts`), and a release's deadline is its slot's next
-    release.  ``demand`` is the row's pre-clipped value, or ``None`` past
+    Releases accumulate as the engine's do (``0, p, p+p, ...``: repeated
+    addition, not ``k*p``, because accumulation order matters in floating
+    point), and a release's deadline is its slot's next release.  ``demand`` is the row's pre-clipped value, or ``None`` past
     a row's end or without a row: the kernel then asks the demand model
     at that release, in every run.  ``times[k]`` is ``entries[k][0]``,
     and ``times`` ends with one sentinel: the first suppressed release
@@ -930,8 +817,7 @@ class CellKernel(SchedulerView):
 
     def _final_deadline_check(self) -> None:
         """The engine's final check: flag every job whose deadline fell
-        inside the run but never finished (pure Python, so the per-cell
-        path never loads numpy)."""
+        inside the run but never finished."""
         limit = self.duration + _EPS
         misses = self._misses
         period = self._period

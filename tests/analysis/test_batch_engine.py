@@ -1,18 +1,19 @@
 """Differential tests for the per-cell kernel.
 
 :mod:`repro.sim.batch_kernels` is the simulator every sweep cell runs on:
-:func:`repro.sim.batch_kernels.batch_simulate` is ``run_cell``'s default
-on the scalar engine and the rung every run the block lanes cannot serve
-lands on.  Its one promise is *bit identity*: the flat-array kernel must
-produce exactly the outcome the discrete-event engine produces — same
-energies, same switch counts, same misses, same trace, same residency
-metrics, same aggregate tables — across numpy-on/numpy-off,
-serial/parallel, and cold/warm cache.  These tests hold that line
-against the event engine at run level, at cell level over every catalog
-panel, and at sweep level; the throughput side lives in
+:func:`repro.sim.batch_kernels.batch_simulate` is ``run_cell``'s default,
+whichever engine name a sweep gives.  Its one promise is *bit identity*:
+the flat-array kernel must produce exactly the outcome the discrete-event
+engine produces — same energies, same switch counts, same misses, same
+trace, same residency metrics, same aggregate tables — across engine
+names, serial/parallel, cold/warm cache, and with numpy unimportable.
+These tests hold that line against the event engine at run level, at
+cell level over every catalog panel, and at sweep level; the throughput
+side lives in
 ``benchmarks/write_bench_json.py`` (``fig9_sweep_batch``).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.batch import ENGINES, iter_cells_block
+from repro.analysis.batch import ENGINES
 from repro.analysis.sweep import (
     SweepConfig,
     aggregate_outcomes,
@@ -35,23 +36,20 @@ from repro.analysis.sweep import (
 from repro.catalog import load_catalog
 from repro.core import PAPER_POLICIES, make_policy
 from repro.core.no_dvs import NoDVS
-from repro.errors import MachineError, ReproError
+from repro.errors import ReproError
 from repro.hw.machine import machine0, machine1
 from repro.model.demand import TraceDemand, demand_from_spec
 from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet
 from repro.obs.hooks import HotCounters, Instrumentation
 from repro.obs.metrics import MetricsCollector
-from repro.sim import batch_kernels, block_kernels
+from repro.sim import batch_kernels
 from repro.sim.batch_kernels import (
     CellKernel,
     cell_params,
     kernel_simulate,
     kernel_supported,
-    lowest_at_least_indices,
-    release_counts,
     release_stream,
-    set_numpy_enabled,
 )
 from repro.sim.engine import simulate
 
@@ -66,28 +64,6 @@ TINY = dict(n_tasks=3, n_sets=2, utilizations=(0.3, 0.7), duration=400.0,
 
 RELAXED = settings(max_examples=20, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
-
-
-@pytest.fixture
-def numpy_off():
-    """Pin the pure-Python block kernels for one test."""
-    set_numpy_enabled(False)
-    yield
-    set_numpy_enabled(True)
-
-
-@pytest.fixture
-def per_cell_rung(monkeypatch):
-    """Cut every lane from the lane pass, so the block engine runs every
-    policy run on its per-cell kernel rung."""
-    monkeypatch.setattr(block_kernels, "lane_cut", lambda counts: 0)
-
-
-def rung_sweep(**config):
-    """A block-engine sweep that must not have served any lane."""
-    result = utilization_sweep(SweepConfig(engine="block", **config))
-    assert result.block_cells == 0
-    return result
 
 
 def engine_sweep(**config):
@@ -437,6 +413,31 @@ class TestReleaseStream:
                            if job.task.name == "C")
             assert 0.1 - 1e-9 < first_c.completion_time < 0.1
 
+    def test_release_counts_match_engine_jobs(self):
+        taskset = TaskSetGenerator(n_tasks=4, utilization=0.6,
+                                   seed=9).generate()
+        duration = 2.5 * max(t.period for t in taskset)
+        result = simulate(taskset, MACHINE, make_policy("EDF"),
+                          duration=duration, on_miss="drop")
+        per_task = {t.name: 0 for t in taskset}
+        for job in result.jobs:
+            per_task[job.task.name] += 1
+        entries, _ = release_stream([t.period for t in taskset], None,
+                                    duration)
+        counts = [0] * len(taskset)
+        for entry in entries:
+            counts[entry[1]] += 1
+        assert counts == [per_task[t.name] for t in taskset]
+
+    def test_release_counts_horizon_coincident(self):
+        # The at-the-horizon release is suppressed, exactly like the
+        # engine's `release < duration - eps` loop condition; it is the
+        # sentinel that ends ``times``.
+        entries, times = release_stream([10.0], None, 100.0)
+        assert len(entries) == 10 and times[-1] == 100.0
+        entries, times = release_stream([10.0], None, 100.1)
+        assert len(entries) == 11 and times[-1] == 110.0
+
     def test_one_build_per_cell(self, monkeypatch):
         builds = self._count_builds(monkeypatch)
         config = SweepConfig(n_tasks=4, n_sets=2, utilizations=(0.5, 0.9),
@@ -445,9 +446,6 @@ class TestReleaseStream:
         specs = sweep_cell_specs(config)
         for spec in specs:
             run_cell(context, spec)
-        assert builds == [200.0] * len(specs)
-        del builds[:]
-        list(iter_cells_block(context, specs, lane_cut=0))
         assert builds == [200.0] * len(specs)
 
     def test_another_duration_builds_its_own_stream(self, monkeypatch):
@@ -604,73 +602,70 @@ print(eager, imported, min(jobs))
 class TestScalarPathStaysNumpyFree:
     def test_scalar_sweep_never_imports_numpy(self):
         # ...and importing the sweep and service layers loads no kernel.
-        src = Path(__file__).resolve().parents[2] / "src"
-        env = {key: value for key, value in os.environ.items()
-               if key != "RTDVS_NO_NUMPY"}
-        env["PYTHONPATH"] = str(src)
-        proc = subprocess.run([sys.executable, "-c", _LAZY_SNIPPET],
-                              capture_output=True, text=True, env=env,
-                              check=True)
+        proc = _run_snippet(_LAZY_SNIPPET)
         eager, imported, jobs = proc.stdout.split()
         assert int(jobs) >= 64
         assert (eager, imported) == ("False", "False")
 
 
-class TestBlockKernels:
-    """Unit-level: vectorized kernels vs their event-loop references."""
+def _run_snippet(code, *args):
+    """Run ``code`` in a fresh interpreter on this checkout's ``src``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          check=True)
 
-    def test_release_counts_match_engine_jobs(self):
-        taskset = TaskSetGenerator(n_tasks=4, utilization=0.6,
-                                   seed=9).generate()
-        duration = 2.5 * max(t.period for t in taskset)
-        result = simulate(taskset, MACHINE, make_policy("EDF"),
-                          duration=duration, on_miss="drop")
-        per_task = {t.name: 0 for t in taskset}
-        for job in result.jobs:
-            per_task[job.task.name] += 1
-        counts = release_counts([t.period for t in taskset], duration)
-        assert counts == [per_task[t.name] for t in taskset]
 
-    def test_release_counts_horizon_coincident(self):
-        # The at-the-horizon release is suppressed, exactly like the
-        # engine's `release < duration - eps` loop condition.
-        assert release_counts([10.0], 100.0) == [10]
-        assert release_counts([10.0], 100.1) == [11]
+#: A fresh interpreter whose ``import numpy`` raises ImportError (a
+#: ``sys.meta_path`` finder, so no environment switch is involved) runs
+#: the TINY sweep with residency under both engine names, encodes cells
+#: the way pool and distributed workers do, parses and resolves a served
+#: request naming ``"block"``, and imports the service and distribution
+#: packages.  It prints whether the blocker held, whether numpy loaded,
+#: and each engine name's tables.
+_NUMPY_BLOCKED_SNIPPET = """
+import json, sys
 
-    @pytest.mark.parametrize("n", [5, 200])
-    def test_lowest_at_least_matches_machine(self, n):
-        speeds = [((i * 37) % (n + 1)) / n for i in range(n)]
-        speeds[0] = 0.0
-        speeds[-1] = 1.0
-        expected = [MACHINE.lowest_at_least(s) for s in speeds]
-        try:
-            for enabled in (True, False):
-                set_numpy_enabled(enabled)
-                indices = lowest_at_least_indices(MACHINE, speeds)
-                assert [MACHINE.points[i] for i in indices] == expected
-        finally:
-            set_numpy_enabled(True)
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is blocked in this interpreter")
+        return None
 
-    @pytest.mark.parametrize("n", [5, 200])
-    def test_lowest_at_least_over_unity_error_parity(self, n):
-        speeds = [0.5] * n
-        speeds[n // 2] = 1.2
-        with pytest.raises(MachineError) as scalar_err:
-            MACHINE.lowest_at_least(1.2)
-        try:
-            for enabled in (True, False):
-                set_numpy_enabled(enabled)
-                with pytest.raises(MachineError) as batch_err:
-                    lowest_at_least_indices(MACHINE, speeds)
-                assert str(batch_err.value) == str(scalar_err.value)
-        finally:
-            set_numpy_enabled(True)
+sys.meta_path.insert(0, NoNumpy())
+try:
+    import numpy  # noqa: F401
+    blocked = False
+except ImportError:
+    blocked = True
+import repro.dist, repro.service
+from repro.analysis.batch import encode_cells
+from repro.analysis.sweep import SweepConfig, utilization_sweep
+from repro.analysis.transport import decode_cell
+from repro.service.protocol import parse_request, resolve_jobs
+
+config = json.loads(sys.argv[1])
+tables = {}
+for engine in ("scalar", "block"):
+    result = utilization_sweep(SweepConfig(engine=engine, **config))
+    tables[engine] = repr((result.raw.rows(), result.normalized.rows(),
+                           result.std, result.rm_fallbacks,
+                           {name: table.rows()
+                            for name, table in result.residency.items()}))
+job, = resolve_jobs(parse_request(
+    {"spec": {"n_tasks": 3, "n_sets_quick": 2, "duration_quick": 100.0,
+              "utilizations": [0.5, 0.9]}, "engine": "block"}))
+cells = [decode_cell(payload)
+         for payload in encode_cells(job.context, job.specs)]
+print(json.dumps({"blocked": blocked, "numpy": "numpy" in sys.modules,
+                  "cells": len(cells), "tables": tables}))
+"""
 
 
 class TestBatchSweepIdentity:
-    """Sweep-level differential: the scalar engine and the block engine
-    pinned to its per-cell kernel rung, both vs every cell replayed on
-    the event engine."""
+    """Sweep-level differential: the scalar engine and its ``"block"``
+    alias, both vs every cell replayed on the event engine."""
 
     def test_unknown_engine_rejected(self):
         assert ENGINES == ("scalar", "block")
@@ -679,33 +674,44 @@ class TestBatchSweepIdentity:
                                match="expected one of 'scalar', 'block'"):
                 SweepConfig(engine=name, **TINY)
 
-    def test_batch_bit_identical(self, per_cell_rung):
+    def test_batch_bit_identical(self):
         reference = engine_sweep(**TINY)
         scalar = utilization_sweep(SweepConfig(**TINY))
-        batch = rung_sweep(**TINY)
-        assert snap(reference) == snap(scalar) == snap(batch)
+        block = utilization_sweep(SweepConfig(engine="block", **TINY))
+        assert snap(reference) == snap(scalar) == snap(block)
+        assert (block.block_cells, block.block_fallbacks) == (0, {})
 
-    def test_batch_bit_identical_numpy_off(self, numpy_off):
-        scalar = utilization_sweep(SweepConfig(**TINY))
-        batch = rung_sweep(**TINY)
-        assert snap(scalar) == snap(batch)
+    def test_batch_bit_identical_numpy_off(self):
+        config = dict(TINY, residency_policies=("ccEDF", "laEDF"))
+        proc = _run_snippet(_NUMPY_BLOCKED_SNIPPET, json.dumps(config))
+        report = json.loads(proc.stdout)
+        assert report["blocked"] and not report["numpy"]
+        assert report["cells"] == 4
+        here = utilization_sweep(SweepConfig(**config))
+        expected = repr((here.raw.rows(), here.normalized.rows(), here.std,
+                         here.rm_fallbacks,
+                         {name: table.rows()
+                          for name, table in here.residency.items()}))
+        assert report["tables"] == {"scalar": expected, "block": expected}
 
-    def test_batch_with_residency_instrumentation(self, per_cell_rung):
-        # Residency runs never take a lane; the kernel drives their
-        # collector and must reproduce the event engine's tables.
+    def test_batch_with_residency_instrumentation(self):
+        # The kernel drives the residency collectors and must reproduce
+        # the event engine's tables, whichever engine name is given.
         config = dict(TINY, residency_policies=("ccEDF", "laEDF"))
         reference = engine_sweep(**config)
         scalar = utilization_sweep(SweepConfig(**config))
-        batch = rung_sweep(**config)
-        assert snap(reference) == snap(scalar) == snap(batch)
-        assert batch.residency  # the instrumented table actually exists
+        block = utilization_sweep(SweepConfig(engine="block", **config))
+        assert snap(reference) == snap(scalar) == snap(block)
+        assert block.residency  # the instrumented table actually exists
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_batch_workers_and_cache(self, per_cell_rung, tmp_path,
-                                     workers):
+    def test_batch_workers_and_cache(self, tmp_path, workers):
+        # The engine name is not part of the cell identity: a "block"
+        # rerun over a "scalar"-populated cache hits every cell.
         scalar = utilization_sweep(SweepConfig(**TINY))
-        cold = rung_sweep(workers=workers, cache_dir=str(tmp_path), **TINY)
-        warm = rung_sweep(workers=workers, cache_dir=str(tmp_path), **TINY)
+        config = dict(TINY, workers=workers, cache_dir=str(tmp_path))
+        cold = utilization_sweep(SweepConfig(**config))
+        warm = utilization_sweep(SweepConfig(engine="block", **config))
         assert snap(scalar) == snap(cold) == snap(warm)
         assert cold.simulated_cells == len(TINY["utilizations"]) * \
             TINY["n_sets"]

@@ -18,9 +18,6 @@ from repro.analysis.sweep import (
     _result_labels,
     run_cell,
 )
-from repro.errors import ReproError
-from repro.sim.batch_kernels import numpy_backend
-from tests.analysis.lanes import force_all_lanes
 
 TINY = SweepConfig(n_tasks=3, n_sets=2, utilizations=(0.4, 0.8),
                    duration=300.0, seed=13)
@@ -120,28 +117,6 @@ class TestSubmitCell:
             future = executor.submit_cell(context, specs[1])
             assert future.result(timeout=120) == expected
         assert executor.ipc_bytes > 0  # columnar payload was shipped
-
-    def test_block_engine_matches_scalar(self, monkeypatch):
-        ran = force_all_lanes(monkeypatch)
-        context, specs = _specs_and_context()
-        with CellExecutor(1) as executor:
-            scalar = executor.submit_cell(context, specs[0],
-                                          engine="scalar").result(60)
-            block = executor.submit_cell(context, specs[0],
-                                         engine="block").result(60)
-        assert block == scalar
-        if numpy_backend() is not None:
-            assert sum(ran) > 0
-
-    def test_unknown_engine_fails_loudly(self):
-        context, specs = _specs_and_context()
-        with CellExecutor(1) as executor:
-            future = executor.submit_cell(context, specs[0],
-                                          engine="batch")
-            with pytest.raises(ReproError, match="unknown engine 'batch'"):
-                future.result(60)
-            with pytest.raises(ReproError, match="unknown engine 'batch'"):
-                list(executor.run_cells(context, specs, engine="batch"))
 
     def test_submit_after_shutdown_raises(self):
         context, specs = _specs_and_context()

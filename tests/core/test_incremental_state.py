@@ -43,7 +43,6 @@ from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet, example_taskset
 from repro.sim.batch_kernels import kernel_simulate
 from repro.model.job import Job
-from repro.sim.batch_kernels import lowest_at_least_indices, set_numpy_enabled
 from repro.sim.engine import Admission, SchedulerView, simulate
 from repro.sim.ticksim import TickSimulator
 from tests.core.scratch_policies import (ORACLE_PAIRS, ScratchCcEDF,
@@ -369,8 +368,7 @@ class TestSelectionBoundaries:
     """``Machine.lowest_at_least`` is the one frequency-selection
     primitive (one bisect, no memo): at every threshold ``f_j + 1e-9``,
     and a few ulps either side, it must pick what a linear scan of the
-    table picks, on repeated calls too, and the block engine's
-    ``lowest_at_least_indices`` must agree with and without numpy."""
+    table picks, on repeated calls too."""
 
     ULPS = 4
 
@@ -404,18 +402,6 @@ class TestSelectionBoundaries:
             assert machine.lowest_at_least(speed) is \
                 self._linear(machine, speed), speed
 
-    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
-    @pytest.mark.parametrize("numpy_on", [True, False])
-    def test_block_selection_matches(self, machine_name, numpy_on):
-        machine = MACHINES[machine_name]()
-        speeds = self._speeds(machine) * 4  # past the numpy size cut
-        set_numpy_enabled(numpy_on)
-        try:
-            indices = lowest_at_least_indices(machine, speeds)
-        finally:
-            set_numpy_enabled(True)
-        assert [machine.points[i] for i in indices] == \
-            [machine.lowest_at_least(speed) for speed in speeds]
 
 
 class _JobView(_StubView):

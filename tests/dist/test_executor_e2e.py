@@ -17,8 +17,6 @@ from repro.analysis.sweep import utilization_sweep
 from repro.catalog.schema import PanelSpec
 from repro.dist import RemoteCellExecutor, run_worker
 from repro.dist.wire import WIRE_VERSION, recv_frame, send_frame
-from repro.sim.batch_kernels import numpy_backend
-from tests.analysis.lanes import force_all_lanes
 
 TINY_SPEC = {"n_tasks": 3, "n_sets_quick": 2, "duration_quick": 100.0,
              "utilizations": [0.5, 0.9]}
@@ -37,11 +35,11 @@ def reference():
     return result.raw.rows(), result.normalized.rows()
 
 
-def start_fleet(executor, count, engine="auto"):
+def start_fleet(executor, count):
     threads = [
         threading.Thread(
             target=run_worker, args=(executor.host, executor.port),
-            kwargs={"engine": engine}, daemon=True)
+            daemon=True)
         for _ in range(count)]
     for thread in threads:
         thread.start()
@@ -62,7 +60,7 @@ class FakeWorker:
         self.sock = socket.create_connection(
             (executor.host, executor.port), timeout=10)
         send_frame(self.sock, "hello",
-                   {"pid": 0, "engine": "scalar", "wire": WIRE_VERSION})
+                   {"pid": 0, "wire": WIRE_VERSION})
         head, _ = recv_frame(self.sock)
         assert head["kind"] == "welcome"
 
@@ -122,11 +120,8 @@ class TestHappyPath:
         assert executor.duplicates_dropped == 0
         assert executor.ipc_bytes > 0
 
-    def test_block_engine_over_the_wire_bit_identical(self, reference,
-                                                      monkeypatch):
-        # The workers are threads of this process, so the pinned cut
-        # reaches them: the column's lanes run on the lane pass.
-        ran = force_all_lanes(monkeypatch)
+    def test_block_engine_over_the_wire_bit_identical(self, reference):
+        # "block" is an alias of "scalar"; the lease carries no engine.
         executor = RemoteCellExecutor()
         threads = start_fleet(executor, 1)
         try:
@@ -137,8 +132,6 @@ class TestHappyPath:
         raw, normalized = reference
         assert result.raw.rows() == raw
         assert result.normalized.rows() == normalized
-        if numpy_backend() is not None:
-            assert sum(ran) > 0
 
     def test_submit_cell_future_resolves(self):
         from repro.analysis.sweep import sweep_cell_specs, sweep_context

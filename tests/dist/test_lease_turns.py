@@ -163,8 +163,7 @@ def test_dropped_worker_is_logged_once(caplog, drop, reason):
         sock = socket.create_connection((executor.host, executor.port),
                                         timeout=10)
         with sock:
-            send_frame(sock, "hello", {"pid": 0, "engine": "scalar",
-                                       "wire": WIRE_VERSION})
+            send_frame(sock, "hello", {"pid": 0, "wire": WIRE_VERSION})
             worker_id = recv_frame(sock)[0]["worker_id"]
             peer_port = sock.getsockname()[1]
             send_frame(sock, "request")

@@ -30,10 +30,10 @@ class Sink:
         self.values.append(value)
 
 
-def enqueue(queue, count, digest="d1", engine="scalar", group=1):
+def enqueue(queue, count, digest="d1", group=1):
     sinks = [Sink() for _ in range(count)]
     tickets = queue.add_batch(
-        digest, engine, group,
+        digest, group,
         [(f"spec{i}", {"i": i}, sinks[i]) for i in range(count)])
     return tickets, sinks
 

@@ -1,5 +1,5 @@
-"""``rtdvs worker``: engine validation, the re-dial schedule, and RM
-cells that leave numpy unimported.
+"""``rtdvs worker``: the re-dial schedule, and RM cells that leave numpy
+unimported.
 
 The worker re-dials on the service client's schedule
 (:func:`repro.service.client.backoff_delay`); ``sleep`` is injected so
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.dist import WORKER_ENGINES, WorkerError, run_worker
+from repro.dist import WorkerError, run_worker
 from repro.dist.wire import recv_frame, send_frame
 from repro.service.client import BACKOFF_CAP, backoff_delay
 
@@ -29,16 +29,6 @@ def refusing_port():
     return port
 
 
-class TestEngines:
-    def test_worker_engines_are_auto_plus_sweep_engines(self):
-        assert WORKER_ENGINES == ("auto", "scalar", "block")
-
-    def test_batch_engine_rejected(self):
-        with pytest.raises(WorkerError,
-                           match="unknown worker engine 'batch'"):
-            run_worker("127.0.0.1", refusing_port(), engine="batch")
-
-
 #: A fresh interpreter loads the worker module and runs a lease's worth
 #: of staticRM/ccRM cells through the worker's own entry point; both
 #: policies run the RM response-time analysis at setup.
@@ -49,7 +39,7 @@ from repro.analysis.batch import encode_cells
 from repro.analysis.sweep import SweepConfig, sweep_cell_specs, sweep_context
 config = SweepConfig(policies=("staticRM", "ccRM"), n_tasks=8, n_sets=2,
                      utilizations=(0.5, 0.8), duration=200.0, seed=11)
-encoded, _ = encode_cells(sweep_context(config), sweep_cell_specs(config))
+encoded = encode_cells(sweep_context(config), sweep_cell_specs(config))
 print(len(encoded), "numpy" in sys.modules)
 """
 
@@ -57,9 +47,7 @@ print(len(encoded), "numpy" in sys.modules)
 class TestNumpyFree:
     def test_rm_cells_leave_numpy_unimported(self):
         src = Path(__file__).resolve().parents[2] / "src"
-        env = {key: value for key, value in os.environ.items()
-               if key != "RTDVS_NO_NUMPY"}
-        env["PYTHONPATH"] = str(src)
+        env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-c", _WORKER_RM_SNIPPET],
                               capture_output=True, text=True, env=env,
                               check=True)

@@ -96,6 +96,29 @@ class TestJournaledRequests:
         assert ([tables_only(r) for r in first["results"]]
                 == [tables_only(r) for r in resumed["results"]])
 
+    def test_block_engine_request_resumes_from_its_journal(self, tmp_path):
+        # A journal naming "block" (an alias of "scalar") still resumes,
+        # on a fresh service, to the tables a scalar request gets.
+        with ServiceThread(tiny_service(tmp_path / "scalar")) as handle:
+            with SweepServiceClient(port=handle.port) as client:
+                scalar = client.submit_collect({"spec": TINY_SPEC})
+        with ServiceThread(tiny_service(tmp_path)) as handle:
+            with SweepServiceClient(port=handle.port) as client:
+                first = client.submit_collect(
+                    {"spec": TINY_SPEC, "engine": "block",
+                     "request_id": "b1"})
+        with ServiceThread(tiny_service(tmp_path)) as handle:
+            with SweepServiceClient(port=handle.port) as client:
+                resumed = client.submit_collect(
+                    {"resume": True, "request_id": "b1"})
+        assert first["done"]["journal_done"] == TINY_CELLS
+        assert resumed["events"][0]["engine"] == "block"
+        assert resumed["done"]["simulated_cells"] == 0
+        assert resumed["done"]["journal_skipped"] == TINY_CELLS
+        expected = [tables_only(r) for r in scalar["results"]]
+        assert [tables_only(r) for r in first["results"]] == expected
+        assert [tables_only(r) for r in resumed["results"]] == expected
+
     def test_journal_survives_a_fresh_service_on_same_cache(self,
                                                             tmp_path):
         with ServiceThread(tiny_service(tmp_path)) as handle:

@@ -19,8 +19,6 @@ from repro.analysis.sweep import utilization_sweep
 from repro.catalog.schema import PanelSpec
 from repro.service import (AdmissionQueue, ServiceError, ServiceThread,
                            SweepService, SweepServiceClient, TenantQuotas)
-from repro.sim.batch_kernels import numpy_backend
-from tests.analysis.lanes import force_all_lanes
 
 TINY_SPEC = {"n_tasks": 3, "n_sets_quick": 2, "duration_quick": 100.0,
              "utilizations": [0.5, 0.9]}
@@ -89,20 +87,17 @@ class TestServing:
                 for count, value in zip(sets_done, series):
                     assert (value is None) == (count == 0)
 
-    def test_block_engine_serves_identical_tables(self, tmp_path,
-                                                  monkeypatch):
-        # The service runs cells inline on its own threads, so the pinned
-        # cut reaches them.
-        ran = force_all_lanes(monkeypatch)
+    def test_block_engine_serves_identical_tables(self, tmp_path):
+        # "block" is an alias of "scalar": accepted, echoed, same tables.
         with ServiceThread(tiny_service(tmp_path)) as handle:
             client = SweepServiceClient(port=handle.port)
             out = client.submit_collect(
                 {"spec": TINY_SPEC, "engine": "block"})
         raw, normalized = in_process_rows()
+        assert out["events"][0]["engine"] == "block"
+        assert out["done"]["simulated_cells"] == TINY_CELLS
         assert out["results"][0]["raw"] == raw
         assert out["results"][0]["normalized"] == normalized
-        if numpy_backend() is not None:
-            assert sum(ran) > 0
 
     def test_scenario_request_resolves_panels(self, tmp_path):
         spec_cells = 4 * 3  # 4 cells per panel, three tiny panels? no —
@@ -297,7 +292,7 @@ class _FailingExecutor:
 
     workers = 1
 
-    def submit_cell(self, context, spec, engine="scalar"):
+    def submit_cell(self, context, spec):
         raise RuntimeError("executor exploded")
 
     def shutdown(self):

@@ -56,10 +56,31 @@ class TestRun:
         ["run", "fig9"], ["run-all"], ["submit", "fig9"],
         ["worker", "--connect", ":9"]])
     def test_batch_engine_is_an_argparse_error(self, capsys, command):
+        # A worker takes no --engine at all.
+        expected = "unrecognized arguments: --engine batch" \
+            if command[0] == "worker" else "invalid choice: 'batch'"
         with pytest.raises(SystemExit) as excinfo:
             main(command + ["--engine", "batch"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'batch'" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["scalar", "block"])
+    def test_worker_takes_no_engine(self, capsys, engine):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--connect", ":9", "--engine", engine])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_block_engine_is_an_alias_of_scalar(self, capsys):
+        # fig16 is a quick sweep experiment (~1 s); its printed tables
+        # must not depend on the engine name.
+        outputs = []
+        for engine in ("scalar", "block"):
+            assert main(["run", "fig16", "--no-cache", "--no-charts",
+                         "--engine", engine]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "| 0.1 |" in outputs[0]
 
     def test_run_table4(self, capsys):
         assert main(["run", "table4", "--no-charts"]) == 0
