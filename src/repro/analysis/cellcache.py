@@ -42,8 +42,9 @@ Bounded growth
 --------------
 A one-shot CLI sweep can afford an unbounded cache; a long-lived serving
 process (``rtdvs serve``) cannot.  :meth:`CellCache.sweep` implements
-size- and age-bounded LRU eviction: every ``get`` hit touches the entry's
-mtime, so mtime order *is* recency order, and the sweeper first drops
+size- and age-bounded LRU eviction: every ``get`` hit (and every
+:meth:`CellCache.touch`) bumps the entry's mtime, so mtime order *is*
+recency order, and the sweeper first drops
 entries older than ``max_age`` seconds, then — oldest first — exactly as
 many more as needed to bring the total under ``max_bytes``.  Eviction is
 whole-file ``unlink``: a concurrent reader either wins the race (a
@@ -63,7 +64,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.transport import decode_cell, encode_cell
 from repro.errors import ReproError
@@ -294,6 +295,22 @@ class CellCache:
         # No binary entry; a JSON file here is by definition pre-schema-3.
         self._evict(self._legacy_path_for(key))
         return None
+
+    def touch(self, keys: Iterable[str]) -> bool:
+        """Bump every entry's mtime; ``False`` at the first entry that
+        cannot be touched (missing, or on a read-only mount).
+
+        A presence check that reads no bytes: it keeps :meth:`sweep`'s
+        LRU order honest for a caller that already holds the outcomes
+        (the service's encoded result tables), without re-validating the
+        entries the way :meth:`get` does.
+        """
+        for key in keys:
+            try:
+                os.utime(self.path_for(key))
+            except OSError:
+                return False
+        return True
 
     @staticmethod
     def _touch(path: Path) -> None:

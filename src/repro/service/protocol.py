@@ -35,8 +35,11 @@ The response is a stream of NDJSON events, one JSON object per line:
     then; clients must treat this event as fatal).
 """
 
+import hashlib
+import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.aggregate import mean
 from repro.analysis.batch import ENGINES, unknown_engine
@@ -85,25 +88,36 @@ class SweepRequest:
     resume: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepJob:
     """One resolved sweep: a panel bound to runnable cell specs.
 
     ``keys`` aligns with ``specs``; an entry is ``None`` only for
     uncacheable (trace-carrying) cells, which a wire request can never
-    produce but the server still guards against.
+    produce but the server still guards against.  Jobs are immutable,
+    so the server can share one resolution across requests.
     """
 
     scenario: str
     panel: str
     config: SweepConfig
     context: SweepContext
-    specs: List[CellSpec]
-    keys: List[Optional[str]]
+    specs: Tuple[CellSpec, ...]
+    keys: Tuple[Optional[str], ...]
 
     @property
     def cells(self) -> int:
         return len(self.specs)
+
+    @cached_property
+    def fingerprint(self) -> Optional[str]:
+        """One digest of the scenario, panel and ordered cell keys
+        (``None`` if any cell is uncacheable): the job's ``result``
+        tables are a pure function of it."""
+        if any(key is None for key in self.keys):
+            return None
+        return hashlib.sha256(json.dumps(
+            [self.scenario, self.panel, *self.keys]).encode()).hexdigest()
 
 
 def parse_request(data: object) -> SweepRequest:
@@ -193,7 +207,7 @@ def parse_request(data: object) -> SweepRequest:
                         request_id=request_id, resume=resume)
 
 
-def resolve_jobs(request: SweepRequest) -> List[SweepJob]:
+def resolve_jobs(request: SweepRequest) -> Tuple[SweepJob, ...]:
     """Resolve a request to its jobs: one per panel, in catalog order.
 
     A scenario request without ``panel`` fans out to *all* panels of the
@@ -227,20 +241,20 @@ def resolve_jobs(request: SweepRequest) -> List[SweepJob]:
         config = panel.sweep_config(quick=request.quick,
                                     engine=request.engine)
         context = sweep_context(config)
-        specs = sweep_cell_specs(config)
-        keys = [cell_cache_key(context, spec) if spec.cacheable else None
-                for spec in specs]
+        specs = tuple(sweep_cell_specs(config))
+        keys = tuple(cell_cache_key(context, spec) if spec.cacheable
+                     else None for spec in specs)
         jobs.append(SweepJob(scenario=scenario_name, panel=panel.label,
                              config=config, context=context,
                              specs=specs, keys=keys))
-    return jobs
+    return tuple(jobs)
 
 
 # ---------------------------------------------------------------------------
 # event payloads (server -> client)
 # ---------------------------------------------------------------------------
 
-def started_event(request: SweepRequest, jobs: List[SweepJob],
+def started_event(request: SweepRequest, jobs: Sequence[SweepJob],
                   resumed: bool = False) -> Dict[str, object]:
     event = {
         "event": "started",

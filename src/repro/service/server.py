@@ -1,15 +1,25 @@
 """The sweep service: an asyncio, stdlib-only HTTP/JSON server.
 
-Three perf layers front the existing cell machinery:
+Four perf layers front the existing cell machinery:
 
 1. **Cache-first reads** — every request's cells are probed against the
    content-addressed :class:`~repro.analysis.cellcache.CellCache`
    (off-loop, in a worker thread) before anything is scheduled; warm
    cells never touch the executor.
-2. **Single-flight dedup** (:mod:`repro.service.dedup`) — cold cells
+2. **Result reuse** — the stable table fragment of each ``result``
+   event is encoded once and kept in a small LRU keyed by the job's
+   fingerprint (only the per-request counters differ), so
+   fan-out does not re-serialize the tables.  A repeat request whose
+   tables the LRU holds skips the cache reads too: one
+   :meth:`~repro.analysis.cellcache.CellCache.touch` pass confirms
+   every entry is still on disk (and bumps its LRU recency), and the
+   held fragment is sent; a missing entry falls back to the probe.
+   Catalog requests also resolve to their jobs once per loaded catalog,
+   so a repeat panel re-hashes no cell keys.
+3. **Single-flight dedup** (:mod:`repro.service.dedup`) — cold cells
    are keyed by their cache fingerprint, so N concurrent identical
    requests coalesce into one simulation whose outcome fans back out.
-3. **Bounded admission with per-tenant quotas**
+4. **Bounded admission with per-tenant quotas**
    (:mod:`repro.service.quotas`) — an over-budget tenant gets HTTP 429
    + ``Retry-After`` up front; admitted cells flow through a bounded
    queue into the shared :class:`~repro.analysis.executor.CellExecutor`
@@ -20,10 +30,7 @@ Responses stream NDJSON (:mod:`repro.service.protocol`): partial
 aggregates render incrementally, and the final per-panel tables are
 bit-identical to an in-process
 :func:`~repro.analysis.sweep.utilization_sweep` because they are
-produced by the same aggregation over the same outcome dicts.  The
-stable table fragment of each ``result`` event is encoded once and
-reused across subscribers of the same cells (only the per-request
-counters differ), so fan-out does not re-serialize megabyte tables.
+produced by the same aggregation over the same outcome dicts.
 
 HTTP/1.1 connections are kept alive by default (streams switch to
 chunked transfer encoding so the response stays self-delimiting); a
@@ -54,7 +61,9 @@ from repro import __version__
 from repro.analysis.cellcache import CellCache
 from repro.analysis.executor import CellExecutor
 from repro.analysis.sweep import aggregate_outcomes
+from repro.catalog.catalog import load_catalog
 from repro.dist.journal import JournalError, JournalWriter, SweepJournal
+from repro.errors import ReproError
 from repro.service.dedup import SingleFlight
 from repro.service.protocol import (ProtocolError, SweepJob, SweepRequest,
                                     done_event, error_event, job_event,
@@ -73,11 +82,12 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 _MAX_HEADER_LINES = 64
 _MAX_BODY_BYTES = 1 << 20
 
-#: Distinct result tables kept in the encode-reuse cache.  Each entry is
-#: one job's serialized tables (tens of KB for quick sweeps); the cache
-#: only pays off while identical requests overlap, so a handful of
-#: entries covers the fan-out case without holding stale tables forever.
-_RESULT_CACHE_MAX = 8
+#: Distinct result tables kept in the result-reuse LRU: every catalog
+#: panel at both scales (16 x 2).  An entry is one job's serialized
+#: tables (~2.7 KB for a quick paper panel) keyed by one digest
+#: (``SweepJob.fingerprint``), so a client cycling over the whole catalog
+#: stays on the warm fast path.
+_RESULT_CACHE_MAX = 32
 
 
 @dataclass
@@ -160,8 +170,12 @@ class SweepService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._sweeper: Optional[asyncio.Task] = None
         self._conns: Set[asyncio.StreamWriter] = set()
-        self._result_cache: "OrderedDict[Tuple[str, ...], str]" = \
-            OrderedDict()
+        #: Encoded result fragments by ``SweepJob.fingerprint``.
+        self._result_cache: "OrderedDict[str, str]" = OrderedDict()
+        #: Catalog jobs by (scenario, panel, quick, engine), valid for
+        #: the catalog object they were resolved against.
+        self._jobs: Dict[tuple, Tuple[SweepJob, ...]] = {}
+        self._jobs_catalog: Optional[object] = None
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> "SweepService":
@@ -384,7 +398,7 @@ class SweepService:
             raise ProtocolError(
                 f"journaled request {request.request_id!r} no longer "
                 f"parses: {exc}") from exc
-        jobs = resolve_jobs(full)
+        jobs = self._resolve(full)
         writer = await asyncio.to_thread(store.append, request.request_id)
         return full, jobs, writer, completed
 
@@ -396,6 +410,32 @@ class SweepService:
         return await asyncio.to_thread(store.create, request_id, stored)
 
     # -- the sweep endpoint -------------------------------------------------
+    def _resolve(self, request: SweepRequest) -> Tuple[SweepJob, ...]:
+        """The request's jobs, memoized for catalog requests.
+
+        A catalog job is a pure function of ``(scenario, panel, quick,
+        engine)`` and the loaded catalog, so repeats share one resolution
+        and re-hash no cell keys.  The memo holds only while
+        :func:`~repro.catalog.catalog.load_catalog` returns the object it
+        was built against (a ``refresh`` drops it); inline specs always
+        resolve fresh.
+        """
+        if request.spec is not None:
+            return resolve_jobs(request)
+        try:
+            catalog = load_catalog()
+        except ReproError as exc:
+            raise ProtocolError(str(exc)) from exc
+        if catalog is not self._jobs_catalog:
+            self._jobs.clear()
+            self._jobs_catalog = catalog
+        key = (request.scenario, request.panel, request.quick,
+               request.engine)
+        jobs = self._jobs.get(key)
+        if jobs is None:
+            jobs = self._jobs[key] = resolve_jobs(request)
+        return jobs
+
     async def _handle_sweep(self, writer: asyncio.StreamWriter,
                             body: bytes, keep_alive: bool) -> bool:
         """Serve one sweep request; returns whether the connection
@@ -418,7 +458,7 @@ class SweepService:
                 journal = _JournalState(journal_writer, completed)
                 resumed = True
             else:
-                jobs = resolve_jobs(request)
+                jobs = self._resolve(request)
                 if request.request_id is not None:
                     journal = _JournalState(
                         await self._create_journal(request.request_id, data),
@@ -485,15 +525,27 @@ class SweepService:
                        totals: Dict[str, int],
                        journal: Optional[_JournalState]) -> None:
         outcomes: List[Optional[Dict[str, object]]] = [None] * job.cells
-        warm = 0
+        hits: List[int] = []
+        pending = list(range(job.cells))
+        stable: Optional[str] = None
         if self.cache is not None:
-            hits = await asyncio.to_thread(self._probe, job.keys)
-            for index, outcome in hits:
-                outcomes[index] = outcome
-            warm = len(hits)
+            # None (an uncacheable job) is never a key of the LRU.
+            stable = self._result_cache.get(job.fingerprint)
+            if stable is not None and await asyncio.to_thread(
+                    self.cache.touch, job.keys):
+                # The LRU holds this job's tables and every entry is
+                # still on disk: all cells are warm, none is read.
+                hits, pending = pending, []
+            else:
+                stable = None
+                for index, outcome in await asyncio.to_thread(
+                        self._probe, job.keys):
+                    outcomes[index] = outcome
+                    hits.append(index)
+                pending = [i for i in pending if outcomes[i] is None]
             if journal is not None and hits:
                 fresh: List[str] = []
-                for index, _ in hits:
+                for index in hits:
                     fingerprint = job.keys[index]
                     if fingerprint in journal.completed:
                         # Journaled by the interrupted run, answered
@@ -504,9 +556,9 @@ class SweepService:
                         fresh.append(fingerprint)
                 if fresh:
                     await asyncio.to_thread(journal.writer.mark_many, fresh)
+        warm = len(hits)
         await self._send_event(writer, job_event(job, warm), chunked)
 
-        pending = [i for i in range(job.cells) if outcomes[i] is None]
         cache_hits = warm
         simulated = coalesced = 0
         done = warm
@@ -552,25 +604,27 @@ class SweepService:
         await self._send_raw(
             writer,
             self._encode_result(job, outcomes, cache_hits, simulated,
-                                coalesced),
+                                coalesced, stable),
             chunked)
 
     def _encode_result(self, job: SweepJob,
                        outcomes: List[Optional[Dict[str, object]]],
                        cache_hits: int, simulated: int,
-                       coalesced: int) -> bytes:
+                       coalesced: int, stable: Optional[str] = None,
+                       ) -> bytes:
         """Serialize one ``result`` event, reusing the stable fragment.
 
         The tables (xs/labels/raw/normalized/rm_fallbacks) are a pure
         function of the job's ordered cell fingerprints, so subscribers
         fanning out over the same cells share one aggregation + one
         ``json.dumps`` of the heavy fragment; only the per-request
-        counters are encoded fresh and spliced in.
+        counters are encoded fresh and spliced in.  ``stable`` is the
+        fragment the warm fast path already took from the LRU (its
+        ``outcomes`` are all ``None``).
         """
-        key: Optional[Tuple[str, ...]] = None
-        if all(k is not None for k in job.keys):
-            key = (job.scenario, job.panel, *job.keys)
-        stable = self._result_cache.get(key) if key is not None else None
+        key = job.fingerprint
+        if stable is None and key is not None:
+            stable = self._result_cache.get(key)
         if stable is None:
             result = aggregate_outcomes(job.config, outcomes)
             payload = result_event(job, result, 0, 0, 0)
@@ -578,20 +632,20 @@ class SweepService:
                             "coalesced_cells"):
                 del payload[counter]
             stable = json.dumps(payload, separators=(",", ":"))
-            if key is not None:
-                self._result_cache[key] = stable
-                while len(self._result_cache) > _RESULT_CACHE_MAX:
-                    self._result_cache.popitem(last=False)
         else:
             self.stats.result_reuses += 1
+        if key is not None:
+            self._result_cache[key] = stable
             self._result_cache.move_to_end(key)
+            while len(self._result_cache) > _RESULT_CACHE_MAX:
+                self._result_cache.popitem(last=False)
         counters = json.dumps(
             {"cache_hits": cache_hits, "simulated_cells": simulated,
              "coalesced_cells": coalesced}, separators=(",", ":"))
         # Merge `{...stable}` and `{...counters}` into one JSON object.
         return (stable[:-1] + "," + counters[1:] + "\n").encode("utf-8")
 
-    def _probe(self, keys: List[Optional[str]],
+    def _probe(self, keys: Tuple[Optional[str], ...],
                ) -> List[Tuple[int, Dict[str, object]]]:
         """Warm-path batch read (runs on a worker thread)."""
         hits = []
