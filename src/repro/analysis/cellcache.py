@@ -305,9 +305,12 @@ class CellCache:
         (the service's encoded result tables), without re-validating the
         entries the way :meth:`get` does.
         """
+        # path_for's layout as a plain string: building a Path per key
+        # costs more than the utime syscall itself.
+        root, sep = os.fspath(self.root), os.sep
         for key in keys:
             try:
-                os.utime(self.path_for(key))
+                os.utime(f"{root}{sep}{key[:2]}{sep}{key}.bin")
             except OSError:
                 return False
         return True
@@ -331,13 +334,24 @@ class CellCache:
             # still works, but a stale file is now pinned — record it.
             self._swallow(f"evict {path.name}", exc)
 
-    def put(self, key: str, outcome: Dict[str, object]) -> None:
-        """Store ``outcome`` under ``key`` (atomic; last writer wins)."""
+    def put(self, key: str, outcome: Dict[str, object],
+            sweep: bool = True) -> None:
+        """Store ``outcome`` under ``key`` (atomic; last writer wins).
+
+        With eviction limits, every :attr:`SWEEP_EVERY_PUTS`-th put runs
+        :meth:`maybe_sweep`; ``sweep=False`` leaves that pass to a caller
+        that checks :meth:`sweep_due` (the service runs it off its event
+        loop).
+        """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = encode_cell(outcome,
                               meta={"schema": CACHE_SCHEMA, "key": key})
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        except FileNotFoundError:
+            # The shard's first entry: one mkdir per shard, not per put.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
@@ -352,8 +366,14 @@ class CellCache:
             raise
         if self.max_bytes is not None or self.max_age is not None:
             self._puts_since_sweep += 1
-            if self._puts_since_sweep >= self.SWEEP_EVERY_PUTS:
+            if sweep and self.sweep_due():
                 self.maybe_sweep()
+
+    def sweep_due(self) -> bool:
+        """Whether enough puts have landed since the last
+        :meth:`maybe_sweep` for an opportunistic pass."""
+        return ((self.max_bytes is not None or self.max_age is not None)
+                and self._puts_since_sweep >= self.SWEEP_EVERY_PUTS)
 
     def _entries(self):
         for pattern in self._ENTRY_GLOBS:

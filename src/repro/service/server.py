@@ -4,8 +4,7 @@ Four perf layers front the existing cell machinery:
 
 1. **Cache-first reads** — every request's cells are probed against the
    content-addressed :class:`~repro.analysis.cellcache.CellCache`
-   (off-loop, in a worker thread) before anything is scheduled; warm
-   cells never touch the executor.
+   before anything is scheduled; warm cells never touch the executor.
 2. **Result reuse** — the stable table fragment of each ``result``
    event is encoded once and kept in a small LRU keyed by the job's
    fingerprint (only the per-request counters differ), so
@@ -14,8 +13,8 @@ Four perf layers front the existing cell machinery:
    :meth:`~repro.analysis.cellcache.CellCache.touch` pass confirms
    every entry is still on disk (and bumps its LRU recency), and the
    held fragment is sent; a missing entry falls back to the probe.
-   Catalog requests also resolve to their jobs once per loaded catalog,
-   so a repeat panel re-hashes no cell keys.
+   Requests also resolve to their jobs once (per loaded catalog, or per
+   canonical inline spec), so a repeat panel re-hashes no cell keys.
 3. **Single-flight dedup** (:mod:`repro.service.dedup`) — cold cells
    are keyed by their cache fingerprint, so N concurrent identical
    requests coalesce into one simulation whose outcome fans back out.
@@ -23,8 +22,19 @@ Four perf layers front the existing cell machinery:
    (:mod:`repro.service.quotas`) — an over-budget tenant gets HTTP 429
    + ``Retry-After`` up front; admitted cells flow through a bounded
    queue into the shared :class:`~repro.analysis.executor.CellExecutor`
-   (never blocking the event loop: cells resolve via
+   (cells resolve via
    :meth:`~repro.analysis.executor.CellExecutor.submit_cell` futures).
+
+Threading rule: per-request and per-cell cache and journal I/O (probe,
+touch, re-probe, put, journal marks) runs inline on the event loop.
+Each step is short, Python-bound work that a worker thread could not
+run in parallel under the GIL, and a hand-off would add a queue put, a
+thread wake-up and a wake-up back through the loop for every step.  The
+one hand-off on the request path is ``submit_cell``, so a simulation
+never holds the loop.  Whole-directory scans (``maybe_sweep``,
+``/v1/stats``) and the executor's shutdown stay on worker threads.  The
+longest inline step is the probe of a job the result LRU does not hold:
+a few milliseconds for an 80-cell paper panel, once per job.
 
 Responses stream NDJSON (:mod:`repro.service.protocol`): partial
 aggregates render incrementally, and the final per-panel tables are
@@ -176,6 +186,9 @@ class SweepService:
         #: the catalog object they were resolved against.
         self._jobs: Dict[tuple, Tuple[SweepJob, ...]] = {}
         self._jobs_catalog: Optional[object] = None
+        #: Inline-spec jobs by (canonical spec JSON, quick, engine), LRU.
+        self._inline_jobs: "OrderedDict[tuple, Tuple[SweepJob, ...]]" = \
+            OrderedDict()
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> "SweepService":
@@ -379,7 +392,7 @@ class SweepService:
                 "journal lives under the cache directory")
         return SweepJournal(Path(self.cache.root) / "journal")
 
-    async def _resume_request(self, request: SweepRequest):
+    def _resume_request(self, request: SweepRequest):
         """Replay a journaled request: re-parse its stored body.
 
         Returns ``(request, jobs, writer, completed_fps)`` where
@@ -387,8 +400,7 @@ class SweepService:
         and ``completed_fps`` are the fingerprints already journaled.
         """
         store = self._journal_store()
-        stored, completed, _torn = await asyncio.to_thread(
-            store.load, request.request_id)
+        stored, completed, _torn = store.load(request.request_id)
         body = dict(stored)
         body.pop("resume", None)
         body["request_id"] = request.request_id
@@ -399,29 +411,40 @@ class SweepService:
                 f"journaled request {request.request_id!r} no longer "
                 f"parses: {exc}") from exc
         jobs = self._resolve(full)
-        writer = await asyncio.to_thread(store.append, request.request_id)
+        writer = store.append(request.request_id)
         return full, jobs, writer, completed
 
-    async def _create_journal(self, request_id: str,
-                              data: Dict[str, object]) -> JournalWriter:
+    def _create_journal(self, request_id: str,
+                        data: Dict[str, object]) -> JournalWriter:
         store = self._journal_store()
         stored = {key: value for key, value in data.items()
                   if key not in ("request_id", "resume")}
-        return await asyncio.to_thread(store.create, request_id, stored)
+        return store.create(request_id, stored)
 
     # -- the sweep endpoint -------------------------------------------------
     def _resolve(self, request: SweepRequest) -> Tuple[SweepJob, ...]:
-        """The request's jobs, memoized for catalog requests.
+        """The request's jobs, memoized so repeats re-hash no cell keys.
 
         A catalog job is a pure function of ``(scenario, panel, quick,
-        engine)`` and the loaded catalog, so repeats share one resolution
-        and re-hash no cell keys.  The memo holds only while
+        engine)`` and the loaded catalog; that memo holds only while
         :func:`~repro.catalog.catalog.load_catalog` returns the object it
-        was built against (a ``refresh`` drops it); inline specs always
-        resolve fresh.
+        was built against (a ``refresh`` drops it).  An inline job is a
+        pure function of its spec, keyed by the spec's canonical JSON
+        rather than the :class:`PanelSpec` (whose equality has ``1 ==
+        1.0``, while the cell keys hash the JSON), in an LRU of
+        ``_RESULT_CACHE_MAX`` entries.
         """
         if request.spec is not None:
-            return resolve_jobs(request)
+            key = (json.dumps(request.spec.to_dict(), sort_keys=True),
+                   request.quick, request.engine)
+            jobs = self._inline_jobs.get(key)
+            if jobs is None:
+                jobs = self._inline_jobs[key] = resolve_jobs(request)
+                while len(self._inline_jobs) > _RESULT_CACHE_MAX:
+                    self._inline_jobs.popitem(last=False)
+            else:
+                self._inline_jobs.move_to_end(key)
+            return jobs
         try:
             catalog = load_catalog()
         except ReproError as exc:
@@ -454,14 +477,14 @@ class SweepService:
         try:
             if request.resume:
                 request, jobs, journal_writer, completed = \
-                    await self._resume_request(request)
+                    self._resume_request(request)
                 journal = _JournalState(journal_writer, completed)
                 resumed = True
             else:
                 jobs = self._resolve(request)
                 if request.request_id is not None:
                     journal = _JournalState(
-                        await self._create_journal(request.request_id, data),
+                        self._create_journal(request.request_id, data),
                         set())
         except (ProtocolError, JournalError) as exc:
             await self._send_json(writer, 400, {"error": str(exc)},
@@ -471,7 +494,7 @@ class SweepService:
             self.quotas.acquire(request.tenant)
         except QuotaExceeded as exc:
             if journal is not None:
-                await asyncio.to_thread(journal.writer.close)
+                journal.writer.close()
             await self._send_json(
                 writer, 429,
                 {"error": str(exc), "retry_after": exc.retry_after},
@@ -518,7 +541,7 @@ class SweepService:
         finally:
             self.quotas.release(request.tenant)
             if journal is not None:
-                await asyncio.to_thread(journal.writer.close)
+                journal.writer.close()
 
     async def _run_job(self, writer: asyncio.StreamWriter, chunked: bool,
                        request: SweepRequest, job: SweepJob,
@@ -531,15 +554,13 @@ class SweepService:
         if self.cache is not None:
             # None (an uncacheable job) is never a key of the LRU.
             stable = self._result_cache.get(job.fingerprint)
-            if stable is not None and await asyncio.to_thread(
-                    self.cache.touch, job.keys):
+            if stable is not None and self.cache.touch(job.keys):
                 # The LRU holds this job's tables and every entry is
                 # still on disk: all cells are warm, none is read.
                 hits, pending = pending, []
             else:
                 stable = None
-                for index, outcome in await asyncio.to_thread(
-                        self._probe, job.keys):
+                for index, outcome in self._probe(job.keys):
                     outcomes[index] = outcome
                     hits.append(index)
                 pending = [i for i in pending if outcomes[i] is None]
@@ -555,7 +576,7 @@ class SweepService:
                         journal.completed.add(fingerprint)
                         fresh.append(fingerprint)
                 if fresh:
-                    await asyncio.to_thread(journal.writer.mark_many, fresh)
+                    journal.writer.mark_many(fresh)
         warm = len(hits)
         await self._send_event(writer, job_event(job, warm), chunked)
 
@@ -580,8 +601,7 @@ class SweepService:
                     if fingerprint is not None \
                             and fingerprint not in journal.completed:
                         journal.completed.add(fingerprint)
-                        await asyncio.to_thread(journal.writer.mark,
-                                                fingerprint)
+                        journal.writer.mark(fingerprint)
                 if request.stream_every and done < job.cells \
                         and (done - warm) % request.stream_every == 0:
                     await self._send_event(
@@ -647,7 +667,8 @@ class SweepService:
 
     def _probe(self, keys: Tuple[Optional[str], ...],
                ) -> List[Tuple[int, Dict[str, object]]]:
-        """Warm-path batch read (runs on a worker thread)."""
+        """Warm-path batch read, inline on the event loop (one decode
+        per cached cell, paid once per job the result LRU lacks)."""
         hits = []
         for index, key in enumerate(keys):
             if key is None:
@@ -669,14 +690,18 @@ class SweepService:
                 # Re-probe under the single-flight lock: a previous
                 # leader may have cached this cell after our batch probe
                 # missed it.
-                cached = await asyncio.to_thread(self.cache.get, key)
+                cached = self.cache.get(key)
                 if cached is not None:
                     return "cached", cached
             async with self.admission:
                 outcome = await asyncio.wrap_future(
                     self.executor.submit_cell(job.context, spec))
             if self.cache is not None and key is not None:
-                await asyncio.to_thread(self.cache.put, key, outcome)
+                self.cache.put(key, outcome, sweep=False)
+                if self.cache.sweep_due():
+                    # A bounded cache's periodic pass scans the whole
+                    # directory: the one cache step kept off the loop.
+                    await asyncio.to_thread(self.cache.maybe_sweep)
             return "simulated", outcome
 
         if key is None:  # uncacheable: nothing to coalesce on

@@ -20,9 +20,11 @@ are part of the specification being validated).
 
 Resolution: admissions, releases and policy wakeups are handled at tick
 boundaries, and a completion ends its job's tick (the rest of that tick
-idles), so completions and the frequency changes they trigger are
-delayed by up to one tick; energy differs from the exact engine by at
-most roughly ``ticks_with_changes × dt × max_power``.  Use small ticks.
+idles), so each completion and the frequency change it triggers is
+delayed by up to one tick, and over a busy period the delays add up
+(the next job starts late too); energy differs from the exact engine by
+at most roughly ``ticks_with_changes × dt × max_power``.  Use small
+ticks.
 Release times themselves are exact (a release is stamped with its own
 time, not the tick boundary that admits it), so job counts and periodic
 release times match the engine's exactly.

@@ -130,6 +130,24 @@ class TestRecencyPromotion:
         assert old_path.exists()
         assert not young_path.exists()
 
+    def test_touch_bumps_every_entry_and_stops_at_a_missing_one(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = CellCache("cells")  # a relative root, as the CLI may pass
+        keys = [cell_key({"cell": n}) for n in range(3)]
+        for key in keys:
+            cache.put(key, OUTCOME)
+            os.utime(cache.path_for(key), (NOW - 1000, NOW - 1000))
+        assert cache.touch(keys)
+        assert all(cache.path_for(key).stat().st_mtime > NOW
+                   for key in keys)
+        cache.path_for(keys[1]).unlink()
+        os.utime(cache.path_for(keys[2]), (NOW - 1000, NOW - 1000))
+        assert not cache.touch(keys)
+        # The pass stopped at the missing entry: the one after it keeps
+        # its old mtime.
+        assert cache.path_for(keys[2]).stat().st_mtime == NOW - 1000
+
     def test_put_triggers_opportunistic_sweep(self, tmp_path, monkeypatch):
         monkeypatch.setattr(CellCache, "SWEEP_EVERY_PUTS", 4)
         cache = CellCache(str(tmp_path), max_bytes=0)
@@ -138,12 +156,24 @@ class TestRecencyPromotion:
         # The 4th put swept everything down to the (zero) budget.
         assert len(cache) == 0
 
+    def test_put_can_leave_the_due_sweep_to_its_caller(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(CellCache, "SWEEP_EVERY_PUTS", 2)
+        cache = CellCache(str(tmp_path), max_bytes=0)
+        cache.put(cell_key({"cell": 0}), OUTCOME, sweep=False)
+        assert not cache.sweep_due()
+        cache.put(cell_key({"cell": 1}), OUTCOME, sweep=False)
+        assert cache.sweep_due() and len(cache) == 2
+        cache.maybe_sweep()
+        assert not cache.sweep_due() and len(cache) == 0
+
     def test_unbounded_cache_never_auto_sweeps(self, tmp_path, monkeypatch):
         monkeypatch.setattr(CellCache, "SWEEP_EVERY_PUTS", 1)
         cache = CellCache(str(tmp_path))
         for n in range(3):
             cache.put(cell_key({"cell": n}), OUTCOME)
         assert len(cache) == 3
+        assert not cache.sweep_due()
         assert cache.maybe_sweep() is None
 
 

@@ -3,7 +3,8 @@
 A repeat request whose tables the result LRU already holds is answered
 after one ``CellCache.touch`` pass (no entry is read or decoded); a
 missing entry drops it back to the per-cell probe.  Catalog requests
-resolve to their jobs once per loaded catalog.  Inline sweeps are tiny
+resolve to their jobs once per loaded catalog, inline specs once per
+canonical spec while the memo holds them.  Inline sweeps are tiny
 (4 cells) so the module stays in the tier-1 budget.
 """
 
@@ -152,11 +153,41 @@ class TestJobMemo:
         assert again is not first
         assert again[0].keys == first[0].keys
 
-    def test_inline_specs_are_never_memoized(self):
+    def test_repeat_inline_spec_reuses_its_jobs(self):
         service = SweepService(cache=None)
-        request = parse_request({"spec": TINY_SPEC})
-        assert service._resolve(request) is not service._resolve(request)
+        first = service._resolve(parse_request({"spec": TINY_SPEC}))
+        # Key order in the body does not matter: the memo keys on the
+        # spec's canonical JSON.
+        shuffled = dict(reversed(list(TINY_SPEC.items())))
+        assert service._resolve(parse_request({"spec": shuffled})) is first
+        assert service._resolve(parse_request(
+            {"spec": TINY_SPEC, "quick": False})) is not first
         assert service._jobs == {}
+
+    def test_inline_memo_tells_int_from_float(self):
+        # PanelSpec equality has 0 == 0.0, but the cell keys hash the
+        # JSON, so the two specs name different cells.
+        service = SweepService(cache=None)
+        as_float = service._resolve(parse_request(
+            {"spec": dict(TINY_SPEC, idle_level=0.0)}))
+        as_int = service._resolve(parse_request(
+            {"spec": dict(TINY_SPEC, idle_level=0)}))
+        assert as_int[0].keys != as_float[0].keys
+        assert as_int[0].keys == keys_of(dict(TINY_SPEC, idle_level=0))
+
+    def test_inline_memo_is_a_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr("repro.service.server._RESULT_CACHE_MAX", 2)
+        service = SweepService(cache=None)
+        specs = [dict(TINY_SPEC, seed=seed) for seed in (1, 2, 3)]
+        first, second = (service._resolve(parse_request({"spec": spec}))
+                         for spec in specs[:2])
+        # Touch the first so the second is the least recently used.
+        assert service._resolve(parse_request({"spec": specs[0]})) is first
+        service._resolve(parse_request({"spec": specs[2]}))
+        assert len(service._inline_jobs) == 2
+        assert service._resolve(parse_request({"spec": specs[0]})) is first
+        assert service._resolve(parse_request({"spec": specs[1]})) \
+            is not second
 
     def test_block_and_scalar_engines_share_keys(self):
         service = SweepService(cache=None)
