@@ -1,9 +1,9 @@
 """Single source of truth for the numpy-free invariant.
 
-No simulation path may pull numpy into the process, whatever engine name
-a sweep gives: the memory benchmark's record-path children measure a
-delta that a stray ~30 MB numpy import would drown, and cold-sweep
-startup pays the import latency for nothing.  The package declares no
+No simulation path may pull numpy into the process: the memory
+benchmark's record-path children measure a delta that a stray ~30 MB
+numpy import would drown, and cold-sweep startup pays the import
+latency for nothing.  The package declares no
 run-time dependency at all.
 
 This helper used to live as two diverging copies in ``mem_workload.py``

@@ -1,17 +1,10 @@
-"""Engine names and the cell runner every executor shares.
+"""The cell runner every executor shares.
 
 Every sweep cell runs through :func:`repro.analysis.sweep.run_cell` on the
 per-cell simulator (:func:`repro.sim.batch_kernels.batch_simulate`: the
 flat-array :class:`~repro.sim.batch_kernels.CellKernel` inside its
 envelope, the discrete-event engine outside it).  The event engine and the
 tick simulator are its oracles, never a production path.
-
-A request may still name an engine (``SweepConfig.engine``, ``rtdvs
-run``/``run-all``/``submit --engine``, the service protocol's
-``"engine"``).  :data:`ENGINES` lists the accepted names: ``"block"`` is
-kept as an alias of ``"scalar"`` (it once named a cross-cell lane tier),
-so scripts and journaled requests that name it still run, on the same
-path with the same tables.  Below that boundary nothing reads the name.
 
 :func:`iter_cells` and :func:`encode_cells` are what the inline path
 and the distributed worker run.  Importing this module loads no kernel
@@ -24,15 +17,6 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.analysis.sweep import CellSpec, SweepContext, run_cell
 from repro.analysis.transport import encode_cell
-
-#: Engine names a request may give; both run the same per-cell path.
-ENGINES = ("scalar", "block")
-
-
-def unknown_engine(engine: object) -> str:
-    """The message every entry point rejects a bad engine name with."""
-    return (f"unknown engine {engine!r}; expected one of "
-            f"{', '.join(repr(name) for name in ENGINES)}")
 
 
 def iter_cells(context: SweepContext, specs: Sequence[CellSpec],

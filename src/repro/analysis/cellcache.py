@@ -34,9 +34,7 @@ the columnar wire format of :mod:`repro.analysis.transport` (raw float64
 buffers round-trip bit-exactly by construction) — the same codec the
 parallel executor ships worker results with.  Entries are written
 atomically via a temp file and ``os.replace`` so concurrent sweeps never
-observe torn entries.  Legacy schema-2 ``.json`` entries self-evict: a
-``get`` that finds one removes it and reports a miss, so stale files drain
-away as sweeps re-run instead of lingering forever.
+observe torn entries.
 
 Bounded growth
 --------------
@@ -74,7 +72,7 @@ from repro.errors import ReproError
 #: 2: outcomes gained a (since removed) fast-path accounting block and
 #: the period-band option entered the context description.
 #: 3: entries moved from JSON to the columnar ``transport`` codec
-#: (``.bin``); old ``.json`` entries are evicted on sight.
+#: (``.bin``).
 CACHE_SCHEMA = 3
 
 #: Environment variable overriding the default cache root.
@@ -105,45 +103,11 @@ def cell_key(description: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def encode_outcome(outcome: Dict[str, object]) -> Dict[str, object]:
-    """Convert a cell outcome to a JSON-safe dict (legacy schema <= 2
-    entry format; current entries use :mod:`repro.analysis.transport`).
-
-    Outcomes map policy labels to float energies, plus ``_rm_fallbacks``
-    (int) and optionally ``_residency`` (policy -> {float frequency ->
-    fraction}).  JSON object keys must be strings, so residency tables are
-    flattened into ``[frequency, fraction]`` pairs.
-    """
-    encoded: Dict[str, object] = {
-        "energies": {label: value for label, value in outcome.items()
-                     if not label.startswith("_")},
-        "rm_fallbacks": outcome.get("_rm_fallbacks", 0),
-    }
-    residency = outcome.get("_residency")
-    if residency:
-        encoded["residency"] = {
-            policy: sorted([f, frac] for f, frac in table.items())
-            for policy, table in residency.items()}
-    return encoded
-
-
-def decode_outcome(encoded: Dict[str, object]) -> Dict[str, object]:
-    """Inverse of :func:`encode_outcome`."""
-    outcome: Dict[str, object] = dict(encoded["energies"])
-    outcome["_rm_fallbacks"] = int(encoded["rm_fallbacks"])
-    residency = encoded.get("residency")
-    if residency:
-        outcome["_residency"] = {
-            policy: {float(f): float(frac) for f, frac in pairs}
-            for policy, pairs in residency.items()}
-    return outcome
-
-
 @dataclass
 class EvictionStats:
     """What one :meth:`CellCache.sweep` pass did."""
 
-    #: Entries examined (current ``.bin`` plus legacy ``.json``).
+    #: Entries examined.
     scanned: int = 0
     #: Entries removed because they were older than ``max_age``.
     expired: int = 0
@@ -173,17 +137,13 @@ class CellCache:
 
     Entries are sharded two hex characters deep (``ab/abcdef....bin``) so
     paper-scale sweeps (thousands of cells) do not pile every entry into
-    one directory.  Unreadable or schema-mismatched entries — including
-    pre-schema-3 ``.json`` files — are treated as misses and removed.
+    one directory.  Unreadable or schema-mismatched entries are treated
+    as misses and removed.
 
     ``max_bytes`` / ``max_age`` (seconds) arm the LRU eviction sweeper
     (see the module docstring); ``None`` leaves growth unbounded, the
     historical CLI behavior.
     """
-
-    #: Entry globs in probe order: current binary format first, then the
-    #: legacy JSON format kept only so old entries can self-evict.
-    _ENTRY_GLOBS = ("??/*.bin", "??/*.json")
 
     #: Errors a cache probe treats as a *silent* miss: our own
     #: schema-mismatch ``ValueError`` (expected after a schema bump) and
@@ -212,7 +172,7 @@ class CellCache:
         #: any path, plus corrupt ``.bin`` payloads — a torn or
         #: bit-rotted entry self-evicts (so it counts exactly once) but
         #: an operator should still hear about it.  Plain misses —
-        #: absent entries, legacy/stale schema drains — never count.
+        #: absent entries, stale-schema drains — never count.
         self.swallowed_errors = 0
         if max_bytes is not None and max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
@@ -246,16 +206,12 @@ class CellCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.bin"
 
-    def _legacy_path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The cached outcome for ``key``, or ``None`` on a miss.
 
-        Probes the ``.bin`` entry, then the legacy ``.json`` slot; a
-        legacy (or torn, or wrong-schema) file is unlinked on sight so
-        stale entries drain away instead of being re-parsed on every
-        sweep forever.  A hit touches the entry's mtime, so
+        A torn or wrong-schema entry is unlinked on sight so stale
+        entries drain away instead of being re-parsed on every sweep
+        forever.  A hit touches the entry's mtime, so
         :meth:`sweep` sees mtime order as true LRU order.
 
         A :class:`PermissionError` propagates: an unreadable shard means
@@ -269,10 +225,9 @@ class CellCache:
             if meta.get("schema") != CACHE_SCHEMA:
                 raise ValueError(f"schema {meta.get('schema')!r}")
             self._touch(path)
-            self._evict(self._legacy_path_for(key))
             return outcome
         except FileNotFoundError:
-            pass
+            return None
         except PermissionError:
             raise
         except ReproError as exc:
@@ -292,9 +247,6 @@ class CellCache:
             self._swallow(f"get {key[:12]}", exc)
             self._evict(path)
             return None
-        # No binary entry; a JSON file here is by definition pre-schema-3.
-        self._evict(self._legacy_path_for(key))
-        return None
 
     def touch(self, keys: Iterable[str]) -> bool:
         """Bump every entry's mtime; ``False`` at the first entry that
@@ -376,8 +328,7 @@ class CellCache:
                 and self._puts_since_sweep >= self.SWEEP_EVERY_PUTS)
 
     def _entries(self):
-        for pattern in self._ENTRY_GLOBS:
-            yield from self.root.glob(pattern)
+        return self.root.glob("??/*.bin")
 
     # -- bounded eviction ---------------------------------------------------
     def _stat_entries(self) -> List[Tuple[float, int, Path]]:
@@ -484,11 +435,11 @@ class CellCache:
         return sum(1 for _ in self._entries())
 
     def size_bytes(self) -> int:
-        """Total size of all cache entries (legacy JSON included), in bytes."""
+        """Total size of all cache entries, in bytes."""
         return sum(p.stat().st_size for p in self._entries())
 
     def clear(self) -> int:
-        """Remove every entry (legacy JSON included); returns the count."""
+        """Remove every entry; returns the count."""
         removed = 0
         for path in list(self._entries()):
             try:

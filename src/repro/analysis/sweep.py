@@ -32,8 +32,8 @@ cells O(1)).  This keeps every curve bit-identical across ``workers=1``,
 ``workers=N``, cold cache, and warm cache.
 
 Every cell runs through :func:`run_cell` on the per-cell kernel
-(:func:`repro.sim.batch_kernels.batch_simulate`), whatever engine name
-the config gives; executors only decide where it runs.
+(:func:`repro.sim.batch_kernels.batch_simulate`); executors only decide
+where it runs.
 
 RM-based policies occasionally meet task sets that are EDF- but not
 RM-schedulable (the paper's footnote 3).  Those cells fall back to
@@ -143,17 +143,17 @@ class SweepConfig:
     #: generator; ``None`` keeps the paper's 1-10/10-100/100-1000 ms
     #: defaults.  Result-determining: non-default bands enter the cell key.
     period_bands: Optional[Tuple[Tuple[float, float], ...]] = None
-    #: Engine name, one of :data:`repro.analysis.batch.ENGINES`, checked
-    #: here and read nowhere else: every cell runs on the per-cell
-    #: kernel, and ``"block"`` is an alias of ``"scalar"``.  Not part of
-    #: the cell identity.
+    #: ``"scalar"`` or ``"block"``, checked here and read nowhere:
+    #: every cell runs on the per-cell kernel.  Not part of the cell
+    #: identity.  Kept only because the repository benchmark
+    #: (``perfbench/workloads.py``) sets it; it can go once that stops.
     engine: str = "scalar"
 
     def __post_init__(self) -> None:
-        # Lazy import: repro.analysis.batch imports this module at its top.
-        from repro.analysis.batch import ENGINES, unknown_engine
-        if self.engine not in ENGINES:
-            raise ReproError(f"sweep config: {unknown_engine(self.engine)}")
+        if self.engine not in ("scalar", "block"):
+            raise ReproError(f"sweep config: unknown engine "
+                             f"{self.engine!r}; expected one of "
+                             "'scalar', 'block'")
 
     def energy_model(self) -> EnergyModel:
         return EnergyModel(idle_level=self.idle_level,
@@ -322,14 +322,7 @@ def utilization_sweep(config: SweepConfig,
     by ``config.workers``.  ``progress`` enables per-sweep throughput/ETA
     lines on stderr (or pass a :class:`SweepProgress` to customize).
     """
-    labels = _result_labels(config)
-    context = SweepContext(
-        machine=config.machine,
-        policies=tuple(labels[:-1]),
-        duration=config.duration,
-        idle_level=config.idle_level,
-        cycle_energy_scale=config.cycle_energy_scale,
-        residency_policies=tuple(config.residency_policies))
+    context = sweep_context(config)
     specs = _build_cell_specs(config)
     cache = open_cache(config.cache_dir)
 
@@ -383,7 +376,7 @@ def utilization_sweep(config: SweepConfig,
             runner.shutdown()
 
     started = perf_counter()
-    result = _aggregate(config, labels, outcomes)
+    result = _aggregate(config, _result_labels(config), outcomes)
     result.stage_seconds["aggregate"] = perf_counter() - started
     result.cache_hits = cache_hits
     result.simulated_cells = len(pending)
@@ -398,9 +391,9 @@ def utilization_sweep(config: SweepConfig,
 
 def sweep_context(config: SweepConfig) -> SweepContext:
     """The shared :class:`SweepContext` a sweep run derives from its
-    config — exposed so independent consumers (the catalog audit engine)
-    reconstruct *exactly* the context :func:`utilization_sweep` uses,
-    including the EDF-reference label insertion."""
+    config, including the EDF-reference label insertion.  It is the one
+    definition: :func:`utilization_sweep` builds its context here, and
+    the catalog audit replays cells under the same call."""
     labels = _result_labels(config)
     return SweepContext(
         machine=config.machine,

@@ -554,8 +554,7 @@ def _audit_invariant(invariant: Invariant, name: str, panel: str,
 def audit_scenario(scenario: Scenario,
                    profile: Optional[AuditProfile] = None,
                    cache_dir: Optional[str] = None,
-                   workers=1, executor=None,
-                   engine: str = "scalar") -> AuditReport:
+                   workers=1, executor=None) -> AuditReport:
     """Audit one scenario end to end.
 
     Sweep panels run through :func:`utilization_sweep` at the profile's
@@ -569,15 +568,14 @@ def audit_scenario(scenario: Scenario,
                          fingerprint=scenario.fingerprint())
     for panel in scenario.panels:
         config = profile.apply(panel.sweep_config(
-            quick=True, workers=workers, cache_dir=cache_dir,
-            engine=engine))
+            quick=True, workers=workers, cache_dir=cache_dir))
         result = utilization_sweep(config, executor=executor)
         report.checks.extend(audit_sweep_result(
             scenario, panel.label, config, result, profile=profile))
     if scenario.invariant("shape-checks") is not None:
         report.checks.append(_audit_shape_checks(
             scenario, profile, workers=workers, cache_dir=cache_dir,
-            executor=executor, engine=engine))
+            executor=executor))
     return report
 
 
@@ -598,8 +596,7 @@ def _audit_shape_checks(scenario: Scenario, profile: AuditProfile,
 def audit_catalog(names: Optional[Sequence[str]] = None,
                   profile: Optional[AuditProfile] = None,
                   cache_dir: Optional[str] = None,
-                  workers=1, executor=None,
-                  engine: str = "scalar") -> List[AuditReport]:
+                  workers=1, executor=None) -> List[AuditReport]:
     """Audit the whole catalog (or the named subset), in catalog order."""
     catalog = load_catalog()
     if names:
@@ -612,8 +609,7 @@ def audit_catalog(names: Optional[Sequence[str]] = None,
     else:
         selected = [catalog[name] for name in sorted(catalog)]
     return [audit_scenario(scenario, profile=profile, cache_dir=cache_dir,
-                           workers=workers, executor=executor,
-                           engine=engine)
+                           workers=workers, executor=executor)
             for scenario in selected]
 
 

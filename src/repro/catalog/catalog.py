@@ -77,7 +77,7 @@ def panel_sweep_config(scenario_name: str, panel_label: str,
                        quick: bool = True, **execution) -> SweepConfig:
     """Resolve one catalog panel to a runnable :class:`SweepConfig`.
 
-    ``execution`` keywords (``workers``, ``cache_dir``, ``engine``)
+    ``execution`` keywords (``workers``, ``cache_dir``)
     select *how* the sweep runs; the catalog entry determines everything
     that affects its results.  This is the entry point the per-figure
     drivers use.

@@ -23,9 +23,9 @@ Design rules
   everything in a scenario is data, resolvable to today's
   :class:`~repro.analysis.sweep.SweepConfig` machinery without executing
   catalog-supplied code.
-* **Execution ≠ identity.**  Worker counts, cache directories and the
-  engine name change how a scenario runs, not what it computes (they are
-  required to be bit-identical); they are runtime options of
+* **Execution ≠ identity.**  Worker counts and cache directories change
+  how a scenario runs, not what it computes (they are required to be
+  bit-identical); they are runtime options of
   :meth:`PanelSpec.sweep_config`, never scenario fields.
 """
 
@@ -198,6 +198,9 @@ class PanelSpec:
 
         Keyword arguments are execution options only; every
         result-determining field comes from the panel declaration.
+        ``engine`` is passed through to :attr:`SweepConfig.engine`, which
+        nothing reads; it stays for the repository benchmark
+        (``perfbench/workloads.py``, ``block-column``).
         """
         return SweepConfig(
             policies=(tuple(self.policies) if self.policies is not None

@@ -59,7 +59,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.batch import ENGINES
 from repro.analysis.cellcache import CellCache, default_cache_dir
 from repro.analysis.executor import resolve_workers
 from repro.core import available_policies, make_policy
@@ -92,10 +91,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                         help="disable the cell-result cache")
     parser.add_argument("--progress", action="store_true",
                         help="print per-sweep progress/ETA lines to stderr")
-    parser.add_argument("--engine", choices=ENGINES, default="scalar",
-                        help="accepted for compatibility: every cell runs "
-                             "on the per-cell kernel, and 'block' is an "
-                             "alias of 'scalar'")
 
 
 def _cache_dir_from(args: argparse.Namespace):
@@ -278,9 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="back-off hint sent with HTTP 429 "
                               "(default: %(default)s)")
-    p_serve.add_argument("--max-pending", type=int, default=64, metavar="N",
-                         help="bounded admission queue: cells admitted to "
-                              "the executor at once (default: %(default)s)")
     p_serve.add_argument("--dist-port", type=int, default=None, metavar="N",
                          help="also open a distributed work queue on this "
                               "port (0 = ephemeral) and serve cold cells "
@@ -327,9 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(default: all panels)")
     p_submit.add_argument("--full", action="store_true",
                           help="paper-scale parameters (slow)")
-    p_submit.add_argument("--engine", choices=ENGINES, default="scalar",
-                          help="accepted for compatibility: 'block' is "
-                               "an alias of 'scalar'")
     p_submit.add_argument("--tenant", default="default",
                           help="tenant identity for quota accounting")
     p_submit.add_argument("--stream-every", type=int, default=0,
@@ -412,8 +401,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(args.experiment, quick=not args.full,
                             workers=args.workers,
                             cache_dir=_cache_dir_from(args),
-                            progress=args.progress,
-                            engine=args.engine)
+                            progress=args.progress)
     print(result.render(charts=not args.no_charts))
     if args.csv:
         for path in result.write_csvs(args.csv):
@@ -425,15 +413,14 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     results = run_all(quick=not args.full, workers=args.workers,
                       output_dir=args.out,
                       cache_dir=_cache_dir_from(args),
-                      progress=args.progress,
-                      engine=args.engine)
+                      progress=args.progress)
     print(summary_table(results))
     code = 0 if all(r.all_checks_pass for r in results) else 1
     if args.audit:
         from repro.catalog import (audit_catalog, render_reports,
                                    reports_to_json)
         reports = audit_catalog(cache_dir=_cache_dir_from(args),
-                                workers=args.workers, engine=args.engine)
+                                workers=args.workers)
         print(render_reports(reports))
         if args.out:
             import os
@@ -610,8 +597,7 @@ def _cmd_catalog_run(args: argparse.Namespace) -> int:
     result = run_scenario(args.scenario, quick=not args.full,
                           workers=args.workers,
                           cache_dir=_cache_dir_from(args),
-                          progress=args.progress,
-                          engine=args.engine)
+                          progress=args.progress)
     print(result.render(charts=not args.no_charts))
     return 0 if result.all_checks_pass else 1
 
@@ -623,7 +609,7 @@ def _cmd_catalog_audit(args: argparse.Namespace) -> int:
                            duration=args.audit_duration)
     reports = audit_catalog(args.scenarios or None, profile=profile,
                             cache_dir=_cache_dir_from(args),
-                            workers=args.workers, engine=args.engine)
+                            workers=args.workers)
     print(render_reports(reports))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -690,7 +676,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import contextlib
     import signal
 
-    from repro.service import AdmissionQueue, SweepService, TenantQuotas
+    from repro.service import SweepService, TenantQuotas
 
     cache = None
     if not args.no_cache:
@@ -707,7 +693,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         quotas=TenantQuotas(max_inflight=args.tenant_inflight,
                             retry_after=args.retry_after),
-        admission=AdmissionQueue(max_pending=args.max_pending),
         host=args.host, port=args.port,
         sweep_interval=args.sweep_interval)
 
@@ -804,8 +789,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             request["panel"] = args.panel
     if args.tenant != "default":
         request["tenant"] = args.tenant
-    if args.engine != "scalar":
-        request["engine"] = args.engine
     if args.stream_every:
         request["stream_every"] = args.stream_every
     if args.request_id is not None:

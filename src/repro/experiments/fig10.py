@@ -25,18 +25,17 @@ N_TASKS = 8
 
 
 def sweep_for(idle_level: float, quick: bool, workers=1, executor=None,
-              cache_dir=None, progress=False,
-              engine="scalar") -> SweepResult:
+              cache_dir=None, progress=False) -> SweepResult:
     """The Fig. 10 sweep for one idle level (catalog panel
     ``fig10/idle-<level>``)."""
     return utilization_sweep(panel_sweep_config(
         "fig10", f"idle-{idle_level}", quick=quick, workers=workers,
-        cache_dir=cache_dir, engine=engine),
+        cache_dir=cache_dir),
         executor=executor, progress=progress)
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, engine="scalar") -> ExperimentResult:
+        progress=False) -> ExperimentResult:
     """Reproduce Fig. 10 (three panels, one per idle level)."""
     result = ExperimentResult(
         experiment_id="fig10",
@@ -48,7 +47,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     sweeps: Dict[float, SweepResult] = {}
     for idle in IDLE_LEVELS:
         sweep = sweep_for(idle, quick, workers, executor, cache_dir,
-                          progress, engine)
+                          progress)
         sweeps[idle] = sweep
         table = sweep.normalized
         table.title = f"Fig. 10 panel: idle level {idle} (normalized)"

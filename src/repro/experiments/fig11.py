@@ -29,18 +29,17 @@ RESIDENCY_POLICIES = ("ccEDF", "laEDF")
 
 
 def sweep_for(machine: Machine, quick: bool, workers=1, executor=None,
-              cache_dir=None, progress=False,
-              engine="scalar") -> SweepResult:
+              cache_dir=None, progress=False) -> SweepResult:
     """The Fig. 11 sweep for one machine specification (catalog panel
     ``fig11/<machine name>``)."""
     return utilization_sweep(panel_sweep_config(
         "fig11", machine.name, quick=quick, workers=workers,
-        cache_dir=cache_dir, engine=engine),
+        cache_dir=cache_dir),
         executor=executor, progress=progress)
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, engine="scalar") -> ExperimentResult:
+        progress=False) -> ExperimentResult:
     """Reproduce Fig. 11 (three panels, one per machine)."""
     result = ExperimentResult(
         experiment_id="fig11",
@@ -52,7 +51,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     sweeps: Dict[str, SweepResult] = {}
     for name, machine in machines.items():
         sweep = sweep_for(machine, quick, workers, executor, cache_dir,
-                          progress, engine)
+                          progress)
         sweeps[name] = sweep
         table = sweep.normalized
         table.title = f"Fig. 11 panel: {name} (normalized energy)"

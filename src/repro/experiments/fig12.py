@@ -22,18 +22,17 @@ N_TASKS = 8
 
 
 def sweep_for(fraction: float, quick: bool, workers=1, executor=None,
-              cache_dir=None, progress=False,
-              engine="scalar") -> SweepResult:
+              cache_dir=None, progress=False) -> SweepResult:
     """The Fig. 12 sweep for one demand fraction (catalog panel
     ``fig12/c-<fraction>``)."""
     return utilization_sweep(panel_sweep_config(
         "fig12", f"c-{fraction}", quick=quick, workers=workers,
-        cache_dir=cache_dir, engine=engine),
+        cache_dir=cache_dir),
         executor=executor, progress=progress)
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, engine="scalar") -> ExperimentResult:
+        progress=False) -> ExperimentResult:
     """Reproduce Fig. 12 (three panels, one per fraction)."""
     result = ExperimentResult(
         experiment_id="fig12",
@@ -44,7 +43,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     sweeps: Dict[float, SweepResult] = {}
     for fraction in FRACTIONS:
         sweep = sweep_for(fraction, quick, workers, executor, cache_dir,
-                          progress, engine)
+                          progress)
         sweeps[fraction] = sweep
         table = sweep.normalized
         table.title = f"Fig. 12 panel: c = {fraction} (normalized energy)"

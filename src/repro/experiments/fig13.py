@@ -17,26 +17,26 @@ N_TASKS = 8
 
 
 def sweep_uniform(quick: bool, workers=1, executor=None, cache_dir=None,
-                  progress=False, engine="scalar") -> SweepResult:
+                  progress=False) -> SweepResult:
     """The Fig. 13 sweep (catalog panel ``fig13/uniform``)."""
     return utilization_sweep(panel_sweep_config(
         "fig13", "uniform", quick=quick, workers=workers,
-        cache_dir=cache_dir, engine=engine),
+        cache_dir=cache_dir),
         executor=executor, progress=progress)
 
 
 def sweep_half(quick: bool, workers=1, executor=None, cache_dir=None,
-               progress=False, engine="scalar") -> SweepResult:
+               progress=False) -> SweepResult:
     """The comparison sweep at constant c = 0.5, same task sets
     (catalog panel ``fig13/half``)."""
     return utilization_sweep(panel_sweep_config(
         "fig13", "half", quick=quick, workers=workers,
-        cache_dir=cache_dir, engine=engine),
+        cache_dir=cache_dir),
         executor=executor, progress=progress)
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, engine="scalar") -> ExperimentResult:
+        progress=False) -> ExperimentResult:
     """Reproduce Fig. 13 plus its comparison against c = 0.5."""
     result = ExperimentResult(
         experiment_id="fig13",
@@ -45,9 +45,8 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         quick=quick,
     )
     uniform = sweep_uniform(quick, workers, executor, cache_dir,
-                            progress, engine)
-    half = sweep_half(quick, workers, executor, cache_dir, progress,
-                      engine)
+                            progress)
+    half = sweep_half(quick, workers, executor, cache_dir, progress)
     uniform.normalized.title = "Fig. 13: uniform demand (normalized energy)"
     half.normalized.title = "comparison: constant c = 0.5 (normalized energy)"
     result.tables.append(uniform.normalized)

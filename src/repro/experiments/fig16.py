@@ -34,7 +34,7 @@ DEMAND = 0.9
 def sweep_platform(quick: bool, workers=1,
                    laptop: LaptopPowerModel = LaptopPowerModel(),
                    executor=None, cache_dir=None,
-                   progress=False, engine="scalar") -> SweepResult:
+                   progress=False) -> SweepResult:
     """The underlying sweep, with energy calibrated to CPU watts
     (catalog panel ``fig16/k6-laptop``).
 
@@ -45,7 +45,7 @@ def sweep_platform(quick: bool, workers=1,
     """
     config = panel_sweep_config(
         "fig16", "k6-laptop", quick=quick, workers=workers,
-        cache_dir=cache_dir, engine=engine)
+        cache_dir=cache_dir)
     config = replace(config, cycle_energy_scale=laptop.
                      cycle_energy_scale_for(config.machine))
     return utilization_sweep(config, executor=executor,
@@ -69,7 +69,7 @@ def power_table(sweep: SweepResult, laptop: LaptopPowerModel,
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, engine="scalar") -> ExperimentResult:
+        progress=False) -> ExperimentResult:
     """Reproduce Fig. 16 (system power on the laptop model)."""
     laptop = LaptopPowerModel()
     result = ExperimentResult(
@@ -79,7 +79,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         quick=quick,
     )
     sweep = sweep_platform(quick, workers, laptop, executor, cache_dir,
-                           progress, engine)
+                           progress)
     table = power_table(sweep, laptop, include_overhead=True)
     result.tables.append(table)
 

@@ -22,18 +22,18 @@ from repro.measure.laptop import LaptopPowerModel
 
 
 def sweep_simulated(quick: bool, workers=1, executor=None, cache_dir=None,
-                    progress=False, engine="scalar") -> SweepResult:
+                    progress=False) -> SweepResult:
     """The pure-simulation sweep, unit energy scale (catalog panel
     ``fig17/k6-simulated``; shares fig16's seed, so the task sets and
     demands are identical)."""
     return utilization_sweep(panel_sweep_config(
         "fig17", "k6-simulated", quick=quick, workers=workers,
-        cache_dir=cache_dir, engine=engine),
+        cache_dir=cache_dir),
         executor=executor, progress=progress)
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, engine="scalar") -> ExperimentResult:
+        progress=False) -> ExperimentResult:
     """Reproduce Fig. 17 and validate it against the Fig. 16 emulation."""
     result = ExperimentResult(
         experiment_id="fig17",
@@ -41,8 +41,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         description=__doc__ or "",
         quick=quick,
     )
-    sim = sweep_simulated(quick, workers, executor, cache_dir, progress,
-                          engine)
+    sim = sweep_simulated(quick, workers, executor, cache_dir, progress)
     duration = sim.config.duration
     table = SweepTable(
         title="Fig. 17: simulated CPU power (arbitrary units)",
@@ -57,7 +56,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     # Identical parameters to fig16's sweep — with a shared cache this
     # re-validation costs zero simulations after fig16 has run.
     measured = sweep_platform(quick, workers, laptop, executor, cache_dir,
-                              progress, engine)
+                              progress)
     scale = laptop.cycle_energy_scale_for(k6_2_plus())
     worst_gap = 0.0
     for label in POLICIES:

@@ -25,18 +25,17 @@ RESIDENCY_TABLE_POLICIES: Tuple[str, ...] = ("ccEDF", "laEDF")
 
 
 def sweep_for(n_tasks: int, quick: bool, workers=1, executor=None,
-              cache_dir=None, progress=False,
-              engine="scalar") -> SweepResult:
+              cache_dir=None, progress=False) -> SweepResult:
     """The Fig. 9 sweep for one task count (catalog panel
     ``fig9/<n>-tasks``)."""
     return utilization_sweep(panel_sweep_config(
         "fig9", f"{n_tasks}-tasks", quick=quick, workers=workers,
-        cache_dir=cache_dir, engine=engine),
+        cache_dir=cache_dir),
         executor=executor, progress=progress)
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, engine="scalar") -> ExperimentResult:
+        progress=False) -> ExperimentResult:
     """Reproduce Fig. 9 (three panels, one per task count)."""
     result = ExperimentResult(
         experiment_id="fig9",
@@ -47,7 +46,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     sweeps: Dict[int, SweepResult] = {}
     for n_tasks in TASK_COUNTS:
         sweep = sweep_for(n_tasks, quick, workers, executor, cache_dir,
-                          progress, engine)
+                          progress)
         sweeps[n_tasks] = sweep
         # The paper's Fig. 9 y-axis is *absolute* energy; include both
         # views (the shape checks run on the normalized one).

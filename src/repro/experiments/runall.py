@@ -68,8 +68,7 @@ def run_experiment(experiment_id: str, quick: bool = True,
 def run_all(quick: bool = True, workers=1,
             output_dir: Optional[str] = None,
             cache_dir: Optional[str] = None,
-            progress: bool = False,
-            engine: str = "scalar") -> List[ExperimentResult]:
+            progress: bool = False) -> List[ExperimentResult]:
     """Run every experiment; optionally write reports and CSVs.
 
     With an ``output_dir``, each experiment gets ``<id>.md`` plus CSVs for
@@ -84,7 +83,6 @@ def run_all(quick: bool = True, workers=1,
         "executor": executor,
         "cache_dir": cache_dir,
         "progress": progress,
-        "engine": engine,
     }
     results = []
     try:

@@ -13,13 +13,11 @@ from repro.service.dedup import SingleFlight
 from repro.service.protocol import (PROTOCOL_VERSION, ProtocolError,
                                     SweepJob, SweepRequest, parse_request,
                                     resolve_jobs)
-from repro.service.quotas import (AdmissionQueue, QuotaExceeded,
-                                  TenantQuotas)
+from repro.service.quotas import QuotaExceeded, TenantQuotas
 from repro.service.server import ServiceStats, ServiceThread, SweepService
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "AdmissionQueue",
     "ProtocolError",
     "QuotaExceeded",
     "ServiceError",

@@ -3,7 +3,7 @@
 One request describes one *sweep intent* — either a catalog scenario
 (optionally narrowed to a single panel) or an inline panel-shaped spec —
 plus execution hints that never enter cell identity (``quick``,
-``engine``, ``stream_every``, ``tenant``).  The server resolves the
+``stream_every``, ``tenant``).  The server resolves the
 request to the exact seed-level :class:`~repro.analysis.sweep.CellSpec`
 list the in-process sweep would run, so every cell is content-addressed
 by the same fingerprint the :mod:`~repro.analysis.cellcache` uses and a
@@ -42,7 +42,6 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.aggregate import mean
-from repro.analysis.batch import ENGINES, unknown_engine
 from repro.analysis.sweep import (CellSpec, SweepConfig, SweepContext,
                                   SweepResult, cell_cache_key,
                                   sweep_cell_specs, sweep_context,
@@ -54,10 +53,10 @@ from repro.errors import ReproError
 #: Version tag of the request/event wire format; bump on any
 #: incompatible change.  ``started`` events carry it so clients can
 #: detect a server they do not understand.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _REQUEST_KEYS = ("scenario", "panel", "spec", "quick", "tenant",
-                 "engine", "stream_every", "request_id", "resume")
+                 "stream_every", "request_id", "resume")
 
 
 class ProtocolError(ReproError):
@@ -73,9 +72,6 @@ class SweepRequest:
     spec: Optional[PanelSpec] = None
     quick: bool = True
     tenant: str = "default"
-    #: One of :data:`~repro.analysis.batch.ENGINES`; ``"block"`` is an
-    #: alias of ``"scalar"``, so every request runs the same path.
-    engine: str = "scalar"
     #: Emit a ``partial`` aggregate event every N completed cells
     #: (0 disables partials; warm cells never trigger them).
     stream_every: int = 0
@@ -193,16 +189,13 @@ def parse_request(data: object) -> SweepRequest:
     tenant = payload.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError("'tenant' must be a non-empty string")
-    engine = payload.get("engine", "scalar")
-    if engine not in ENGINES:
-        raise ProtocolError(unknown_engine(engine))
     stream_every = payload.get("stream_every", 0)
     if not isinstance(stream_every, int) or isinstance(stream_every, bool) \
             or stream_every < 0:
         raise ProtocolError("'stream_every' must be a non-negative integer")
 
     return SweepRequest(scenario=scenario, panel=panel, spec=spec,
-                        quick=quick, tenant=tenant, engine=engine,
+                        quick=quick, tenant=tenant,
                         stream_every=stream_every,
                         request_id=request_id, resume=resume)
 
@@ -238,8 +231,7 @@ def resolve_jobs(request: SweepRequest) -> Tuple[SweepJob, ...]:
 
     jobs: List[SweepJob] = []
     for scenario_name, panel in pairs:
-        config = panel.sweep_config(quick=request.quick,
-                                    engine=request.engine)
+        config = panel.sweep_config(quick=request.quick)
         context = sweep_context(config)
         specs = tuple(sweep_cell_specs(config))
         keys = tuple(cell_cache_key(context, spec) if spec.cacheable
@@ -260,7 +252,6 @@ def started_event(request: SweepRequest, jobs: Sequence[SweepJob],
         "event": "started",
         "protocol": PROTOCOL_VERSION,
         "quick": request.quick,
-        "engine": request.engine,
         "tenant": request.tenant,
         "jobs": [{"scenario": job.scenario, "panel": job.panel,
                   "cells": job.cells} for job in jobs],

@@ -1,23 +1,16 @@
-"""Admission control: per-tenant quotas and the bounded cell queue.
+"""Admission control: per-tenant request quotas.
 
-The serving tier's third perf layer.  Two mechanisms, two failure
-modes:
+:class:`TenantQuotas` bounds each tenant's concurrent *requests*.  An
+over-budget submission is rejected immediately with
+:class:`QuotaExceeded` (HTTP 429 + ``Retry-After``) — the tenant is told
+to back off rather than silently queued, so one noisy client cannot
+monopolize the executor.  Cells of admitted requests queue in the
+executor itself.
 
-* :class:`TenantQuotas` bounds each tenant's concurrent *requests*.  An
-  over-budget submission is rejected immediately with
-  :class:`QuotaExceeded` (HTTP 429 + ``Retry-After``) — the tenant is
-  told to back off rather than silently queued, so one noisy client
-  cannot monopolize the executor.
-* :class:`AdmissionQueue` bounds how many *cells* are admitted to the
-  executor at once, across all tenants.  Admission waits (asyncio
-  backpressure) instead of erroring: an accepted request always
-  completes, it just streams more slowly while the queue drains.
-
-Both are event-loop-confined (no locks): every acquire/release happens
-on the server loop.
+Event-loop-confined (no locks): every acquire/release happens on the
+server loop.
 """
 
-import asyncio
 from contextlib import contextmanager
 from typing import Dict
 
@@ -90,43 +83,3 @@ class TenantQuotas:
                 "retry_after": self.retry_after,
                 "inflight": dict(self._inflight),
                 "rejected": self.rejected}
-
-
-class AdmissionQueue:
-    """Bounded gate between request handlers and the executor.
-
-    ``async with queue:`` admits one cell, waiting while the queue is
-    full.  Tracks the high-water mark so operators can tell whether the
-    bound ever mattered.
-    """
-
-    def __init__(self, max_pending: int = 64):
-        if max_pending < 1:
-            raise ValueError(
-                f"max_pending must be >= 1, got {max_pending}")
-        self.max_pending = max_pending
-        self._semaphore = asyncio.Semaphore(max_pending)
-        self._pending = 0
-        self.admitted = 0
-        self.peak_pending = 0
-
-    async def __aenter__(self) -> "AdmissionQueue":
-        await self._semaphore.acquire()
-        self._pending += 1
-        self.admitted += 1
-        if self._pending > self.peak_pending:
-            self.peak_pending = self._pending
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        self._pending -= 1
-        self._semaphore.release()
-
-    @property
-    def pending(self) -> int:
-        return self._pending
-
-    def snapshot(self) -> Dict[str, int]:
-        return {"max_pending": self.max_pending, "pending": self._pending,
-                "admitted": self.admitted,
-                "peak_pending": self.peak_pending}

@@ -18,12 +18,12 @@ Four perf layers front the existing cell machinery:
 3. **Single-flight dedup** (:mod:`repro.service.dedup`) — cold cells
    are keyed by their cache fingerprint, so N concurrent identical
    requests coalesce into one simulation whose outcome fans back out.
-4. **Bounded admission with per-tenant quotas**
-   (:mod:`repro.service.quotas`) — an over-budget tenant gets HTTP 429
-   + ``Retry-After`` up front; admitted cells flow through a bounded
-   queue into the shared :class:`~repro.analysis.executor.CellExecutor`
-   (cells resolve via
-   :meth:`~repro.analysis.executor.CellExecutor.submit_cell` futures).
+4. **Per-tenant quotas** (:mod:`repro.service.quotas`) — an
+   over-budget tenant gets HTTP 429 + ``Retry-After`` up front.  Cold
+   cells go straight to the shared
+   :class:`~repro.analysis.executor.CellExecutor` via
+   :meth:`~repro.analysis.executor.CellExecutor.submit_cell` futures;
+   the executor's own queue is the one cell queue.
 
 Threading rule: per-request and per-cell cache and journal I/O (probe,
 touch, re-probe, put, journal marks) runs inline on the event loop.
@@ -80,7 +80,7 @@ from repro.service.protocol import (ProtocolError, SweepJob, SweepRequest,
                                     parse_request, partial_event,
                                     resolve_jobs, result_event,
                                     started_event)
-from repro.service.quotas import AdmissionQueue, QuotaExceeded, TenantQuotas
+from repro.service.quotas import QuotaExceeded, TenantQuotas
 
 _LOG = logging.getLogger("repro.service")
 
@@ -162,7 +162,6 @@ class SweepService:
                  executor: Optional[CellExecutor] = None,
                  workers=1,
                  quotas: Optional[TenantQuotas] = None,
-                 admission: Optional[AdmissionQueue] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  sweep_interval: float = 0.0):
         self.cache = cache
@@ -170,8 +169,6 @@ class SweepService:
         self.executor = executor if executor is not None \
             else CellExecutor(workers)
         self.quotas = quotas if quotas is not None else TenantQuotas()
-        self.admission = admission if admission is not None \
-            else AdmissionQueue()
         self.single_flight = SingleFlight()
         self.stats = ServiceStats()
         self.host = host
@@ -182,11 +179,11 @@ class SweepService:
         self._conns: Set[asyncio.StreamWriter] = set()
         #: Encoded result fragments by ``SweepJob.fingerprint``.
         self._result_cache: "OrderedDict[str, str]" = OrderedDict()
-        #: Catalog jobs by (scenario, panel, quick, engine), valid for
+        #: Catalog jobs by (scenario, panel, quick), valid for
         #: the catalog object they were resolved against.
         self._jobs: Dict[tuple, Tuple[SweepJob, ...]] = {}
         self._jobs_catalog: Optional[object] = None
-        #: Inline-spec jobs by (canonical spec JSON, quick, engine), LRU.
+        #: Inline-spec jobs by (canonical spec JSON, quick), LRU.
         self._inline_jobs: "OrderedDict[tuple, Tuple[SweepJob, ...]]" = \
             OrderedDict()
 
@@ -425,8 +422,8 @@ class SweepService:
     def _resolve(self, request: SweepRequest) -> Tuple[SweepJob, ...]:
         """The request's jobs, memoized so repeats re-hash no cell keys.
 
-        A catalog job is a pure function of ``(scenario, panel, quick,
-        engine)`` and the loaded catalog; that memo holds only while
+        A catalog job is a pure function of ``(scenario, panel, quick)``
+        and the loaded catalog; that memo holds only while
         :func:`~repro.catalog.catalog.load_catalog` returns the object it
         was built against (a ``refresh`` drops it).  An inline job is a
         pure function of its spec, keyed by the spec's canonical JSON
@@ -436,7 +433,7 @@ class SweepService:
         """
         if request.spec is not None:
             key = (json.dumps(request.spec.to_dict(), sort_keys=True),
-                   request.quick, request.engine)
+                   request.quick)
             jobs = self._inline_jobs.get(key)
             if jobs is None:
                 jobs = self._inline_jobs[key] = resolve_jobs(request)
@@ -452,8 +449,7 @@ class SweepService:
         if catalog is not self._jobs_catalog:
             self._jobs.clear()
             self._jobs_catalog = catalog
-        key = (request.scenario, request.panel, request.quick,
-               request.engine)
+        key = (request.scenario, request.panel, request.quick)
         jobs = self._jobs.get(key)
         if jobs is None:
             jobs = self._jobs[key] = resolve_jobs(request)
@@ -693,9 +689,8 @@ class SweepService:
                 cached = self.cache.get(key)
                 if cached is not None:
                     return "cached", cached
-            async with self.admission:
-                outcome = await asyncio.wrap_future(
-                    self.executor.submit_cell(job.context, spec))
+            outcome = await asyncio.wrap_future(
+                self.executor.submit_cell(job.context, spec))
             if self.cache is not None and key is not None:
                 self.cache.put(key, outcome, sweep=False)
                 if self.cache.sweep_due():
@@ -719,7 +714,6 @@ class SweepService:
         payload.update(self.stats.to_dict())
         payload["single_flight"] = self.single_flight.stats()
         payload["quotas"] = self.quotas.snapshot()
-        payload["admission"] = self.admission.snapshot()
         if self.cache is not None:
             payload["cache"] = {"entries": len(self.cache),
                                 "bytes": self.cache.size_bytes()}

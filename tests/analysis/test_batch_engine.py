@@ -1,12 +1,12 @@
 """Differential tests for the per-cell kernel.
 
 :mod:`repro.sim.batch_kernels` is the simulator every sweep cell runs on:
-:func:`repro.sim.batch_kernels.batch_simulate` is ``run_cell``'s default,
-whichever engine name a sweep gives.  Its one promise is *bit identity*:
-the flat-array kernel must produce exactly the outcome the discrete-event
-engine produces — same energies, same switch counts, same misses, same
-trace, same residency metrics, same aggregate tables — across engine
-names, serial/parallel, cold/warm cache, and with numpy unimportable.
+:func:`repro.sim.batch_kernels.batch_simulate` is ``run_cell``'s default.
+Its one promise is *bit identity*: the flat-array kernel must produce
+exactly the outcome the discrete-event engine produces — same energies,
+same switch counts, same misses, same trace, same residency metrics, same
+aggregate tables — serial/parallel, cold/warm cache, and with numpy
+unimportable.
 These tests hold that line against the event engine at run level, at
 cell level over every catalog panel, and at sweep level; the throughput
 side lives in
@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.batch import ENGINES
 from repro.analysis.sweep import (
     SweepConfig,
     aggregate_outcomes,
@@ -619,11 +618,10 @@ def _run_snippet(code, *args):
 
 #: A fresh interpreter whose ``import numpy`` raises ImportError (a
 #: ``sys.meta_path`` finder, so no environment switch is involved) runs
-#: the TINY sweep with residency under both engine names, encodes cells
-#: the way pool and distributed workers do, parses and resolves a served
-#: request naming ``"block"``, and imports the service and distribution
-#: packages.  It prints whether the blocker held, whether numpy loaded,
-#: and each engine name's tables.
+#: the TINY sweep with residency, encodes cells the way pool and
+#: distributed workers do, parses and resolves a served request, and
+#: imports the service and distribution packages.  It prints whether the
+#: blocker held, whether numpy loaded, and the sweep's tables.
 _NUMPY_BLOCKED_SNIPPET = """
 import json, sys
 
@@ -646,16 +644,13 @@ from repro.analysis.transport import decode_cell
 from repro.service.protocol import parse_request, resolve_jobs
 
 config = json.loads(sys.argv[1])
-tables = {}
-for engine in ("scalar", "block"):
-    result = utilization_sweep(SweepConfig(engine=engine, **config))
-    tables[engine] = repr((result.raw.rows(), result.normalized.rows(),
-                           result.std, result.rm_fallbacks,
-                           {name: table.rows()
-                            for name, table in result.residency.items()}))
+result = utilization_sweep(SweepConfig(**config))
+tables = repr((result.raw.rows(), result.normalized.rows(), result.std,
+               result.rm_fallbacks,
+               {name: table.rows() for name, table in result.residency.items()}))
 job, = resolve_jobs(parse_request(
     {"spec": {"n_tasks": 3, "n_sets_quick": 2, "duration_quick": 100.0,
-              "utilizations": [0.5, 0.9]}, "engine": "block"}))
+              "utilizations": [0.5, 0.9]}}))
 cells = [decode_cell(payload)
          for payload in encode_cells(job.context, job.specs)]
 print(json.dumps({"blocked": blocked, "numpy": "numpy" in sys.modules,
@@ -664,11 +659,12 @@ print(json.dumps({"blocked": blocked, "numpy": "numpy" in sys.modules,
 
 
 class TestBatchSweepIdentity:
-    """Sweep-level differential: the scalar engine and its ``"block"``
-    alias, both vs every cell replayed on the event engine."""
+    """Sweep-level differential: the per-cell kernel vs every cell
+    replayed on the event engine."""
 
     def test_unknown_engine_rejected(self):
-        assert ENGINES == ("scalar", "block")
+        # SweepConfig.engine is kept for the repository benchmark only;
+        # it still accepts just the two names that benchmark passes.
         for name in ("vector", "batch"):
             with pytest.raises(ReproError,
                                match="expected one of 'scalar', 'block'"):
@@ -677,9 +673,8 @@ class TestBatchSweepIdentity:
     def test_batch_bit_identical(self):
         reference = engine_sweep(**TINY)
         scalar = utilization_sweep(SweepConfig(**TINY))
-        block = utilization_sweep(SweepConfig(engine="block", **TINY))
-        assert snap(reference) == snap(scalar) == snap(block)
-        assert (block.block_cells, block.block_fallbacks) == (0, {})
+        assert snap(reference) == snap(scalar)
+        assert (scalar.block_cells, scalar.block_fallbacks) == (0, {})
 
     def test_batch_bit_identical_numpy_off(self):
         config = dict(TINY, residency_policies=("ccEDF", "laEDF"))
@@ -692,26 +687,24 @@ class TestBatchSweepIdentity:
                          here.rm_fallbacks,
                          {name: table.rows()
                           for name, table in here.residency.items()}))
-        assert report["tables"] == {"scalar": expected, "block": expected}
+        assert report["tables"] == expected
 
     def test_batch_with_residency_instrumentation(self):
         # The kernel drives the residency collectors and must reproduce
-        # the event engine's tables, whichever engine name is given.
+        # the event engine's tables.
         config = dict(TINY, residency_policies=("ccEDF", "laEDF"))
         reference = engine_sweep(**config)
         scalar = utilization_sweep(SweepConfig(**config))
-        block = utilization_sweep(SweepConfig(engine="block", **config))
-        assert snap(reference) == snap(scalar) == snap(block)
-        assert block.residency  # the instrumented table actually exists
+        assert snap(reference) == snap(scalar)
+        assert scalar.residency  # the instrumented table actually exists
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batch_workers_and_cache(self, tmp_path, workers):
-        # The engine name is not part of the cell identity: a "block"
-        # rerun over a "scalar"-populated cache hits every cell.
+        # A warm rerun over the cold run's cache hits every cell.
         scalar = utilization_sweep(SweepConfig(**TINY))
         config = dict(TINY, workers=workers, cache_dir=str(tmp_path))
         cold = utilization_sweep(SweepConfig(**config))
-        warm = utilization_sweep(SweepConfig(engine="block", **config))
+        warm = utilization_sweep(SweepConfig(**config))
         assert snap(scalar) == snap(cold) == snap(warm)
         assert cold.simulated_cells == len(TINY["utilizations"]) * \
             TINY["n_sets"]

@@ -1,9 +1,6 @@
 """Tests for the content-addressed sweep-cell cache."""
 
-import json
 import os
-import shutil
-from pathlib import Path
 
 import pytest
 
@@ -12,9 +9,7 @@ from repro.analysis.cellcache import (
     CACHE_SCHEMA,
     CellCache,
     cell_key,
-    decode_outcome,
     default_cache_dir,
-    encode_outcome,
     open_cache,
 )
 from repro.analysis.sweep import CellSpec, SweepContext, cell_cache_key
@@ -27,9 +22,6 @@ OUTCOME = {
     "_rm_fallbacks": 1,
     "_residency": {"ccEDF": {0.5: 0.25, 1.0: 0.75}},
 }
-
-#: Committed schema-1 cache entries (see :class:`TestStaleSchemaFixtures`).
-FIXTURE_DIR = Path(__file__).parent / "data" / "cells"
 
 
 class TestCellKey:
@@ -70,16 +62,6 @@ class TestDefaultKeyPinning:
         # cached cell.
         assert cell_cache_key(self._context(), spec) == (
             "e87653be5a613b06a7c95939a0a25efe4c493fb44e3f114c693f4f96de6b26b0")
-
-
-class TestOutcomeCodec:
-    def test_roundtrip_bit_exact(self):
-        encoded = encode_outcome(OUTCOME)
-        # Through an actual JSON round trip, as the cache stores it.
-        decoded = decode_outcome(json.loads(json.dumps(encoded)))
-        assert decoded == OUTCOME
-        # Residency keys come back as float frequencies, not strings.
-        assert set(decoded["_residency"]["ccEDF"]) == {0.5, 1.0}
 
 
 class TestCellCache:
@@ -127,36 +109,6 @@ class TestCellCache:
         assert cache.get(key) is None
         assert not path.exists()
 
-    def test_legacy_schema2_json_self_evicts(self, tmp_path):
-        """A pre-schema-3 ``.json`` entry is a miss, and the miss removes
-        the file — the schema bump drains the old format for free."""
-        cache = CellCache(str(tmp_path))
-        key = cell_key({"cell": 4})
-        legacy = cache._legacy_path_for(key)
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        legacy.write_text(json.dumps(
-            {"schema": 2, "key": key, "outcome": encode_outcome(OUTCOME)}),
-            encoding="utf-8")
-        assert len(cache) == 1  # counted until evicted
-        assert cache.get(key) is None
-        assert not legacy.exists()
-        assert len(cache) == 0
-        # A fresh put lands in the binary slot and hits thereafter.
-        cache.put(key, OUTCOME)
-        assert cache.path_for(key).suffix == ".bin"
-        assert cache.get(key) == OUTCOME
-
-    def test_get_prunes_stale_legacy_twin(self, tmp_path):
-        """When both a current ``.bin`` and a leftover ``.json`` exist for
-        one key, a hit on the binary entry removes the stale twin."""
-        cache = CellCache(str(tmp_path))
-        key = cell_key({"cell": 5})
-        cache.put(key, OUTCOME)
-        legacy = cache._legacy_path_for(key)
-        legacy.write_text("{}", encoding="utf-8")
-        assert cache.get(key) == OUTCOME
-        assert not legacy.exists()
-
     def test_permission_denied_shard_raises(self, tmp_path, monkeypatch):
         """Regression: an unreadable shard means a misconfigured cache
         directory, not a miss — silently resimulating the whole sweep
@@ -175,9 +127,9 @@ class TestCellCache:
         assert cache.swallowed_errors == 0  # raised, not swallowed
 
     def test_expected_misses_are_not_counted(self, tmp_path):
-        """Absent entries and deliberate format drains (stale schema,
-        legacy JSON) are business-as-usual misses; only *corrupt*
-        payloads and genuine bugs reach ``swallowed_errors``."""
+        """Absent entries and stale-schema drains are business-as-usual
+        misses; only *corrupt* payloads and genuine bugs reach
+        ``swallowed_errors``."""
         cache = CellCache(str(tmp_path))
         key = cell_key({"cell": 7})
         assert cache.get(key) is None  # absent entry
@@ -186,9 +138,8 @@ class TestCellCache:
         outcome, meta = decode_cell(path.read_bytes(), with_meta=True)
         path.write_bytes(encode_cell(outcome, meta={**meta, "schema": -1}))
         assert cache.get(key) is None  # stale-schema drain
-        legacy = cache._legacy_path_for(key)
-        legacy.write_text("{}", encoding="utf-8")
-        assert cache.get(key) is None  # legacy-format drain
+        assert not path.exists()
+        assert cache.get(key) is None  # drained: now absent
         assert cache.swallowed_errors == 0
         assert cache.swallowed_log_lines() == []
 
@@ -242,27 +193,3 @@ class TestCellCache:
         monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
         assert default_cache_dir() == os.path.expanduser(
             "~/.cache/rtdvs-repro/cells")
-
-
-class TestStaleSchemaFixtures:
-    """The committed schema-1 fixtures (the survivors of the deleted
-    ``results/cells`` blobs) must read as misses and self-evict under the
-    current schema."""
-
-    def test_fixtures_are_stale_schema(self):
-        fixtures = sorted(FIXTURE_DIR.glob("*/*.json"))
-        assert fixtures, "expected committed cell fixtures"
-        for path in fixtures:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            assert entry["schema"] != CACHE_SCHEMA
-            assert entry["schema"] == 1
-
-    def test_stale_fixture_entries_self_evict(self, tmp_path):
-        shutil.copytree(FIXTURE_DIR, tmp_path / "cells")
-        cache = CellCache(str(tmp_path / "cells"))
-        keys = [path.stem for path in sorted(FIXTURE_DIR.glob("*/*.json"))]
-        assert len(cache) == len(keys)
-        for key in keys:
-            assert cache.get(key) is None          # stale schema: a miss
-            assert not cache.path_for(key).exists()  # and evicted
-        assert len(cache) == 0

@@ -120,19 +120,6 @@ class TestHappyPath:
         assert executor.duplicates_dropped == 0
         assert executor.ipc_bytes > 0
 
-    def test_block_engine_over_the_wire_bit_identical(self, reference):
-        # "block" is an alias of "scalar"; the lease carries no engine.
-        executor = RemoteCellExecutor()
-        threads = start_fleet(executor, 1)
-        try:
-            result = utilization_sweep(tiny_config(engine="block"),
-                                       executor=executor)
-        finally:
-            join_fleet(executor, threads)
-        raw, normalized = reference
-        assert result.raw.rows() == raw
-        assert result.normalized.rows() == normalized
-
     def test_submit_cell_future_resolves(self):
         from repro.analysis.sweep import sweep_cell_specs, sweep_context
         config = tiny_config()

@@ -96,28 +96,26 @@ class TestJournaledRequests:
         assert ([tables_only(r) for r in first["results"]]
                 == [tables_only(r) for r in resumed["results"]])
 
-    def test_block_engine_request_resumes_from_its_journal(self, tmp_path):
-        # A journal naming "block" (an alias of "scalar") still resumes,
-        # on a fresh service, to the tables a scalar request gets.
-        with ServiceThread(tiny_service(tmp_path / "scalar")) as handle:
+    def test_journal_naming_an_engine_no_longer_parses(self, tmp_path):
+        # Protocol 1 requests could name "engine"; protocol 2 has no such
+        # key, so resuming a journal that stored one fails loudly.
+        from repro.service import ServiceError
+        service = tiny_service(tmp_path)
+        writer = SweepJournal(tmp_path / "cells" / "journal").create(
+            "b1", {"spec": TINY_SPEC, "engine": "block"})
+        writer.close()
+        with ServiceThread(service) as handle:
             with SweepServiceClient(port=handle.port) as client:
-                scalar = client.submit_collect({"spec": TINY_SPEC})
-        with ServiceThread(tiny_service(tmp_path)) as handle:
-            with SweepServiceClient(port=handle.port) as client:
-                first = client.submit_collect(
-                    {"spec": TINY_SPEC, "engine": "block",
-                     "request_id": "b1"})
-        with ServiceThread(tiny_service(tmp_path)) as handle:
-            with SweepServiceClient(port=handle.port) as client:
-                resumed = client.submit_collect(
-                    {"resume": True, "request_id": "b1"})
-        assert first["done"]["journal_done"] == TINY_CELLS
-        assert resumed["events"][0]["engine"] == "block"
-        assert resumed["done"]["simulated_cells"] == 0
-        assert resumed["done"]["journal_skipped"] == TINY_CELLS
-        expected = [tables_only(r) for r in scalar["results"]]
-        assert [tables_only(r) for r in first["results"]] == expected
-        assert [tables_only(r) for r in resumed["results"]] == expected
+                with pytest.raises(
+                        ServiceError,
+                        match=r"no longer parses: .*\['engine'\]"
+                        ) as excinfo:
+                    client.submit_collect(
+                        {"resume": True, "request_id": "b1"})
+                stats = client.stats()
+        assert excinfo.value.status == 400
+        assert stats["simulated_cells"] == 0
+        assert stats["cells_served"] == 0
 
     def test_journal_survives_a_fresh_service_on_same_cache(self,
                                                             tmp_path):

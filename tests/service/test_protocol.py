@@ -19,7 +19,6 @@ class TestParseRequest:
         assert request.spec is None
         assert request.quick is True
         assert request.tenant == "default"
-        assert request.engine == "scalar"
         assert request.stream_every == 0
 
     def test_inline_spec_gets_default_label(self):
@@ -94,12 +93,6 @@ class TestResolveJobs:
         assert full.cells > quick.cells
         assert set(quick.keys).isdisjoint(full.keys)  # duration differs
 
-    def test_engine_choice_does_not_change_fingerprints(self):
-        scalar = resolve_jobs(parse_request({"spec": TINY_SPEC}))[0]
-        block = resolve_jobs(parse_request(
-            {"spec": TINY_SPEC, "engine": "block"}))[0]
-        assert scalar.keys == block.keys
-
     def test_unknown_scenario_is_protocol_error(self):
         with pytest.raises(ProtocolError, match="unknown scenario"):
             resolve_jobs(parse_request({"scenario": "fig99"}))
@@ -115,6 +108,8 @@ class TestResolveJobs:
         event = started_event(request, jobs)
         assert event["total_cells"] == sum(job.cells for job in jobs)
         assert len(event["jobs"]) == 3
+        assert event["protocol"] == 2
+        assert "engine" not in event
 
 
 class TestPartialAggregate:

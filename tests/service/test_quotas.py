@@ -1,10 +1,8 @@
-"""Tests for tenant quotas and the bounded admission queue."""
-
-import asyncio
+"""Tests for tenant quotas."""
 
 import pytest
 
-from repro.service.quotas import AdmissionQueue, QuotaExceeded, TenantQuotas
+from repro.service.quotas import QuotaExceeded, TenantQuotas
 
 
 class TestTenantQuotas:
@@ -69,47 +67,3 @@ class TestTenantQuotas:
     def test_invalid_limits_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TenantQuotas(**kwargs)
-
-
-class TestAdmissionQueue:
-    def test_bound_is_respected_under_pressure(self):
-        async def scenario():
-            queue = AdmissionQueue(max_pending=2)
-            active = 0
-            observed_peak = 0
-
-            async def worker():
-                nonlocal active, observed_peak
-                async with queue:
-                    active += 1
-                    observed_peak = max(observed_peak, active)
-                    await asyncio.sleep(0)
-                    active -= 1
-
-            await asyncio.gather(*(worker() for _ in range(8)))
-            return observed_peak, queue
-
-        observed_peak, queue = asyncio.run(scenario())
-        assert observed_peak <= 2
-        assert queue.peak_pending <= 2
-        assert queue.admitted == 8
-        assert queue.pending == 0
-
-    def test_slot_released_on_failure(self):
-        async def scenario():
-            queue = AdmissionQueue(max_pending=1)
-            with pytest.raises(RuntimeError):
-                async with queue:
-                    raise RuntimeError("cell failed")
-            # The slot is free again: this would hang otherwise.
-            async with queue:
-                pass
-            return queue
-
-        queue = asyncio.run(scenario())
-        assert queue.pending == 0
-        assert queue.admitted == 2
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionQueue(max_pending=0)

@@ -17,8 +17,8 @@ import pytest
 from repro.analysis.cellcache import CellCache
 from repro.analysis.sweep import utilization_sweep
 from repro.catalog.schema import PanelSpec
-from repro.service import (AdmissionQueue, ServiceError, ServiceThread,
-                           SweepService, SweepServiceClient, TenantQuotas)
+from repro.service import (ServiceError, ServiceThread, SweepService,
+                           SweepServiceClient, TenantQuotas)
 
 TINY_SPEC = {"n_tasks": 3, "n_sets_quick": 2, "duration_quick": 100.0,
              "utilizations": [0.5, 0.9]}
@@ -86,18 +86,6 @@ class TestServing:
             for series in partial["aggregate"]["raw_mean"].values():
                 for count, value in zip(sets_done, series):
                     assert (value is None) == (count == 0)
-
-    def test_block_engine_serves_identical_tables(self, tmp_path):
-        # "block" is an alias of "scalar": accepted, echoed, same tables.
-        with ServiceThread(tiny_service(tmp_path)) as handle:
-            client = SweepServiceClient(port=handle.port)
-            out = client.submit_collect(
-                {"spec": TINY_SPEC, "engine": "block"})
-        raw, normalized = in_process_rows()
-        assert out["events"][0]["engine"] == "block"
-        assert out["done"]["simulated_cells"] == TINY_CELLS
-        assert out["results"][0]["raw"] == raw
-        assert out["results"][0]["normalized"] == normalized
 
     def test_scenario_request_resolves_panels(self, tmp_path):
         spec_cells = 4 * 3  # 4 cells per panel, three tiny panels? no —
@@ -189,8 +177,7 @@ class TestBackpressure:
         once, and the cluster as a whole simulates each cell once."""
         service = tiny_service(
             tmp_path, quotas=TenantQuotas(max_inflight=1,
-                                          retry_after=0.02),
-            admission=AdmissionQueue(max_pending=2))
+                                          retry_after=0.02))
         K = 3
         dones, failures = [], []
         with ServiceThread(service) as handle:
@@ -225,13 +212,18 @@ class TestErrorsAndIntrospection:
         assert excinfo.value.status == 400
 
     def test_batch_engine_is_http_400(self, tmp_path):
+        # Protocol 2 has no "engine" key: any value, "block" included,
+        # is an unknown key, and nothing is simulated.
         with ServiceThread(tiny_service(tmp_path)) as handle:
             client = SweepServiceClient(port=handle.port)
-            with pytest.raises(ServiceError,
-                               match="expected one of 'scalar', 'block'"
-                               ) as excinfo:
-                client.submit_collect({"spec": TINY_SPEC, "engine": "batch"})
-        assert excinfo.value.status == 400
+            for engine in ("scalar", "block", "batch"):
+                with pytest.raises(ServiceError,
+                                   match=r"unknown key\(s\) \['engine'\]"
+                                   ) as excinfo:
+                    client.submit_collect({"spec": TINY_SPEC,
+                                           "engine": engine})
+                assert excinfo.value.status == 400
+            assert client.stats()["simulated_cells"] == 0
 
     def test_unknown_request_key_is_http_400(self, tmp_path):
         with ServiceThread(tiny_service(tmp_path)) as handle:

@@ -188,12 +188,3 @@ class TestJobMemo:
         assert service._resolve(parse_request({"spec": specs[0]})) is first
         assert service._resolve(parse_request({"spec": specs[1]})) \
             is not second
-
-    def test_block_and_scalar_engines_share_keys(self):
-        service = SweepService(cache=None)
-        scalar = service._resolve(parse_request(
-            dict(self.PANEL, engine="scalar")))
-        block = service._resolve(parse_request(
-            dict(self.PANEL, engine="block")))
-        assert block[0].keys == scalar[0].keys
-        assert block[0].fingerprint == scalar[0].fingerprint

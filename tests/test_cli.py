@@ -54,33 +54,26 @@ class TestSimulate:
 class TestRun:
     @pytest.mark.parametrize("command", [
         ["run", "fig9"], ["run-all"], ["submit", "fig9"],
-        ["worker", "--connect", ":9"]])
+        ["worker", "--connect", ":9"], ["catalog", "run", "fig9"],
+        ["catalog", "audit"]])
     def test_batch_engine_is_an_argparse_error(self, capsys, command):
-        # A worker takes no --engine at all.
-        expected = "unrecognized arguments: --engine batch" \
-            if command[0] == "worker" else "invalid choice: 'batch'"
-        with pytest.raises(SystemExit) as excinfo:
-            main(command + ["--engine", "batch"])
-        assert excinfo.value.code == 2
-        assert expected in capsys.readouterr().err
+        # No command takes an engine name: every cell runs on one
+        # simulator, so "scalar" and "block" are rejected like "batch".
+        for engine in ("scalar", "block", "batch"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--engine", engine])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --engine" \
+                in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["scalar", "block"])
-    def test_worker_takes_no_engine(self, capsys, engine):
+    def test_serve_has_no_max_pending(self, capsys):
+        # Cold cells queue only in the executor; the parser rejects the
+        # flag before any server starts.
         with pytest.raises(SystemExit) as excinfo:
-            main(["worker", "--connect", ":9", "--engine", engine])
+            main(["serve", "--max-pending", "8"])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_block_engine_is_an_alias_of_scalar(self, capsys):
-        # fig16 is a quick sweep experiment (~1 s); its printed tables
-        # must not depend on the engine name.
-        outputs = []
-        for engine in ("scalar", "block"):
-            assert main(["run", "fig16", "--no-cache", "--no-charts",
-                         "--engine", engine]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert "| 0.1 |" in outputs[0]
+        assert "unrecognized arguments: --max-pending" \
+            in capsys.readouterr().err
 
     def test_run_table4(self, capsys):
         assert main(["run", "table4", "--no-charts"]) == 0
