@@ -66,6 +66,13 @@ class TestRun:
             assert "unrecognized arguments: --engine" \
                 in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["scalar", "block"])
+    def test_worker_takes_no_engine(self, capsys, engine):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--connect", ":9", "--engine", engine])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_serve_has_no_max_pending(self, capsys):
         # Cold cells queue only in the executor; the parser rejects the
         # flag before any server starts.
